@@ -46,7 +46,7 @@ from .locator import (
     locate_concept,
     node_scope,
 )
-from .tokenizer import Token, split_identifier
+from .tokenizer import split_identifier
 from .vocabulary import (
     FilterConfig,
     ProjectStats,
@@ -54,7 +54,6 @@ from .vocabulary import (
     VocabularyEntry,
     build_vocabulary,
     compute_stats,
-    default_stoplist,
     load_stoplist,
     top_k,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "extract_java",
     "extract_project",
     "ingest_nodes",
-    "Token",
     "split_identifier",
     "FilterConfig",
     "VocabularyEntry",
@@ -91,7 +89,6 @@ __all__ = [
     "compute_stats",
     "top_k",
     "load_stoplist",
-    "default_stoplist",
     "DomainTermEntry",
     "DomainVocabulary",
     "TooFewProjectsError",

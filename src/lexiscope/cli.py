@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .domain import DOMAIN, POTENTIAL, TooFewProjectsError, build_domain_vocabulary
+from .domain import DOMAIN, POTENTIAL, build_domain_vocabulary
 from .extractor import SchemaError, extract_project, ingest_nodes
 from .index import InvalidIndexError, ProjectIndex, load_index, save_index
 from .lexicon import RELATIONS, LexiconError, load_lexicon
@@ -25,10 +25,6 @@ from .vocabulary import FilterConfig, build_vocabulary, compute_stats, load_stop
 __all__ = ["main", "entrypoint"]
 
 DICT_ENV_VAR = "LEXISCOPE_DICT"
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,10 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"lexiscope: error: {exc}", file=sys.stderr)
-        return 1
-    except (TooFewProjectsError, ValueError) as exc:
+    except ValueError as exc:
         print(f"lexiscope: error: {exc}", file=sys.stderr)
         return 1
     except LexiconError as exc:
@@ -119,7 +112,7 @@ def entrypoint() -> None:
 def _dictionary_dir(args) -> str:
     configured = args.dict or os.environ.get(DICT_ENV_VAR)
     if not configured:
-        raise _UsageError(f"no dictionary directory: pass --dict or set ${DICT_ENV_VAR}")
+        raise ValueError(f"no dictionary directory: pass --dict or set ${DICT_ENV_VAR}")
     return configured
 
 
@@ -226,7 +219,7 @@ def _marker(word: str, status: str) -> str:
 
 def cmd_domain(args) -> int:
     if len(args.indexes) < 2:
-        raise _UsageError("need at least 2 index files")
+        raise ValueError("need at least 2 index files")
     vocabularies = [load_index(path).vocabulary_view() for path in args.indexes]
     lexicon = None
     if args.semantic:
@@ -262,7 +255,7 @@ def _parse_relations(raw: str) -> frozenset[str]:
     relations = frozenset(part.strip().lower() for part in raw.split(","))
     unknown = relations - RELATIONS
     if unknown:
-        raise _UsageError(f"unknown relations: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown relations: {', '.join(sorted(unknown))}")
     return relations
 
 
@@ -277,7 +270,7 @@ def cmd_locate(args) -> int:
         token for chunk in args.phrase.split() for token in split_identifier(chunk)
     ]
     if not keywords:
-        raise _UsageError("empty phrase")
+        raise ValueError("empty phrase")
     index = load_index(args.index)
     lexicon = load_lexicon(_dictionary_dir(args))
     query = ConceptQuery(tuple(keywords), relations=_parse_relations(args.relations), depth=args.depth)

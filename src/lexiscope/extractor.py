@@ -76,11 +76,6 @@ class ScanDiagnostics:
     skipped_blocks: int = 0
     unreadable_files: int = 0
 
-    def merge(self, other: "ScanDiagnostics") -> None:
-        self.skipped_declarations += other.skipped_declarations
-        self.skipped_blocks += other.skipped_blocks
-        self.unreadable_files += other.unreadable_files
-
 
 class SchemaError(Exception):
     """A line-delimited node record violates the ingestion schema."""
@@ -156,16 +151,6 @@ class _Scanner:
                 self.advance()
                 self.skip_balanced("(", ")")
 
-    def skip_generics(self) -> None:
-        """Consume a <...> run; the '<' already consumed."""
-        depth = 1
-        while not self.at_end() and depth > 0:
-            tok, _ = self.advance()
-            if tok == "<":
-                depth += 1
-            elif tok == ">":
-                depth -= 1
-
     # --- grammar-ish scanning ---
 
     def scan_compilation_unit(self) -> None:
@@ -196,7 +181,7 @@ class _Scanner:
             if tok == ";":  # headerless declaration, nothing more to scan
                 return
             if tok == "<":
-                self.skip_generics()
+                self.skip_balanced("<", ">")
             elif tok == "(":
                 self.skip_balanced("(", ")")
             elif tok == "@":
@@ -238,7 +223,7 @@ class _Scanner:
             elif tok == "@":
                 self.skip_annotation()
             elif tok == "<":
-                self.skip_generics()
+                self.skip_balanced("<", ">")
             elif IDENTIFIER_RE.fullmatch(tok):
                 buffer.append((tok, line))
             # '.', '[', ']', numbers and other noise are dropped
@@ -284,16 +269,12 @@ class _Scanner:
         # Confirm with the trailer: optional throws list, then '{' or ';'.
         while not self.at_end():
             tok, _ = self.advance()
-            if tok == "{":
+            if tok in ("{", ";"):
                 method_id = self.emit("method", name, line, class_id)
                 for param_name, param_line in params:
                     self.emit("parameter", param_name, param_line, method_id)
-                self.skip_balanced("{", "}")
-                return True
-            if tok == ";":
-                method_id = self.emit("method", name, line, class_id)
-                for param_name, param_line in params:
-                    self.emit("parameter", param_name, param_line, method_id)
+                if tok == "{":
+                    self.skip_balanced("{", "}")
                 return True
             if tok == "@":
                 self.skip_annotation()
@@ -302,7 +283,7 @@ class _Scanner:
             elif IDENTIFIER_RE.fullmatch(tok) or tok[0].isdigit() or tok in (",", ".", "[", "]"):
                 continue
             elif tok == "<":
-                self.skip_generics()
+                self.skip_balanced("<", ">")
             else:
                 break
         self.pos = saved
@@ -328,7 +309,7 @@ class _Scanner:
             elif tok == "@":
                 self.skip_annotation()
             elif tok == "<":
-                self.skip_generics()
+                self.skip_balanced("<", ">")
             elif tok == "(":
                 self.skip_balanced("(", ")")
             elif IDENTIFIER_RE.fullmatch(tok):
@@ -396,6 +377,44 @@ def extract_project(
     return nodes, file_count
 
 
+def _validate_node(record, nodes: list[SourceNode]) -> SourceNode:
+    """The node-record rules shared by JSONL ingest and index load.
+
+    `record` is one decoded JSON value; `nodes` are the records accepted
+    so far, and the new node's id is their count.  Raises ValueError with
+    the reason on any violation.
+    """
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    kind = record.get("kind")
+    if kind not in KINDS:
+        raise ValueError(f"bad kind {kind!r}")
+    name = record.get("name")
+    if not isinstance(name, str) or not IDENTIFIER_RE.fullmatch(name):
+        raise ValueError(f"bad name {name!r}")
+    file_path = record.get("file")
+    if not isinstance(file_path, str) or not file_path:
+        raise ValueError("missing file")
+    line = record.get("line")
+    if type(line) is not int or line < 1:
+        raise ValueError(f"bad line {line!r}")
+
+    parent = record.get("parent")
+    if parent is None:
+        if kind != "class":
+            raise ValueError(f"{kind} requires a parent")
+    else:
+        if type(parent) is not int:
+            raise ValueError(f"bad parent {parent!r}")
+        if not 0 <= parent < len(nodes):
+            raise ValueError(f"parent {parent} does not reference an earlier node")
+        parent_kind = nodes[parent].kind
+        required = "method" if kind == "parameter" else "class"
+        if parent_kind != required:
+            raise ValueError(f"{kind} parent must be a {required}, got {parent_kind}")
+    return SourceNode(len(nodes), kind, name, file_path, line, parent)
+
+
 def ingest_nodes(stream: IO[str] | Iterable[str]) -> list[SourceNode]:
     """Read one JSON node record per line into validated SourceNodes.
 
@@ -411,39 +430,8 @@ def ingest_nodes(stream: IO[str] | Iterable[str]) -> list[SourceNode]:
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise SchemaError(line_number, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise SchemaError(line_number, "record is not an object")
-
-        kind = record.get("kind")
-        if kind not in KINDS:
-            raise SchemaError(line_number, f"bad kind {kind!r}")
-        name = record.get("name")
-        if not isinstance(name, str) or not IDENTIFIER_RE.fullmatch(name):
-            raise SchemaError(line_number, f"bad name {name!r}")
-        file_path = record.get("file")
-        if not isinstance(file_path, str) or not file_path:
-            raise SchemaError(line_number, "missing file")
-        line = record.get("line")
-        if not isinstance(line, int) or isinstance(line, bool) or line < 1:
-            raise SchemaError(line_number, f"bad line {line!r}")
-
-        parent = record.get("parent")
-        if parent is None:
-            if kind != "class":
-                raise SchemaError(line_number, f"{kind} requires a parent")
-            parent_id = None
-        else:
-            if not isinstance(parent, int) or isinstance(parent, bool):
-                raise SchemaError(line_number, f"bad parent {parent!r}")
-            if not 0 <= parent < len(nodes):
-                raise SchemaError(line_number, f"parent {parent} does not reference an earlier node")
-            parent_kind = nodes[parent].kind
-            required = "method" if kind == "parameter" else "class"
-            if parent_kind != required:
-                raise SchemaError(
-                    line_number, f"{kind} parent must be a {required}, got {parent_kind}"
-                )
-            parent_id = parent
-
-        nodes.append(SourceNode(len(nodes), kind, name, file_path, line, parent_id))
+        try:
+            nodes.append(_validate_node(record, nodes))
+        except ValueError as exc:
+            raise SchemaError(line_number, str(exc)) from exc
     return nodes

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .extractor import IDENTIFIER_RE, KINDS, SourceNode
+from .extractor import KINDS, SourceNode, _validate_node
 from .lexicon import PosTag
 from .vocabulary import ProjectVocabulary, VocabularyEntry
 
@@ -85,12 +85,18 @@ def load_index(path: str | Path) -> ProjectIndex:
         raise InvalidIndexError(f"unsupported index format in {path}")
     project_name = document.get("projectName")
     file_count = document.get("fileCount")
-    if not isinstance(project_name, str) or not isinstance(file_count, int) or file_count < 0:
+    if not isinstance(project_name, str) or type(file_count) is not int or file_count < 0:
         raise InvalidIndexError(f"bad project metadata in {path}")
 
-    nodes = []
+    nodes: list[SourceNode] = []
     for position, raw in enumerate(_expect_list(document, "nodes", path)):
-        node = _parse_node(raw, position, path)
+        try:
+            node = _validate_node(raw, nodes)
+        except ValueError as exc:
+            raise InvalidIndexError(f"node {position}: {exc} in {path}") from exc
+        node_id = raw.get("id")
+        if type(node_id) is not int or node_id != position:
+            raise InvalidIndexError(f"node ids must be dense from 0 (node {position}) in {path}")
         nodes.append(node)
 
     vocabulary = []
@@ -110,29 +116,6 @@ def _expect_list(document: dict, key: str, path) -> list:
     if not isinstance(value, list):
         raise InvalidIndexError(f"missing {key} list in {path}")
     return value
-
-
-def _parse_node(raw, position: int, path) -> SourceNode:
-    if not isinstance(raw, dict):
-        raise InvalidIndexError(f"node {position} is not an object in {path}")
-    if raw.get("id") != position:
-        raise InvalidIndexError(f"node ids must be dense from 0 (node {position}) in {path}")
-    kind = raw.get("kind")
-    name = raw.get("name")
-    file_path = raw.get("file")
-    line = raw.get("line")
-    parent = raw.get("parent")
-    if kind not in KINDS:
-        raise InvalidIndexError(f"node {position}: bad kind {kind!r} in {path}")
-    if not isinstance(name, str) or not IDENTIFIER_RE.fullmatch(name):
-        raise InvalidIndexError(f"node {position}: bad name {name!r} in {path}")
-    if not isinstance(file_path, str) or not isinstance(line, int) or line < 1:
-        raise InvalidIndexError(f"node {position}: bad location in {path}")
-    if parent is not None and (
-        not isinstance(parent, int) or isinstance(parent, bool) or not 0 <= parent < position
-    ):
-        raise InvalidIndexError(f"node {position}: parent must reference an earlier node in {path}")
-    return SourceNode(position, kind, name, file_path, line, parent)
 
 
 def _parse_entry(raw, path) -> VocabularyEntry:
@@ -161,9 +144,9 @@ def _parse_entry(raw, path) -> VocabularyEntry:
     by_kind = {}
     for kind in KINDS:
         value = counts[kind]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if type(value) is not int or value < 0:
             raise InvalidIndexError(f"{word}: bad count for {kind} in {path}")
         by_kind[kind] = value
-    if not isinstance(total, int) or total != sum(by_kind.values()) or total < 1:
+    if type(total) is not int or total != sum(by_kind.values()) or total < 1:
         raise InvalidIndexError(f"{word}: total must equal the sum of counts in {path}")
     return VocabularyEntry(word, recognized, pos, total, by_kind)

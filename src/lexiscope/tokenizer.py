@@ -16,9 +16,8 @@ separators and digits removed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-__all__ = ["Token", "split_identifier", "node_tokens"]
+__all__ = ["split_identifier"]
 
 _SEPARATORS = re.compile(r"[_$0-9]+")
 
@@ -27,27 +26,10 @@ _SEPARATORS = re.compile(r"[_$0-9]+")
 _CAMEL = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+")
 
 
-@dataclass(frozen=True)
-class Token:
-    """One word token produced from an identifier."""
-
-    text: str
-    source_node_id: int
-    position: int
-
-
 def split_identifier(name: str) -> list[str]:
     """Split an identifier into its lowercase word tokens, in order."""
     return [
         match.group(0).lower()
         for piece in _SEPARATORS.split(name)
         for match in _CAMEL.finditer(piece)
-    ]
-
-
-def node_tokens(name: str, source_node_id: int) -> list[Token]:
-    """Tokens of one node name, tagged with the node id and position."""
-    return [
-        Token(text, source_node_id, position)
-        for position, text in enumerate(split_identifier(name))
     ]

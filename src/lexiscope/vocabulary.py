@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .extractor import KINDS, SourceNode
 from .lexicon import Lexicon, PosTag, classify
-from .tokenizer import node_tokens
+from .tokenizer import split_identifier
 
 __all__ = [
     "FilterConfig",
@@ -23,7 +23,6 @@ __all__ = [
     "ProjectVocabulary",
     "ProjectStats",
     "load_stoplist",
-    "default_stoplist",
     "build_vocabulary",
     "compute_stats",
     "top_k",
@@ -47,7 +46,9 @@ class FilterConfig:
 
     @classmethod
     def default(cls) -> "FilterConfig":
-        return cls(stoplist=default_stoplist())
+        """The filter with the stoplist shipped with the package."""
+        with resources.as_file(resources.files("lexiscope") / "data/stoplist.txt") as path:
+            return cls(stoplist=load_stoplist(path))
 
 
 @dataclass
@@ -115,17 +116,6 @@ def load_stoplist(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
-def default_stoplist() -> frozenset[str]:
-    """The stoplist shipped with the package."""
-    ref = resources.files("lexiscope").joinpath("data/stoplist.txt")
-    words = set()
-    for line in ref.read_text(encoding="utf-8").splitlines():
-        word = line.split("#", 1)[0].strip()
-        if word:
-            words.add(word.lower())
-    return frozenset(words)
-
-
 def build_vocabulary(
     nodes: list[SourceNode],
     lexicon: Lexicon,
@@ -141,7 +131,7 @@ def build_vocabulary(
     classified: dict[str, tuple[str, PosTag] | None] = {}
 
     for node in nodes:
-        for token in (t.text for t in node_tokens(node.name, node.id)):
+        for token in split_identifier(node.name):
             if not filter_config.keeps(token):
                 continue
             if token not in classified:

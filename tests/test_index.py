@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lexiscope.extractor import extract_project
+from lexiscope.extractor import KINDS, SchemaError, extract_project, ingest_nodes
 from lexiscope.index import InvalidIndexError, ProjectIndex, load_index, save_index
 from lexiscope.vocabulary import FilterConfig, build_vocabulary
 
@@ -39,6 +41,10 @@ class TestRoundTrip:
         view = sample_index.vocabulary_view()
         assert view.project_name == "minicorpus"
         assert set(view.entries) == {e.word for e in sample_index.vocabulary}
+
+
+def _node(node_id, kind, name, parent):
+    return {"id": node_id, "kind": kind, "name": name, "file": "a.java", "line": 2, "parent": parent}
 
 
 def _write_document(tmp_path, mutate):
@@ -86,6 +92,18 @@ class TestValidation:
             lambda d: d["vocabulary"][0].update(pos="article"),
             lambda d: d["vocabulary"][0].pop("counts"),
             lambda d: d["vocabulary"].append(dict(d["vocabulary"][0])),
+            lambda d: d["nodes"][0].update(kind="field"),
+            lambda d: d["nodes"].extend(
+                [_node(1, "field", "wheels", 0), _node(2, "parameter", "speed", 1)]
+            ),
+            lambda d: d["nodes"].extend(
+                [_node(1, "method", "drive", 0), _node(2, "method", "steer", 1)]
+            ),
+            lambda d: d["nodes"][0].update(file=""),
+            lambda d: d["nodes"][0].update(line=True),
+            lambda d: d.update(fileCount=True),
+            lambda d: d["vocabulary"][0].update(total=True),
+            lambda d: d["nodes"].append(_node(True, "method", "drive", 0)),
         ],
         ids=[
             "bad-version",
@@ -99,6 +117,14 @@ class TestValidation:
             "unknown-pos",
             "missing-counts",
             "duplicate-word",
+            "parentless-field",
+            "parameter-under-field",
+            "method-under-method",
+            "empty-file",
+            "boolean-line",
+            "boolean-file-count",
+            "boolean-total",
+            "boolean-id",
         ],
     )
     def test_invalid_documents_rejected(self, tmp_path, mutate):
@@ -115,3 +141,50 @@ class TestValidation:
         path.write_text("not json at all")
         with pytest.raises(InvalidIndexError):
             load_index(path)
+
+
+_ODD_VALUES = (None, True, False, "", "not valid!", "module", -1, 0, 1, 5, 2.5, "1")
+
+
+@st.composite
+def _node_records(draw):
+    """A well-formed node-record list, then at most one field set to an odd value."""
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(KINDS))
+        required = "method" if kind == "parameter" else "class"
+        parents = [position for position, r in enumerate(records) if r["kind"] == required]
+        if not parents or kind == "class" and draw(st.booleans()):
+            kind, parent = "class", None
+        else:
+            parent = draw(st.sampled_from(parents))
+        name = draw(st.sampled_from(("Car", "drive")))
+        line = draw(st.integers(1, 9))
+        records.append({"kind": kind, "name": name, "file": "a.java", "line": line, "parent": parent})
+    if records and draw(st.booleans()):
+        record = draw(st.sampled_from(records))
+        field = draw(st.sampled_from(("kind", "name", "file", "line", "parent")))
+        record[field] = draw(st.sampled_from(_ODD_VALUES))
+    return records
+
+
+@given(_node_records())
+def test_index_load_and_jsonl_ingest_agree(tmp_path_factory, records):
+    try:
+        expected = ingest_nodes(json.dumps(record) for record in records)
+    except SchemaError:
+        expected = None
+    document = {
+        "formatVersion": 1,
+        "projectName": "p",
+        "fileCount": 1,
+        "nodes": [{"id": position, **record} for position, record in enumerate(records)],
+        "vocabulary": [],
+    }
+    path = tmp_path_factory.getbasetemp() / "agree.json"
+    path.write_text(json.dumps(document))
+    try:
+        loaded = load_index(path).nodes
+    except InvalidIndexError:
+        loaded = None
+    assert loaded == expected

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lexiscope.tokenizer import node_tokens, split_identifier
+from lexiscope.tokenizer import split_identifier
 
 identifiers = st.from_regex(r"[A-Za-z_$][A-Za-z0-9_$]{0,30}", fullmatch=True)
 
@@ -50,11 +50,3 @@ def test_tokens_are_lowercase_alphabetic(name):
 def test_idempotence(name):
     for token in split_identifier(name):
         assert split_identifier(token) == [token]
-
-
-def test_node_tokens_positions():
-    tokens = node_tokens("setValue", 7)
-    assert [(t.text, t.source_node_id, t.position) for t in tokens] == [
-        ("set", 7, 0),
-        ("value", 7, 1),
-    ]

@@ -10,7 +10,6 @@ from lexiscope.vocabulary import (
     VocabularyEntry,
     build_vocabulary,
     compute_stats,
-    default_stoplist,
     load_stoplist,
     percent,
     top_k,
@@ -201,7 +200,7 @@ class TestStoplist:
         assert load_stoplist(path) == frozenset({"foo", "bar"})
 
     def test_default_stoplist_contents(self):
-        stoplist = default_stoplist()
+        stoplist = FilterConfig.default().stoplist
         assert "a" in stoplist and "z" in stoplist
         assert "public" in stoplist and "while" in stoplist
         assert "class" not in stoplist
