@@ -278,9 +278,8 @@ def cmd_locate(args) -> int:
     if not matches:
         print("no matches")
         return 0
-    by_id = {node.id: node for node in index.nodes}
     for match in matches:
-        node = by_id[match.node_id]
+        node = index.nodes[match.node_id]
         print(f"{node.file_path}:{node.line} {node.kind} {node.name} {_format_score(match.score)}")
         for keyword in query.keywords:
             matched, relation, distance = match.per_keyword[keyword]

@@ -107,6 +107,10 @@ _DETACHMENTS: dict[PosTag, tuple[tuple[str, str], ...]] = {
 
 _VOWELS = set("aeiou")
 
+# The tags in PosTag order, as a tuple: iterating the enum class itself
+# costs an enum iterator on every lemmatize call.
+_POS_ORDER = tuple(PosTag)
+
 SynsetId = tuple[int, PosTag]
 
 
@@ -332,11 +336,11 @@ def lemmatize(lexicon: Lexicon, token: str) -> list[tuple[str, PosTag]]:
         for pos in exact.pos_tags():
             push(token, pos)
 
-    for pos in PosTag:
+    for pos in _POS_ORDER:
         for lemma in lexicon.exceptions.get(pos, {}).get(token, ()):
             push(lemma, pos)
 
-    for pos in PosTag:
+    for pos in _POS_ORDER:
         for suffix, replacement in _DETACHMENTS[pos]:
             if not token.endswith(suffix) or len(token) <= len(suffix):
                 continue

@@ -51,6 +51,9 @@ _RELATION_RANK = {SELF: 0, SYNONYM: 1, HYPERNYM: 2, HYPONYM: 3}
 
 _KIND_RANK = {"method": 0, "class": 1}
 
+# The child kind whose names join a candidate's scope.
+_SCOPE_CHILD_KIND = {"method": "parameter", "class": "field"}
+
 
 class ScopeError(ValueError):
     """Scope was requested for a node kind that has none."""
@@ -115,11 +118,8 @@ def node_scope(
     Every token contributes its raw form plus all of its lemma readings.
     Methods pull in their parameter names; classes pull in their fields.
     """
-    if node.kind == "method":
-        child_kind = "parameter"
-    elif node.kind == "class":
-        child_kind = "field"
-    else:
+    child_kind = _SCOPE_CHILD_KIND.get(node.kind)
+    if child_kind is None:
         raise ScopeError(f"no scope for {node.kind} nodes")
 
     names = [node.name] + [
@@ -130,10 +130,26 @@ def node_scope(
     scope: set[str] = set()
     for name in names:
         for token in split_identifier(name):
-            scope.add(token)
-            for lemma, _pos in lemmatize(lexicon, token):
-                scope.add(lemma)
+            scope.update(_token_readings(lexicon, token))
     return scope
+
+
+def _token_readings(lexicon: Lexicon, token: str) -> list[str]:
+    """The words a token puts into a scope: itself and its lemmas."""
+    return [token] + [lemma for lemma, _pos in lemmatize(lexicon, token)]
+
+
+def _ranked(expansion: set[tuple[str, str, int]]) -> list[tuple[str, str, int]]:
+    """Expansion words best first: weight, relation, distance, word."""
+    return sorted(
+        expansion,
+        key=lambda entry: (
+            -match_weight(entry[1], entry[2]),
+            _RELATION_RANK[entry[1]],
+            entry[2],
+            entry[0],
+        ),
+    )
 
 
 def locate_concept(
@@ -142,36 +158,69 @@ def locate_concept(
     lexicon: Lexicon,
     limit: int = 10,
 ) -> list[ConceptMatch]:
-    """Rank candidates where every keyword matches the identifier scope."""
+    """Rank candidates where every keyword matches the identifier scope.
+
+    One pass over `nodes` gathers each candidate's scope names (the scope
+    `node_scope` defines), lemmatizing each distinct token once, and posts
+    each candidate under the expansion words its scope holds.  A keyword
+    matches the union of its words' postings; only candidates in every
+    keyword's union are scored.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     expansions = expand_query(query, lexicon)
+    keywords = list(dict.fromkeys(query.keywords))
+    ranked = {keyword: _ranked(expansions[keyword]) for keyword in keywords}
+    wanted = {word for words in ranked.values() for word, _rel, _dist in words}
+
+    candidates: list[SourceNode] = []
+    children: dict[tuple[int, str], list[str]] = {}
+    for node in nodes:
+        if node.kind in _KIND_RANK:
+            candidates.append(node)
+        elif node.parent_id is not None:
+            children.setdefault((node.parent_id, node.kind), []).append(node.name)
+
+    # Caches per distinct name (its wanted scope words) and per distinct
+    # token (its readings), so each token is split and lemmatized once.
+    name_words: dict[str, set[str]] = {}
+    token_words: dict[str, list[str]] = {}
+    postings: dict[str, list[int]] = {word: [] for word in wanted}
+    for position, node in enumerate(candidates):
+        scope: set[str] = set()
+        for name in [node.name, *children.get((node.id, _SCOPE_CHILD_KIND[node.kind]), ())]:
+            words = name_words.get(name)
+            if words is None:
+                words = set()
+                for token in split_identifier(name):
+                    readings = token_words.get(token)
+                    if readings is None:
+                        readings = token_words[token] = _token_readings(lexicon, token)
+                    words.update(readings)
+                words = name_words[name] = words & wanted
+            scope |= words
+        for word in scope:
+            postings[word].append(position)
+
+    # Per keyword, each candidate's best match is the first ranked word
+    # whose posting holds it; the keys of that map are the keyword's union.
+    best: dict[str, dict[int, tuple[str, str, int]]] = {}
+    for keyword in keywords:
+        found: dict[int, tuple[str, str, int]] = {}
+        for entry in ranked[keyword]:
+            for position in postings[entry[0]]:
+                found.setdefault(position, entry)
+        best[keyword] = found
+
+    unions = sorted(best.values(), key=len)
+    survivors = set(unions[0])
+    for union in unions[1:]:
+        survivors.intersection_update(union)
 
     matches: list[tuple] = []
-    for node in nodes:
-        if node.kind not in _KIND_RANK:
-            continue
-        scope = node_scope(node, nodes, lexicon)
-        per_keyword: dict[str, tuple[str, str, int]] = {}
-        for keyword in query.keywords:
-            best: tuple | None = None
-            for word, relation, distance in expansions[keyword]:
-                if word not in scope:
-                    continue
-                key = (
-                    -match_weight(relation, distance),
-                    _RELATION_RANK[relation],
-                    distance,
-                    word,
-                )
-                if best is None or key < best[0]:
-                    best = (key, (word, relation, distance))
-            if best is None:
-                per_keyword = {}
-                break
-            per_keyword[keyword] = best[1]
-        if not per_keyword:
-            continue
+    for position in sorted(survivors):
+        node = candidates[position]
+        per_keyword = {keyword: best[keyword][position] for keyword in keywords}
         score = sum(
             (match_weight(rel, dist) for _, rel, dist in per_keyword.values()),
             Fraction(0),

@@ -1,16 +1,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexiscope.extractor import extract_java
+import lexiscope.locator as locator
+from lexiscope.extractor import SourceNode, extract_java
 from lexiscope.lexicon import HYPERNYM, HYPONYM, RELATIONS, SELF, SYNONYM
 from lexiscope.locator import (
+    _KIND_RANK,
+    _RELATION_RANK,
+    ConceptMatch,
     ConceptQuery,
     ScopeError,
     expand_query,
     locate_concept,
+    match_weight,
     node_scope,
 )
+from lexiscope.tokenizer import split_identifier
 
 WORDTOOLS_SRC = """
 public class WordTools {
@@ -193,3 +201,126 @@ class TestConceptQueryValidation:
     def test_negative_depth(self):
         with pytest.raises(ValueError):
             ConceptQuery(("find",), depth=-1)
+
+
+def _reference_locate(nodes, query, lexicon, limit=10):
+    """The per-candidate locator: one `node_scope` scan per class and method."""
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
+    expansions = expand_query(query, lexicon)
+
+    matches: list[tuple] = []
+    for node in nodes:
+        if node.kind not in _KIND_RANK:
+            continue
+        scope = node_scope(node, nodes, lexicon)
+        per_keyword: dict[str, tuple[str, str, int]] = {}
+        for keyword in query.keywords:
+            best: tuple | None = None
+            for word, relation, distance in expansions[keyword]:
+                if word not in scope:
+                    continue
+                key = (
+                    -match_weight(relation, distance),
+                    _RELATION_RANK[relation],
+                    distance,
+                    word,
+                )
+                if best is None or key < best[0]:
+                    best = (key, (word, relation, distance))
+            if best is None:
+                per_keyword = {}
+                break
+            per_keyword[keyword] = best[1]
+        if not per_keyword:
+            continue
+        score = sum(
+            (match_weight(rel, dist) for _, rel, dist in per_keyword.values()),
+            Fraction(0),
+        )
+        matches.append(
+            (
+                (-score, _KIND_RANK[node.kind], node.file_path, node.line, node.id),
+                ConceptMatch(node.id, node.kind, score, per_keyword),
+            )
+        )
+
+    matches.sort(key=lambda pair: pair[0])
+    return [match for _, match in matches[:limit]]
+
+
+# Minidict lemmas, inflections of them (regular and exception-list), and
+# words the dictionary does not know.
+_LEMMAS = ("car", "auto", "vehicle", "conveyance", "find", "get", "acquire", "word",
+           "term", "form", "type", "shape", "value", "set", "name", "count", "good")
+_INFLECTIONS = ("cars", "autos", "finding", "found", "gets", "words", "forms", "types",
+                "values", "named", "running", "ran", "shapes", "better")
+_NON_WORDS = ("zork", "qux", "blah")
+_WORDS = _LEMMAS + _INFLECTIONS + _NON_WORDS
+
+
+@st.composite
+def _identifiers(draw, capitalized):
+    parts = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3))
+    first = parts[0].capitalize() if capitalized else parts[0]
+    return first + "".join(part.capitalize() for part in parts[1:])
+
+
+@st.composite
+def _node_trees(draw):
+    """Classes, methods, fields and parameters nested at random, ids dense."""
+    nodes: list[SourceNode] = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(("class", "method", "field", "parameter")))
+        required = "method" if kind == "parameter" else "class"
+        parents = [node.id for node in nodes if node.kind == required]
+        if not parents or kind == "class" and draw(st.booleans()):
+            kind, parent = "class", None
+        else:
+            parent = draw(st.sampled_from(parents))
+        name = draw(_identifiers(kind == "class"))
+        file_path = draw(st.sampled_from(("A.java", "b/B.java")))
+        nodes.append(SourceNode(len(nodes), kind, name, file_path, draw(st.integers(1, 4)), parent))
+    return nodes
+
+
+@given(
+    nodes=_node_trees(),
+    keywords=st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3),
+    relations=st.sets(st.sampled_from(sorted(RELATIONS))),
+    depth=st.integers(0, 2),
+    limit=st.integers(1, 20),
+)
+@settings(max_examples=300, deadline=None)
+def test_locate_agrees_with_per_candidate_reference(lexicon, nodes, keywords, relations, depth, limit):
+    query = ConceptQuery(tuple(keywords), relations=frozenset(relations), depth=depth)
+    located = locate_concept(nodes, query, lexicon, limit)
+    expected = _reference_locate(nodes, query, lexicon, limit)
+    assert located == expected
+    assert [m.per_keyword for m in located] == [m.per_keyword for m in expected]
+
+
+def test_each_distinct_token_is_lemmatized_once(lexicon, monkeypatch):
+    nodes: list[SourceNode] = [SourceNode(0, "class", "CarShop", "Shop.java", 1)]
+    for number in range(300):
+        method_id = len(nodes)
+        name = ("findCarValues", "getCarWord", "findWordForms")[number % 3]
+        nodes.append(SourceNode(method_id, "method", name, "Shop.java", number + 2, 0))
+        nodes.append(SourceNode(method_id + 1, "parameter", "wordCount", "Shop.java", number + 2, method_id))
+    distinct = {token for node in nodes for token in split_identifier(node.name)}
+    query = ConceptQuery(("finding", "car"))
+
+    calls = []
+    original = locator.lemmatize
+
+    def counting(lexicon, token):
+        calls.append(token)
+        return original(lexicon, token)
+
+    monkeypatch.setattr(locator, "lemmatize", counting)
+    expand_query(query, lexicon)
+    expand_calls = len(calls)
+    calls.clear()
+    matches = locate_concept(nodes, query, lexicon, limit=500)
+    assert len(matches) == 200
+    assert len(calls) <= len(distinct) + expand_calls
