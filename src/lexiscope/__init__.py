@@ -34,8 +34,6 @@ from .lexicon import (
     classify,
     lemmatize,
     load_lexicon,
-    lookup,
-    primary_pos,
     related_words,
 )
 from .locator import (
@@ -69,10 +67,8 @@ __all__ = [
     "MissingFileError",
     "MalformedLineError",
     "load_lexicon",
-    "lookup",
     "lemmatize",
     "classify",
-    "primary_pos",
     "related_words",
     "SourceNode",
     "ScanDiagnostics",

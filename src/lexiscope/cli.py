@@ -135,8 +135,7 @@ def cmd_analyze(args) -> int:
     vocabulary = build_vocabulary(
         nodes, lexicon, filter_config, project_name=project, file_count=file_count
     )
-    index = ProjectIndex.from_vocabulary(nodes, vocabulary)
-    save_index(index, args.out)
+    save_index(ProjectIndex(nodes, vocabulary), args.out)
     print(
         f"{project}: {file_count} files, {len(nodes)} nodes, "
         f"{len(vocabulary.entries)} distinct words -> {args.out}"
@@ -157,7 +156,7 @@ _STATS_ROWS = (
 
 
 def cmd_stats(args) -> int:
-    stats = compute_stats(load_index(args.index).vocabulary_view())
+    stats = compute_stats(load_index(args.index).vocabulary)
     if args.format == "json":
         document = {}
         for label, count_attr, pct_attr in _STATS_ROWS:
@@ -181,7 +180,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_topwords(args) -> int:
-    vocabulary = load_index(args.index).vocabulary_view()
+    vocabulary = load_index(args.index).vocabulary
     ranked = top_k(vocabulary, args.k)
     if args.format == "json":
         document = [
@@ -220,7 +219,7 @@ def _marker(word: str, status: str) -> str:
 def cmd_domain(args) -> int:
     if len(args.indexes) < 2:
         raise ValueError("need at least 2 index files")
-    vocabularies = [load_index(path).vocabulary_view() for path in args.indexes]
+    vocabularies = [load_index(path).vocabulary for path in args.indexes]
     lexicon = None
     if args.semantic:
         lexicon = load_lexicon(_dictionary_dir(args))

@@ -27,29 +27,16 @@ class InvalidIndexError(Exception):
 
 @dataclass
 class ProjectIndex:
-    project_name: str
-    file_count: int
     nodes: list[SourceNode]
-    vocabulary: list[VocabularyEntry]
-
-    @classmethod
-    def from_vocabulary(
-        cls, nodes: list[SourceNode], vocabulary: ProjectVocabulary
-    ) -> "ProjectIndex":
-        entries = sorted(vocabulary.entries.values(), key=lambda e: e.word)
-        return cls(vocabulary.project_name, vocabulary.file_count, nodes, entries)
-
-    def vocabulary_view(self) -> ProjectVocabulary:
-        return ProjectVocabulary(
-            self.project_name, self.file_count, {e.word: e for e in self.vocabulary}
-        )
+    vocabulary: ProjectVocabulary
 
 
 def save_index(index: ProjectIndex, path: str | Path) -> None:
+    vocabulary = index.vocabulary
     document = {
         "formatVersion": FORMAT_VERSION,
-        "projectName": index.project_name,
-        "fileCount": index.file_count,
+        "projectName": vocabulary.project_name,
+        "fileCount": vocabulary.file_count,
         "nodes": [
             {
                 "id": node.id,
@@ -69,7 +56,7 @@ def save_index(index: ProjectIndex, path: str | Path) -> None:
                 "total": entry.total,
                 "counts": {kind: entry.counts_by_kind.get(kind, 0) for kind in KINDS},
             }
-            for entry in index.vocabulary
+            for entry in sorted(vocabulary.entries.values(), key=lambda e: e.word)
         ],
     }
     Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
@@ -99,16 +86,14 @@ def load_index(path: str | Path) -> ProjectIndex:
             raise InvalidIndexError(f"node ids must be dense from 0 (node {position}) in {path}")
         nodes.append(node)
 
-    vocabulary = []
-    seen_words = set()
+    vocabulary = ProjectVocabulary(project_name, file_count)
     for raw in _expect_list(document, "vocabulary", path):
         entry = _parse_entry(raw, path)
-        if entry.word in seen_words:
+        if entry.word in vocabulary.entries:
             raise InvalidIndexError(f"duplicate vocabulary word {entry.word!r} in {path}")
-        seen_words.add(entry.word)
-        vocabulary.append(entry)
+        vocabulary.entries[entry.word] = entry
 
-    return ProjectIndex(project_name, file_count, nodes, vocabulary)
+    return ProjectIndex(nodes, vocabulary)
 
 
 def _expect_list(document: dict, key: str, path) -> list:

@@ -28,10 +28,8 @@ __all__ = [
     "HYPONYM",
     "RELATIONS",
     "load_lexicon",
-    "lookup",
     "lemmatize",
     "classify",
-    "primary_pos",
     "related_words",
 ]
 
@@ -146,7 +144,6 @@ class Synset:
 class LexiconEntry:
     """All senses of one index lemma, grouped by part of speech."""
 
-    lemma: str
     senses_by_pos: dict[PosTag, tuple[SynsetId, ...]]
     tag_count_by_pos: dict[PosTag, int]
 
@@ -160,8 +157,6 @@ class Lexicon:
 
     entries: dict[str, LexiconEntry]
     synsets: dict[SynsetId, Synset]
-    source_dir: str
-    synset_counts: dict[PosTag, int]
     exceptions: dict[PosTag, dict[str, tuple[str, ...]]] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -172,7 +167,10 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     """Parse index/data (and optional .exc) files into a Lexicon.
 
     Raises MissingFileError if any index/data file is absent and
-    MalformedLineError (with file and line number) on the first bad line.
+    MalformedLineError (with file and line number) on the first bad line:
+    a line filed under another part of speech, a second index line for
+    one lemma, a repeated synset offset, an unresolved offset or pointer,
+    or an exception line without a base form.
     """
     root = Path(dictionary_directory)
     for tag, suffix in _POS_FILES.items():
@@ -180,31 +178,36 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
             if not (root / f"{prefix}.{suffix}").is_file():
                 raise MissingFileError(f"missing {prefix}.{suffix} in {root}")
 
+    entries: dict[str, LexiconEntry] = {}
     synsets: dict[SynsetId, Synset] = {}
-    synset_counts: dict[PosTag, int] = {tag: 0 for tag in PosTag}
-    raw_senses: dict[str, dict[PosTag, tuple[SynsetId, ...]]] = {}
-    raw_counts: dict[str, dict[PosTag, int]] = {}
+    exceptions: dict[PosTag, dict[str, tuple[str, ...]]] = {}
 
     for tag, suffix in _POS_FILES.items():
         data_name = f"data.{suffix}"
         for line_no, fields in _dict_lines(root / data_name):
-            synset = _parse_data_line(fields, data_name, line_no)
+            synset = _parse_data_line(fields, tag, data_name, line_no)
             if synset.id in synsets:
                 raise MalformedLineError(data_name, line_no, f"duplicate synset offset {synset.id[0]}")
             synsets[synset.id] = synset
-            synset_counts[synset.id[1]] += 1
 
         index_name = f"index.{suffix}"
         for line_no, fields in _dict_lines(root / index_name):
-            lemma, pos, offsets, tag_count = _parse_index_line(fields, index_name, line_no)
-            ids = tuple((offset, pos) for offset in offsets)
+            lemma, offsets, tag_count = _parse_index_line(fields, tag, index_name, line_no)
+            ids = tuple((offset, tag) for offset in offsets)
             for synset_id in ids:
                 if synset_id not in synsets:
                     raise MalformedLineError(
                         index_name, line_no, f"offset {synset_id[0]} not present in {data_name}"
                     )
-            raw_senses.setdefault(lemma, {})[pos] = ids
-            raw_counts.setdefault(lemma, {})[pos] = tag_count
+            entry = entries.setdefault(lemma, LexiconEntry({}, {}))
+            if tag in entry.senses_by_pos:
+                raise MalformedLineError(index_name, line_no, f"duplicate lemma {lemma!r}")
+            entry.senses_by_pos[tag] = ids
+            entry.tag_count_by_pos[tag] = tag_count
+
+        exc_name = f"{suffix}.exc"
+        if (root / exc_name).is_file():
+            exceptions[tag] = _parse_exceptions(root / exc_name)
 
     # Pointer targets must resolve; data files carry both directions.
     for synset in synsets.values():
@@ -215,18 +218,7 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
                     f"pointer target {target[0]} ({target[1]}) unresolved",
                 )
 
-    entries = {
-        lemma: LexiconEntry(lemma, senses, raw_counts[lemma])
-        for lemma, senses in raw_senses.items()
-    }
-
-    exceptions: dict[PosTag, dict[str, tuple[str, ...]]] = {}
-    for tag, suffix in _POS_FILES.items():
-        exc_path = root / f"{suffix}.exc"
-        if exc_path.is_file():
-            exceptions[tag] = _parse_exceptions(exc_path)
-
-    return Lexicon(entries, synsets, str(root), synset_counts, exceptions)
+    return Lexicon(entries, synsets, exceptions)
 
 
 def _dict_lines(path: Path):
@@ -242,11 +234,12 @@ def _dict_lines(path: Path):
             yield line_no, line.split()
 
 
-def _parse_index_line(fields: list[str], file_name: str, line_no: int):
+def _parse_index_line(fields: list[str], tag: PosTag, file_name: str, line_no: int):
     # lemma pos synset_cnt p_cnt [ptr_symbol...] sense_cnt tagsense_cnt offset...
     try:
         lemma = fields[0].lower()
-        pos = _POS_CHARS[fields[1]]
+        if _POS_CHARS[fields[1]] is not tag:
+            raise ValueError(f"pos {fields[1]!r} is not {tag}")
         synset_cnt = int(fields[2])
         p_cnt = int(fields[3])
         rest = fields[4 + p_cnt:]
@@ -258,16 +251,17 @@ def _parse_index_line(fields: list[str], file_name: str, line_no: int):
         raise MalformedLineError(file_name, line_no, f"bad index line ({exc})") from exc
     if not lemma:
         raise MalformedLineError(file_name, line_no, "empty lemma")
-    return lemma, pos, offsets, tag_count
+    return lemma, offsets, tag_count
 
 
-def _parse_data_line(fields: list[str], file_name: str, line_no: int) -> Synset:
+def _parse_data_line(fields: list[str], tag: PosTag, file_name: str, line_no: int) -> Synset:
     # offset lex_filenum ss_type w_cnt (word lex_id)+ p_cnt ptr* ... | gloss
     try:
         if "|" in fields:
             fields = fields[: fields.index("|")]
         offset = int(fields[0])
-        pos = _POS_CHARS[fields[2]]
+        if _POS_CHARS[fields[2]] is not tag:
+            raise ValueError(f"synset type {fields[2]!r} is not {tag}")
         w_cnt = int(fields[3], 16)
         lemmas = tuple(
             _strip_marker(fields[4 + 2 * i]).lower() for i in range(w_cnt)
@@ -287,7 +281,7 @@ def _parse_data_line(fields: list[str], file_name: str, line_no: int) -> Synset:
             raise ValueError("synset with no words")
     except (IndexError, KeyError, ValueError) as exc:
         raise MalformedLineError(file_name, line_no, f"bad data line ({exc})") from exc
-    return Synset((offset, pos), lemmas, tuple(hypernyms), tuple(hyponyms))
+    return Synset((offset, tag), lemmas, tuple(hypernyms), tuple(hyponyms))
 
 
 def _strip_marker(word: str) -> str:
@@ -298,18 +292,16 @@ def _strip_marker(word: str) -> str:
 
 
 def _parse_exceptions(path: Path) -> dict[str, tuple[str, ...]]:
+    # inflected_form base_form...
     table: dict[str, tuple[str, ...]] = {}
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            parts = line.split()
-            if len(parts) >= 2:
-                table[parts[0].lower()] = tuple(p.lower() for p in parts[1:])
+        for line_no, line in enumerate(handle, start=1):
+            words = line.lower().split()
+            if len(words) == 1:
+                raise MalformedLineError(path.name, line_no, "exception line without a base form")
+            if words:
+                table[words[0]] = tuple(words[1:])
     return table
-
-
-def lookup(lexicon: Lexicon, word: str) -> LexiconEntry | None:
-    """Exact index-lemma lookup; no morphology."""
-    return lexicon.entries.get(word)
 
 
 def lemmatize(lexicon: Lexicon, token: str) -> list[tuple[str, PosTag]]:
@@ -371,12 +363,6 @@ def classify(lexicon: Lexicon, word: str) -> tuple[str, PosTag] | None:
         return None
     pos = max(best, key=lambda tag: (best[tag][0], -tag))
     return best[pos][1], pos
-
-
-def primary_pos(lexicon: Lexicon, word: str) -> PosTag | None:
-    """The single part of speech a recognized word is counted under."""
-    found = classify(lexicon, word)
-    return None if found is None else found[1]
 
 
 def related_words(

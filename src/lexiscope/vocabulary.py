@@ -32,17 +32,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Which tokens are dropped before counting."""
+    """Which tokens are dropped before counting: stoplist words and single characters."""
 
     stoplist: frozenset[str] = frozenset()
-    min_length: int = 2
-
-    def __post_init__(self):
-        if self.min_length < 1:
-            raise ValueError("min_length must be >= 1")
 
     def keeps(self, token: str) -> bool:
-        return len(token) >= self.min_length and token not in self.stoplist
+        return len(token) >= 2 and token not in self.stoplist
 
     @classmethod
     def default(cls) -> "FilterConfig":

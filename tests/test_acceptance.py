@@ -18,7 +18,7 @@ from lexiscope.cli import main
 from lexiscope.domain import DOMAIN, SINGLE, build_domain_vocabulary
 from lexiscope.extractor import SourceNode
 from lexiscope.index import ProjectIndex, save_index
-from lexiscope.lexicon import PosTag, load_lexicon, lookup
+from lexiscope.lexicon import PosTag, load_lexicon
 from lexiscope.tokenizer import split_identifier
 from lexiscope.vocabulary import (
     FilterConfig,
@@ -79,7 +79,7 @@ def test_criterion_1_stats_partition_identity(lexicon):
         assert 537 + 229 + 117 + 20 == 903
 
         rng = random.Random(20260810)
-        config = FilterConfig(stoplist=frozenset({"impl", "cfg"}), min_length=2)
+        config = FilterConfig(stoplist=frozenset({"impl", "cfg"}))
         started = time.monotonic()
         for _ in range(1000):
             nodes = random_nodes(rng, rng.randint(0, 25))
@@ -148,7 +148,7 @@ def _synthetic_index(path, name, totals):
         )
         for word, total in totals.items()
     }
-    save_index(ProjectIndex.from_vocabulary([], ProjectVocabulary(name, 1, entries)), path)
+    save_index(ProjectIndex([], ProjectVocabulary(name, 1, entries)), path)
     return str(path)
 
 
@@ -225,7 +225,7 @@ def test_criterion_6_real_wordnet_smoke():
         load_elapsed = time.monotonic() - started
         assert load_elapsed < 5.0, f"load took {load_elapsed:.2f}s"
 
-        entry = lookup(lexicon, "good")
+        entry = lexicon.entries.get("good")
         assert entry is not None
         assert {PosTag.NOUN, PosTag.ADJECTIVE} <= set(entry.pos_tags())
 
@@ -233,7 +233,7 @@ def test_criterion_6_real_wordnet_smoke():
         started = time.monotonic()
         hits = 0
         for i in range(100_000):
-            if lookup(lexicon, probes[i % len(probes)]) is not None:
+            if lexicon.entries.get(probes[i % len(probes)]) is not None:
                 hits += 1
         lookup_elapsed = time.monotonic() - started
         assert hits > 0

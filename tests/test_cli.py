@@ -22,7 +22,7 @@ def make_index(path, name, totals):
         )
         for word, total in totals.items()
     }
-    index = ProjectIndex.from_vocabulary([], ProjectVocabulary(name, 1, entries))
+    index = ProjectIndex([], ProjectVocabulary(name, 1, entries))
     save_index(index, path)
     return str(path)
 

@@ -17,7 +17,7 @@ def sample_index(lexicon):
     vocabulary = build_vocabulary(
         nodes, lexicon, FilterConfig.default(), project_name="minicorpus", file_count=file_count
     )
-    return ProjectIndex.from_vocabulary(nodes, vocabulary)
+    return ProjectIndex(nodes, vocabulary)
 
 
 class TestRoundTrip:
@@ -25,8 +25,6 @@ class TestRoundTrip:
         path = tmp_path / "index.json"
         save_index(sample_index, path)
         loaded = load_index(path)
-        assert loaded.project_name == sample_index.project_name
-        assert loaded.file_count == sample_index.file_count
         assert loaded.nodes == sample_index.nodes
         assert loaded.vocabulary == sample_index.vocabulary
 
@@ -36,11 +34,6 @@ class TestRoundTrip:
         save_index(sample_index, first)
         save_index(sample_index, second)
         assert first.read_bytes() == second.read_bytes()
-
-    def test_vocabulary_view_preserves_entries(self, sample_index):
-        view = sample_index.vocabulary_view()
-        assert view.project_name == "minicorpus"
-        assert set(view.entries) == {e.word for e in sample_index.vocabulary}
 
 
 def _node(node_id, kind, name, parent):
@@ -76,7 +69,7 @@ class TestValidation:
         path = _write_document(tmp_path, lambda d: None)
         index = load_index(path)
         assert index.nodes[0].name == "Car"
-        assert index.vocabulary[0].word == "car"
+        assert list(index.vocabulary.entries) == ["car"]
 
     @pytest.mark.parametrize(
         "mutate",

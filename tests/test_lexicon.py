@@ -1,4 +1,11 @@
+import shutil
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexiscope.lexicon import (
     HYPERNYM,
@@ -6,14 +13,14 @@ from lexiscope.lexicon import (
     RELATIONS,
     SELF,
     SYNONYM,
+    LexiconEntry,
     MalformedLineError,
     MissingFileError,
     PosTag,
+    Synset,
     classify,
     lemmatize,
     load_lexicon,
-    lookup,
-    primary_pos,
     related_words,
 )
 
@@ -35,7 +42,7 @@ class TestLoad:
         assert len(lexicon) == fixture_lemma_count() == 23
 
     def test_synset_counts(self, lexicon):
-        assert lexicon.synset_counts == {
+        assert Counter(pos for _offset, pos in lexicon.synsets) == {
             PosTag.NOUN: 14,
             PosTag.VERB: 6,
             PosTag.ADJECTIVE: 2,
@@ -78,8 +85,47 @@ class TestLoad:
         with pytest.raises(MalformedLineError, match="00000099|99"):
             load_lexicon(root)
 
+    @pytest.mark.parametrize(
+        "file_name, line, accepted_id",
+        [
+            ("index.verb", "car n 1 0 1 0 00000001", None),
+            ("data.verb", "00000199 29 n 01 zap 0 000 | a noun synset among verbs", None),
+            ("data.noun", "00000299 03 s 01 zap 0 000 | a satellite among nouns", None),
+            ("index.noun", "car n 1 0 1 0 00000001", None),
+            ("verb.exc", "went", None),
+            ("data.adj", "00000203 00 s 01 fresh 0 000 | a satellite", (203, PosTag.ADJECTIVE)),
+            (
+                "data.noun",
+                "00000015 03 n 01 finder 0 001 + 00000101 v 0101 | one who finds",
+                (15, PosTag.NOUN),
+            ),
+        ],
+        ids=[
+            "misfiled-index-line",
+            "misfiled-data-line",
+            "satellite-outside-data-adj",
+            "duplicate-lemma",
+            "exception-without-base-form",
+            "satellite-in-data-adj",
+            "cross-pos-pointer",
+        ],
+    )
+    def test_appended_line_is_checked(self, tmp_path, file_name, line, accepted_id):
+        root = tmp_path / "dict"
+        shutil.copytree(MINIDICT, root)
+        with open(root / file_name, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        if accepted_id is not None:
+            synset = load_lexicon(root).synsets[accepted_id]
+            assert synset.hypernym_ids == synset.hyponym_ids == ()
+            return
+        with pytest.raises(MalformedLineError) as err:
+            load_lexicon(root)
+        assert err.value.file_name == file_name
+        assert err.value.line_number == len((root / file_name).read_text().splitlines())
+
     def test_satellite_adjective_and_marker(self, lexicon):
-        entry = lookup(lexicon, "new")
+        entry = lexicon.entries.get("new")
         assert entry is not None
         assert entry.pos_tags() == [PosTag.ADJECTIVE]
 
@@ -139,7 +185,7 @@ class TestRealisticFormat:
         lex = load_lexicon(self._write(tmp_path / "dict"))
         fast = lex.synsets[(3000, PosTag.ADJECTIVE)]
         assert fast.lemmas == ("fast", "quick")
-        assert lookup(lex, "fast").pos_tags() == [PosTag.ADJECTIVE]
+        assert lex.entries.get("fast").pos_tags() == [PosTag.ADJECTIVE]
 
     def test_multi_word_lemma_and_synonyms(self, tmp_path):
         lex = load_lexicon(self._write(tmp_path / "dict"))
@@ -150,9 +196,9 @@ class TestRealisticFormat:
     def test_tag_counts_rank_pos(self, tmp_path):
         lex = load_lexicon(self._write(tmp_path / "dict"))
         # machine: noun tag count 4 vs verb 2 -> noun
-        assert primary_pos(lex, "machine") == PosTag.NOUN
+        assert classify(lex, "machine")[1] == PosTag.NOUN
         # tool: only verb, tag count 0 -> still verb
-        assert primary_pos(lex, "tool") == PosTag.VERB
+        assert classify(lex, "tool")[1] == PosTag.VERB
 
 
 class TestConcurrentReaders:
@@ -164,7 +210,7 @@ class TestConcurrentReaders:
         def probe(word):
             return (
                 word,
-                primary_pos(lexicon, word),
+                classify(lexicon, word),
                 sorted(related_words(lexicon, word, RELATIONS, 2)),
             )
 
@@ -176,18 +222,18 @@ class TestConcurrentReaders:
 
 class TestLookup:
     def test_good_is_noun_and_adjective(self, lexicon):
-        entry = lookup(lexicon, "good")
+        entry = lexicon.entries.get("good")
         assert {PosTag.NOUN, PosTag.ADJECTIVE} <= set(entry.pos_tags())
 
     def test_unknown_word_absent(self, lexicon):
-        assert lookup(lexicon, "qqzx") is None
+        assert lexicon.entries.get("qqzx") is None
 
     def test_set_is_noun_and_verb(self, lexicon):
-        entry = lookup(lexicon, "set")
+        entry = lexicon.entries.get("set")
         assert {PosTag.NOUN, PosTag.VERB} <= set(entry.pos_tags())
 
     def test_no_morphology_applied(self, lexicon):
-        assert lookup(lexicon, "values") is None
+        assert lexicon.entries.get("values") is None
 
 
 class TestLemmatize:
@@ -220,22 +266,22 @@ class TestLemmatize:
 class TestPrimaryPos:
     def test_value_is_noun_by_tag_count(self, lexicon):
         # index fixture: value noun 30 vs verb 5
-        assert primary_pos(lexicon, "value") == PosTag.NOUN
+        assert classify(lexicon, "value")[1] == PosTag.NOUN
 
     def test_set_is_verb_by_tag_count(self, lexicon):
         # index fixture: set noun 7 vs verb 21
-        assert primary_pos(lexicon, "set") == PosTag.VERB
+        assert classify(lexicon, "set")[1] == PosTag.VERB
 
     def test_unknown_is_none(self, lexicon):
-        assert primary_pos(lexicon, "xyzzy") is None
+        assert classify(lexicon, "xyzzy") is None
 
     def test_good_gets_exactly_one_pos(self, lexicon):
-        assert primary_pos(lexicon, "good") == PosTag.ADJECTIVE
+        assert classify(lexicon, "good")[1] == PosTag.ADJECTIVE
 
     def test_tie_breaks_noun_first(self, tmp_path):
         root = write_dict(tmp_path / "dict", nouns=["light"], verbs=["light"])
         lex = load_lexicon(root)
-        assert primary_pos(lex, "light") == PosTag.NOUN
+        assert classify(lex, "light")[1] == PosTag.NOUN
 
     def test_classify_picks_best_lemma(self, lexicon):
         assert classify(lexicon, "values") == ("value", PosTag.NOUN)
@@ -293,3 +339,103 @@ class TestRelatedWords:
                     word for word, rel, _ in related_words(lexicon, b, {HYPONYM}, 1) if rel == HYPONYM
                 }
                 assert (a in hyponyms_of_b) == (b in hypernyms_of_a)
+
+
+_WORDS = ("form", "shape", "car", "sports_car", "Nile", "run")
+_FILES = (
+    (PosTag.NOUN, "noun", "n"),
+    (PosTag.VERB, "verb", "v"),
+    (PosTag.ADJECTIVE, "adj", "a"),
+    (PosTag.ADVERB, "adv", "r"),
+)
+
+
+@st.composite
+def _dictionaries(draw):
+    """A small dictionary model over all four parts of speech, rendered to WordNet text.
+
+    Returns the files by name and the entries, synsets and exception tables
+    load_lexicon should build from them.
+    """
+    files, entries, synsets, exceptions = {}, {}, {}, {}
+    for tag, suffix, char in _FILES:
+        offsets = draw(st.lists(st.integers(1, 99_999_999), max_size=4, unique=True))
+        types = {
+            offset: draw(st.sampled_from("as")) if tag is PosTag.ADJECTIVE else char
+            for offset in offsets
+        }
+        words = {offset: draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3, unique=True))
+                 for offset in offsets}
+        pointers = {offset: [] for offset in offsets}
+        for _ in range(draw(st.integers(0, 3)) if len(offsets) > 1 else 0):
+            upper, lower = draw(st.permutations(offsets))[:2]
+            instance = "i" if draw(st.booleans()) else ""
+            pointers[lower].append(("@" + instance, upper))
+            pointers[upper].append(("~" + instance, lower))
+        header = "  1 license text, skipped\n" if draw(st.booleans()) else ""
+
+        data = header
+        senses: dict[str, list[int]] = {}
+        for offset in offsets:
+            markers = ("", "(p)", "(ip)") if tag is PosTag.ADJECTIVE else ("",)
+            rendered = [word + draw(st.sampled_from(markers)) for word in words[offset]]
+            extra = [("+", draw(st.sampled_from(offsets)))] if draw(st.booleans()) else []
+            links = pointers[offset] + extra
+            data += (
+                f"{offset:08d} 03 {types[offset]} {len(rendered):02x} "
+                + "".join(f"{word} 0 " for word in rendered)
+                + f"{len(links):03d}"
+                + "".join(f" {symbol} {target:08d} {types[target]} 0000" for symbol, target in links)
+                + (" 01 + 08 00" if tag is PosTag.VERB else "")
+                + " | a gloss\n"
+            )
+            lemmas = tuple(word.lower() for word in words[offset])
+            synsets[(offset, tag)] = Synset(
+                (offset, tag),
+                lemmas,
+                tuple((t, tag) for symbol, t in pointers[offset] if symbol[0] == "@"),
+                tuple((t, tag) for symbol, t in pointers[offset] if symbol[0] == "~"),
+            )
+            for lemma in lemmas:
+                senses.setdefault(lemma, []).append(offset)
+
+        index = header
+        for lemma, lemma_offsets in sorted(senses.items()):
+            ordered = draw(st.permutations(lemma_offsets))
+            tag_count = draw(st.integers(0, 40))
+            symbols = sorted({symbol for o in ordered for symbol, _ in pointers[o]})
+            index += (
+                f"{lemma} {char} {len(ordered)} {len(symbols)} "
+                + "".join(f"{symbol} " for symbol in symbols)
+                + f"{len(ordered)} {tag_count} "
+                + " ".join(f"{offset:08d}" for offset in ordered)
+                + "  \n"
+            )
+            entry = entries.setdefault(lemma, LexiconEntry({}, {}))
+            entry.senses_by_pos[tag] = tuple((offset, tag) for offset in ordered)
+            entry.tag_count_by_pos[tag] = tag_count
+        files[f"data.{suffix}"] = data
+        files[f"index.{suffix}"] = index
+
+        if draw(st.booleans()):
+            table = draw(st.dictionaries(
+                st.sampled_from(("ran", "went", "Geese")),
+                st.lists(st.sampled_from(_WORDS), min_size=1, max_size=2),
+                max_size=3,
+            ))
+            files[f"{suffix}.exc"] = "".join(f"{k} {' '.join(v)}\n" for k, v in table.items())
+            exceptions[tag] = {k.lower(): tuple(w.lower() for w in v) for k, v in table.items()}
+    return files, entries, synsets, exceptions
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dictionaries())
+def test_load_returns_the_modelled_dictionary(case):
+    files, entries, synsets, exceptions = case
+    with tempfile.TemporaryDirectory() as directory:
+        for name, text in files.items():
+            (Path(directory) / name).write_text(text, encoding="utf-8")
+        lexicon = load_lexicon(directory)
+    assert lexicon.entries == entries
+    assert lexicon.synsets == synsets
+    assert lexicon.exceptions == exceptions

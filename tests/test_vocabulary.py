@@ -15,7 +15,7 @@ from lexiscope.vocabulary import (
     top_k,
 )
 
-NO_FILTER = FilterConfig(stoplist=frozenset(), min_length=2)
+NO_FILTER = FilterConfig(stoplist=frozenset())
 
 
 def node(node_id, kind, name, parent=None):
@@ -65,7 +65,7 @@ class TestBuildVocabulary:
             assert word_entry.pos is None
 
     def test_stoplist_and_min_length(self, lexicon):
-        config = FilterConfig(stoplist=frozenset({"if"}), min_length=2)
+        config = FilterConfig(stoplist=frozenset({"if"}))
         nodes = [node(0, "method", "ifValue"), node(1, "parameter", "aCar")]
         vocab = build_vocabulary(nodes, lexicon, config)
         assert set(vocab.entries) == {"value", "car"}
@@ -108,7 +108,7 @@ class TestBuildVocabulary:
             node(2, "parameter", "newValue", 1),
             node(3, "field", "a", 0),
         ]
-        config = FilterConfig(stoplist=frozenset({"new"}), min_length=2)
+        config = FilterConfig(stoplist=frozenset({"new"}))
         surviving = sum(
             1
             for n in nodes
@@ -205,7 +205,3 @@ class TestStoplist:
         assert "public" in stoplist and "while" in stoplist
         assert "class" not in stoplist
         assert "name" not in stoplist
-
-    def test_filter_config_validation(self):
-        with pytest.raises(ValueError):
-            FilterConfig(min_length=0)
