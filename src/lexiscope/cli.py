@@ -8,6 +8,7 @@ or the LEXISCOPE_DICT environment variable.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 from .domain import DOMAIN, POTENTIAL, build_domain_vocabulary
 from .extractor import SchemaError, extract_project, ingest_nodes
 from .index import InvalidIndexError, ProjectIndex, load_index, save_index
-from .lexicon import RELATIONS, LexiconError, load_lexicon
+from .lexicon import RELATIONS, Lexicon, LexiconError, load_lexicon
 from .locator import ConceptQuery, locate_concept
 from .tokenizer import split_identifier
 from .vocabulary import FilterConfig, build_vocabulary, compute_stats, load_stoplist, top_k
@@ -116,8 +117,30 @@ def _dictionary_dir(args) -> str:
     return configured
 
 
+def _load_dictionary(args) -> Lexicon:
+    """Load the dictionary with cyclic GC paused, then freeze what was loaded.
+
+    A WordNet-size lexicon is over a million container objects, all long-lived
+    and none ever garbage.  Collecting during the parse walks them again and
+    again and frees nothing; freezing moves them (and whatever else this
+    process holds) to the permanent generation, so later full collections skip
+    them too.  The collector's on/off state is restored even when the load
+    fails.
+    """
+    directory = _dictionary_dir(args)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lexicon = load_lexicon(directory)
+        gc.freeze()
+    finally:
+        if was_enabled:
+            gc.enable()
+    return lexicon
+
+
 def cmd_analyze(args) -> int:
-    lexicon = load_lexicon(_dictionary_dir(args))
+    lexicon = _load_dictionary(args)
     if args.stoplist:
         filter_config = FilterConfig(stoplist=load_stoplist(args.stoplist))
     else:
@@ -222,7 +245,7 @@ def cmd_domain(args) -> int:
     vocabularies = [load_index(path).vocabulary for path in args.indexes]
     lexicon = None
     if args.semantic:
-        lexicon = load_lexicon(_dictionary_dir(args))
+        lexicon = _load_dictionary(args)
     result = build_domain_vocabulary(
         vocabularies, args.k, semantic=args.semantic, lexicon=lexicon, domain_name=args.name
     )
@@ -271,7 +294,7 @@ def cmd_locate(args) -> int:
     if not keywords:
         raise ValueError("empty phrase")
     index = load_index(args.index)
-    lexicon = load_lexicon(_dictionary_dir(args))
+    lexicon = _load_dictionary(args)
     query = ConceptQuery(tuple(keywords), relations=_parse_relations(args.relations), depth=args.depth)
     matches = locate_concept(index.nodes, query, lexicon, limit=args.limit)
     if not matches:
@@ -284,3 +307,7 @@ def cmd_locate(args) -> int:
             matched, relation, distance = match.per_keyword[keyword]
             print(f"  {keyword}→{matched} ({relation},{distance})")
     return 0
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -170,7 +170,8 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     MalformedLineError (with file and line number) on the first bad line:
     a line filed under another part of speech, a second index line for
     one lemma, a repeated synset offset, an unresolved offset or pointer,
-    or an exception line without a base form.
+    an indented line after the license header, or an exception line
+    without a base form.
     """
     root = Path(dictionary_directory)
     for tag, suffix in _POS_FILES.items():
@@ -209,13 +210,18 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
         if (root / exc_name).is_file():
             exceptions[tag] = _parse_exceptions(root / exc_name)
 
-    # Pointer targets must resolve; data files carry both directions.
+    # Pointer targets must resolve; data files carry both directions.  Only
+    # a failure reads the pointing file again, to find the line to report.
     for synset in synsets.values():
         for target in synset.hypernym_ids + synset.hyponym_ids:
             if target not in synsets:
+                offset, tag = synset.id
+                data_name = f"data.{_POS_FILES[tag]}"
+                line_no = next(
+                    (n for n, fields in _dict_lines(root / data_name) if int(fields[0]) == offset), 0
+                )
                 raise MalformedLineError(
-                    f"data.{_POS_FILES[synset.id[1]]}", 0,
-                    f"pointer target {target[0]} ({target[1]}) unresolved",
+                    data_name, line_no, f"pointer target {target[0]} ({target[1]}) unresolved"
                 )
 
     return Lexicon(entries, synsets, exceptions)
@@ -225,13 +231,21 @@ def _dict_lines(path: Path):
     """Yield (line_number, fields) for real content lines of a dict file.
 
     WordNet files open with a license block whose lines start with spaces;
-    those and blank lines are skipped.
+    that block and blank lines are skipped.  An indented line after the
+    first content line is malformed.
     """
+    in_header = True
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
-            if not line.strip() or line.startswith(" "):
+            fields = line.split()
+            if not fields:
                 continue
-            yield line_no, line.split()
+            if line[0] == " ":
+                if in_header:
+                    continue
+                raise MalformedLineError(path.name, line_no, "indented line after the license header")
+            in_header = False
+            yield line_no, fields
 
 
 def _parse_index_line(fields: list[str], tag: PosTag, file_name: str, line_no: int):

@@ -1,3 +1,4 @@
+import gc
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,13 @@ from lexiscope.lexicon import load_lexicon
 FIXTURES = Path(__file__).parent / "fixtures"
 MINIDICT = FIXTURES / "minidict"
 MINICORPUS = FIXTURES / "minicorpus"
+
+
+@pytest.fixture(autouse=True)
+def thaw_collector():
+    """Undo the CLI's gc.freeze() after each test, so frozen objects do not pile up."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

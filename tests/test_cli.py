@@ -1,9 +1,17 @@
+import gc
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lexiscope
 from lexiscope.cli import main
 from lexiscope.index import ProjectIndex, save_index
+from lexiscope.lexicon import load_lexicon
 from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry
 
 from conftest import FIXTURES, MINICORPUS, MINIDICT
@@ -271,3 +279,73 @@ class TestParser:
 
     def test_missing_required_option_exits_1(self):
         assert main(["analyze", "src"]) == 1  # no --out
+
+    @pytest.mark.parametrize("module", ["lexiscope", "lexiscope.cli"])
+    def test_python_m_runs_the_cli(self, module):
+        src = str(Path(lexiscope.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", module, "--help"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: lexiscope")
+        assert "analyze" in result.stdout and "locate" in result.stdout
+
+
+DICTIONARY_COMMANDS = ("analyze", "locate", "domain-semantic")
+
+
+@pytest.fixture
+def dictionary_command(request, tmp_path, corpus_index):
+    """The argv of one command that loads minidict."""
+    semantic = [
+        make_index(tmp_path / "p1.json", "p1", {"car": 12}),
+        make_index(tmp_path / "p2.json", "p2", {"vehicle": 9}),
+    ]
+    return {
+        "analyze": ["analyze", str(MINICORPUS), "--dict", str(MINIDICT),
+                    "-o", str(tmp_path / "index.json")],
+        "locate": ["locate", corpus_index, "find word form", "--dict", str(MINIDICT)],
+        "domain-semantic": ["domain", *semantic, "--semantic", "--dict", str(MINIDICT)],
+    }[request.param]
+
+
+class TestCollector:
+    """Commands load the dictionary with cyclic GC paused, then freeze it."""
+
+    @pytest.mark.parametrize("dictionary_command", DICTIONARY_COMMANDS, indirect=True)
+    def test_enabled_collector_is_enabled_again(self, dictionary_command):
+        assert gc.isenabled()
+        assert main(dictionary_command) == 0
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("dictionary_command", DICTIONARY_COMMANDS, indirect=True)
+    def test_disabled_collector_stays_disabled(self, dictionary_command):
+        gc.disable()
+        try:
+            assert main(dictionary_command) == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("fault", ["missing-file", "malformed-line"])
+    def test_collector_restored_after_dictionary_error(self, tmp_path, fault):
+        root = tmp_path / "dict"
+        if fault == "missing-file":
+            root.mkdir()
+        else:
+            shutil.copytree(MINIDICT, root)
+            with open(root / "data.noun", "a", encoding="utf-8") as handle:
+                handle.write("not a data line\n")
+        rc = main(["analyze", str(MINICORPUS), "--dict", str(root),
+                   "-o", str(tmp_path / "o.json")])
+        assert rc == 3
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("dictionary_command", DICTIONARY_COMMANDS, indirect=True)
+    def test_loaded_dictionary_is_frozen(self, dictionary_command):
+        lexicon = load_lexicon(MINIDICT)
+        before = gc.get_freeze_count()
+        assert main(dictionary_command) == 0
+        assert gc.get_freeze_count() - before >= len(lexicon.entries) + len(lexicon.synsets)

@@ -93,6 +93,8 @@ class TestLoad:
             ("data.noun", "00000299 03 s 01 zap 0 000 | a satellite among nouns", None),
             ("index.noun", "car n 1 0 1 0 00000001", None),
             ("verb.exc", "went", None),
+            ("index.noun", " zap n 1 0 1 0 00000001", None),
+            ("data.noun", "00000099 03 n 01 zap 0 001 @ 00000077 n 0000 | points nowhere", None),
             ("data.adj", "00000203 00 s 01 fresh 0 000 | a satellite", (203, PosTag.ADJECTIVE)),
             (
                 "data.noun",
@@ -106,6 +108,8 @@ class TestLoad:
             "satellite-outside-data-adj",
             "duplicate-lemma",
             "exception-without-base-form",
+            "indented-line-after-header",
+            "unresolved-pointer",
             "satellite-in-data-adj",
             "cross-pos-pointer",
         ],
