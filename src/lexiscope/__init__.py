@@ -25,12 +25,10 @@ from .extractor import (
 from .index import InvalidIndexError, ProjectIndex, load_index, save_index
 from .lexicon import (
     Lexicon,
-    LexiconEntry,
     LexiconError,
     MalformedLineError,
     MissingFileError,
     PosTag,
-    Synset,
     classify,
     lemmatize,
     load_lexicon,
@@ -60,8 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PosTag",
-    "Synset",
-    "LexiconEntry",
     "Lexicon",
     "LexiconError",
     "MissingFileError",

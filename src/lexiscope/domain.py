@@ -71,6 +71,11 @@ def build_domain_vocabulary(
         raise ValueError("semantic merge requires a lexicon")
 
     project_names = tuple(v.project_name for v in vocabularies)
+    for position, name in enumerate(project_names):
+        if name in project_names[:position]:
+            raise ValueError(
+                f"two projects are named {name!r}; give each its own name with analyze --project"
+            )
     tops = {
         vocab.project_name: {entry.word: entry.total for entry in top_k(vocab, k)}
         for vocab in vocabularies

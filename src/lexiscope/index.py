@@ -20,6 +20,9 @@ __all__ = ["FORMAT_VERSION", "InvalidIndexError", "ProjectIndex", "load_index", 
 
 FORMAT_VERSION = 1
 
+# The exact pos names save_index writes; no other spelling loads.
+_POS_NAMES = {str(tag): tag for tag in PosTag}
+
 
 class InvalidIndexError(Exception):
     """The index file is unreadable or violates the schema."""
@@ -117,11 +120,10 @@ def _parse_entry(raw, path) -> VocabularyEntry:
         raise InvalidIndexError(f"{word}: recognized must be a boolean in {path}")
     if pos_name is None:
         pos = None
+    elif isinstance(pos_name, str) and pos_name in _POS_NAMES:
+        pos = _POS_NAMES[pos_name]
     else:
-        try:
-            pos = PosTag[str(pos_name).upper()]
-        except KeyError as exc:
-            raise InvalidIndexError(f"{word}: unknown pos {pos_name!r} in {path}") from exc
+        raise InvalidIndexError(f"{word}: unknown pos {pos_name!r} in {path}")
     if recognized != (pos is not None):
         raise InvalidIndexError(f"{word}: recognized flag disagrees with pos in {path}")
     if not isinstance(counts, dict) or set(counts) != set(KINDS):

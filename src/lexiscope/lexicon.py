@@ -11,13 +11,11 @@ pointer type are parsed past and dropped.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
     "PosTag",
-    "Synset",
-    "LexiconEntry",
     "Lexicon",
     "LexiconError",
     "MissingFileError",
@@ -46,7 +44,7 @@ class PosTag(enum.IntEnum):
         return self.name.lower()
 
 
-# File suffix and index/data pos character per tag.
+# File suffix per tag, in load order.
 _POS_FILES = {
     PosTag.NOUN: "noun",
     PosTag.VERB: "verb",
@@ -54,13 +52,14 @@ _POS_FILES = {
     PosTag.ADVERB: "adv",
 }
 
-# 's' is the satellite-adjective synset type; it folds into ADJECTIVE.
+# Index/data pos character to the plain int stored in the lexicon.  's' is
+# the satellite-adjective synset type; it folds into ADJECTIVE.
 _POS_CHARS = {
-    "n": PosTag.NOUN,
-    "v": PosTag.VERB,
-    "a": PosTag.ADJECTIVE,
-    "s": PosTag.ADJECTIVE,
-    "r": PosTag.ADVERB,
+    "n": PosTag.NOUN.value,
+    "v": PosTag.VERB.value,
+    "a": PosTag.ADJECTIVE.value,
+    "s": PosTag.ADJECTIVE.value,
+    "r": PosTag.ADVERB.value,
 }
 
 _HYPERNYM_PTRS = ("@", "@i")
@@ -109,7 +108,8 @@ _VOWELS = set("aeiou")
 # costs an enum iterator on every lemmatize call.
 _POS_ORDER = tuple(PosTag)
 
-SynsetId = tuple[int, PosTag]
+# (offset, pos): a synset key.
+SynsetKey = tuple[int, int]
 
 
 class LexiconError(Exception):
@@ -131,33 +131,21 @@ class MalformedLineError(LexiconError):
 
 
 @dataclass(frozen=True)
-class Synset:
-    """One synonym set: its member lemmas and is-a pointers."""
-
-    id: SynsetId
-    lemmas: tuple[str, ...]
-    hypernym_ids: tuple[SynsetId, ...]
-    hyponym_ids: tuple[SynsetId, ...]
-
-
-@dataclass(frozen=True)
-class LexiconEntry:
-    """All senses of one index lemma, grouped by part of speech."""
-
-    senses_by_pos: dict[PosTag, tuple[SynsetId, ...]]
-    tag_count_by_pos: dict[PosTag, int]
-
-    def pos_tags(self) -> list[PosTag]:
-        return sorted(self.senses_by_pos)
-
-
-@dataclass(frozen=True)
 class Lexicon:
-    """An immutable loaded dictionary; safe to share between threads."""
+    """A loaded dictionary as plain, marshal-native data.
 
-    entries: dict[str, LexiconEntry]
-    synsets: dict[SynsetId, Synset]
-    exceptions: dict[PosTag, dict[str, tuple[str, ...]]] = field(default_factory=dict)
+    ``entries`` maps a lemma to ``{pos: (tag_count, synset keys in sense
+    order)}``; ``synsets`` maps a ``(offset, pos)`` key to ``(lemmas,
+    hypernym keys, hyponym keys)``; ``exceptions`` maps a pos to its
+    ``{inflected form: base forms}`` table.  A pos is the plain int value
+    of its PosTag, which hashes and compares equal to it.  Nothing modifies
+    a lexicon after loading, so it is safe to share across threads for
+    reading.
+    """
+
+    entries: dict[str, dict[int, tuple[int, tuple[SynsetKey, ...]]]]
+    synsets: dict[SynsetKey, tuple[tuple[str, ...], tuple[SynsetKey, ...], tuple[SynsetKey, ...]]]
+    exceptions: dict[int, dict[str, tuple[str, ...]]]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -179,49 +167,48 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
             if not (root / f"{prefix}.{suffix}").is_file():
                 raise MissingFileError(f"missing {prefix}.{suffix} in {root}")
 
-    entries: dict[str, LexiconEntry] = {}
-    synsets: dict[SynsetId, Synset] = {}
-    exceptions: dict[PosTag, dict[str, tuple[str, ...]]] = {}
+    entries: dict[str, dict] = {}
+    synsets: dict[SynsetKey, tuple] = {}
+    exceptions: dict[int, dict] = {}
 
     for tag, suffix in _POS_FILES.items():
+        pos = tag.value
         data_name = f"data.{suffix}"
         for line_no, fields in _dict_lines(root / data_name):
-            synset = _parse_data_line(fields, tag, data_name, line_no)
-            if synset.id in synsets:
-                raise MalformedLineError(data_name, line_no, f"duplicate synset offset {synset.id[0]}")
-            synsets[synset.id] = synset
+            offset, synset = _parse_data_line(fields, tag, data_name, line_no)
+            if (offset, pos) in synsets:
+                raise MalformedLineError(data_name, line_no, f"duplicate synset offset {offset}")
+            synsets[offset, pos] = synset
 
         index_name = f"index.{suffix}"
         for line_no, fields in _dict_lines(root / index_name):
             lemma, offsets, tag_count = _parse_index_line(fields, tag, index_name, line_no)
-            ids = tuple((offset, tag) for offset in offsets)
-            for synset_id in ids:
-                if synset_id not in synsets:
+            keys = tuple((offset, pos) for offset in offsets)
+            for key in keys:
+                if key not in synsets:
                     raise MalformedLineError(
-                        index_name, line_no, f"offset {synset_id[0]} not present in {data_name}"
+                        index_name, line_no, f"offset {key[0]} not present in {data_name}"
                     )
-            entry = entries.setdefault(lemma, LexiconEntry({}, {}))
-            if tag in entry.senses_by_pos:
+            entry = entries.setdefault(lemma, {})
+            if pos in entry:
                 raise MalformedLineError(index_name, line_no, f"duplicate lemma {lemma!r}")
-            entry.senses_by_pos[tag] = ids
-            entry.tag_count_by_pos[tag] = tag_count
+            entry[pos] = (tag_count, keys)
 
         exc_name = f"{suffix}.exc"
         if (root / exc_name).is_file():
-            exceptions[tag] = _parse_exceptions(root / exc_name)
+            exceptions[pos] = _parse_exceptions(root / exc_name)
 
     # Pointer targets must resolve; data files carry both directions.  Only
     # a failure reads the pointing file again, to find the line to report.
-    for synset in synsets.values():
-        for target in synset.hypernym_ids + synset.hyponym_ids:
+    for (offset, pos), (_lemmas, hypernyms, hyponyms) in synsets.items():
+        for target in hypernyms + hyponyms:
             if target not in synsets:
-                offset, tag = synset.id
-                data_name = f"data.{_POS_FILES[tag]}"
+                data_name = f"data.{_POS_FILES[pos]}"
                 line_no = next(
                     (n for n, fields in _dict_lines(root / data_name) if int(fields[0]) == offset), 0
                 )
                 raise MalformedLineError(
-                    data_name, line_no, f"pointer target {target[0]} ({target[1]}) unresolved"
+                    data_name, line_no, f"pointer target {target[0]} ({PosTag(target[1])}) unresolved"
                 )
 
     return Lexicon(entries, synsets, exceptions)
@@ -252,7 +239,7 @@ def _parse_index_line(fields: list[str], tag: PosTag, file_name: str, line_no: i
     # lemma pos synset_cnt p_cnt [ptr_symbol...] sense_cnt tagsense_cnt offset...
     try:
         lemma = fields[0].lower()
-        if _POS_CHARS[fields[1]] is not tag:
+        if _POS_CHARS[fields[1]] != tag:
             raise ValueError(f"pos {fields[1]!r} is not {tag}")
         synset_cnt = int(fields[2])
         p_cnt = int(fields[3])
@@ -268,13 +255,13 @@ def _parse_index_line(fields: list[str], tag: PosTag, file_name: str, line_no: i
     return lemma, offsets, tag_count
 
 
-def _parse_data_line(fields: list[str], tag: PosTag, file_name: str, line_no: int) -> Synset:
+def _parse_data_line(fields: list[str], tag: PosTag, file_name: str, line_no: int):
     # offset lex_filenum ss_type w_cnt (word lex_id)+ p_cnt ptr* ... | gloss
     try:
         if "|" in fields:
             fields = fields[: fields.index("|")]
         offset = int(fields[0])
-        if _POS_CHARS[fields[2]] is not tag:
+        if _POS_CHARS[fields[2]] != tag:
             raise ValueError(f"synset type {fields[2]!r} is not {tag}")
         w_cnt = int(fields[3], 16)
         lemmas = tuple(
@@ -282,20 +269,20 @@ def _parse_data_line(fields: list[str], tag: PosTag, file_name: str, line_no: in
         )
         cursor = 4 + 2 * w_cnt
         p_cnt = int(fields[cursor])
-        hypernyms: list[SynsetId] = []
-        hyponyms: list[SynsetId] = []
+        hypernyms: list[SynsetKey] = []
+        hyponyms: list[SynsetKey] = []
         for i in range(p_cnt):
             symbol, target, target_pos, _ = fields[cursor + 1 + 4 * i : cursor + 5 + 4 * i]
-            target_id = (int(target), _POS_CHARS[target_pos])
+            target_key = (int(target), _POS_CHARS[target_pos])
             if symbol in _HYPERNYM_PTRS:
-                hypernyms.append(target_id)
+                hypernyms.append(target_key)
             elif symbol in _HYPONYM_PTRS:
-                hyponyms.append(target_id)
+                hyponyms.append(target_key)
         if not lemmas:
             raise ValueError("synset with no words")
     except (IndexError, KeyError, ValueError) as exc:
         raise MalformedLineError(file_name, line_no, f"bad data line ({exc})") from exc
-    return Synset((offset, tag), lemmas, tuple(hypernyms), tuple(hyponyms))
+    return offset, (lemmas, tuple(hypernyms), tuple(hyponyms))
 
 
 def _strip_marker(word: str) -> str:
@@ -331,16 +318,14 @@ def lemmatize(lexicon: Lexicon, token: str) -> list[tuple[str, PosTag]]:
 
     def push(lemma: str, pos: PosTag) -> None:
         entry = lexicon.entries.get(lemma)
-        if entry is None or pos not in entry.senses_by_pos:
+        if entry is None or pos not in entry:
             return
         if (lemma, pos) not in seen:
             seen.add((lemma, pos))
             candidates.append((lemma, pos))
 
-    exact = lexicon.entries.get(token)
-    if exact is not None:
-        for pos in exact.pos_tags():
-            push(token, pos)
+    for pos in _POS_ORDER:
+        push(token, pos)
 
     for pos in _POS_ORDER:
         for lemma in lexicon.exceptions.get(pos, {}).get(token, ()):
@@ -370,7 +355,7 @@ def classify(lexicon: Lexicon, word: str) -> tuple[str, PosTag] | None:
     """
     best: dict[PosTag, tuple[int, str]] = {}
     for lemma, pos in lemmatize(lexicon, word.lower()):
-        count = lexicon.entries[lemma].tag_count_by_pos.get(pos, 0)
+        count = lexicon.entries[lemma][pos][0]
         if pos not in best or count > best[pos][0]:
             best[pos] = (count, lemma)
     if not best:
@@ -400,28 +385,29 @@ def related_words(
     if entry is None or depth == 0:
         return result
 
-    seeds = [sid for pos in entry.pos_tags() for sid in entry.senses_by_pos[pos]]
+    seeds = [key for _count, keys in entry.values() for key in keys]
 
     if SYNONYM in relations:
-        for sid in seeds:
-            for lemma in lexicon.synsets[sid].lemmas:
+        for key in seeds:
+            for lemma in lexicon.synsets[key][0]:
                 if lemma != word:
                     result.add((lemma, SYNONYM, 1))
 
-    for relation, attr in ((HYPERNYM, "hypernym_ids"), (HYPONYM, "hyponym_ids")):
+    # Slot 1 of a synset holds its hypernym keys, slot 2 its hyponym keys.
+    for relation, slot in ((HYPERNYM, 1), (HYPONYM, 2)):
         if relation not in relations:
             continue
         frontier = list(seeds)
         visited = set(seeds)
         for distance in range(1, depth + 1):
-            reached: list[SynsetId] = []
-            for sid in frontier:
-                for target in getattr(lexicon.synsets[sid], attr):
+            reached: list[SynsetKey] = []
+            for key in frontier:
+                for target in lexicon.synsets[key][slot]:
                     if target not in visited:
                         visited.add(target)
                         reached.append(target)
             for target in reached:
-                for lemma in lexicon.synsets[target].lemmas:
+                for lemma in lexicon.synsets[target][0]:
                     result.add((lemma, relation, distance))
             frontier = reached
             if not frontier:

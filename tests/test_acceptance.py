@@ -227,7 +227,7 @@ def test_criterion_6_real_wordnet_smoke():
 
         entry = lexicon.entries.get("good")
         assert entry is not None
-        assert {PosTag.NOUN, PosTag.ADJECTIVE} <= set(entry.pos_tags())
+        assert {PosTag.NOUN, PosTag.ADJECTIVE} <= set(entry)
 
         probes = list(lexicon.entries)[:1000] + ["notawordatall"] * 10
         started = time.monotonic()

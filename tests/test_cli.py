@@ -210,6 +210,17 @@ class TestDomain:
         paths = self.setup_indexes(tmp_path)
         assert main(["domain", paths[0]]) == 1
 
+    @pytest.mark.parametrize("twin", ["same-file", "same-name"])
+    def test_repeated_project_name_exits_1(self, tmp_path, capsys, twin):
+        first = make_index(tmp_path / "a.json", "src", {"name": 3, "value": 2})
+        second = first if twin == "same-file" else make_index(
+            tmp_path / "b.json", "src", {"name": 5, "object": 1}
+        )
+        assert main(["domain", first, second]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'src'" in captured.err and "analyze --project" in captured.err
+
     def test_semantic_merge_with_evidence(self, tmp_path, capsys):
         paths = [
             make_index(tmp_path / "p1.json", "p1", {"car": 12, "alpha": 1}),

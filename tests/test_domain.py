@@ -63,6 +63,12 @@ class TestStatuses:
         with pytest.raises(TooFewProjectsError):
             build_domain_vocabulary(SERVERS[:1], k=50)
 
+    def test_repeated_project_name_rejected(self):
+        # Totals are keyed by project name: a repeat would hide the earlier project.
+        twin = vocab("jboss", {"name": 1, "bean": 4})
+        with pytest.raises(ValueError, match="'jboss'.*analyze --project"):
+            build_domain_vocabulary(SERVERS + [twin], k=50)
+
     def test_status_partition(self):
         result = build_domain_vocabulary(SERVERS, k=50)
         words = {t.word for t in result.terms}

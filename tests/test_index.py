@@ -97,6 +97,10 @@ class TestValidation:
             lambda d: d.update(fileCount=True),
             lambda d: d["vocabulary"][0].update(total=True),
             lambda d: d["nodes"].append(_node(True, "method", "drive", 0)),
+            lambda d: d["vocabulary"][0].update(pos="Noun"),
+            lambda d: d["vocabulary"][0].update(pos="NOUN"),
+            lambda d: d["vocabulary"][0].update(pos=1),
+            lambda d: d["vocabulary"][0].update(pos=["noun"]),
         ],
         ids=[
             "bad-version",
@@ -118,6 +122,10 @@ class TestValidation:
             "boolean-file-count",
             "boolean-total",
             "boolean-id",
+            "capitalized-pos",
+            "upper-case-pos",
+            "int-pos",
+            "list-pos",
         ],
     )
     def test_invalid_documents_rejected(self, tmp_path, mutate):

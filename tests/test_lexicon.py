@@ -1,3 +1,4 @@
+import marshal
 import shutil
 import tempfile
 from collections import Counter
@@ -13,11 +14,9 @@ from lexiscope.lexicon import (
     RELATIONS,
     SELF,
     SYNONYM,
-    LexiconEntry,
     MalformedLineError,
     MissingFileError,
     PosTag,
-    Synset,
     classify,
     lemmatize,
     load_lexicon,
@@ -120,8 +119,8 @@ class TestLoad:
         with open(root / file_name, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
         if accepted_id is not None:
-            synset = load_lexicon(root).synsets[accepted_id]
-            assert synset.hypernym_ids == synset.hyponym_ids == ()
+            _lemmas, hypernyms, hyponyms = load_lexicon(root).synsets[accepted_id]
+            assert hypernyms == hyponyms == ()
             return
         with pytest.raises(MalformedLineError) as err:
             load_lexicon(root)
@@ -131,12 +130,15 @@ class TestLoad:
     def test_satellite_adjective_and_marker(self, lexicon):
         entry = lexicon.entries.get("new")
         assert entry is not None
-        assert entry.pos_tags() == [PosTag.ADJECTIVE]
+        assert list(entry) == [PosTag.ADJECTIVE]
 
     def test_determinism(self, lexicon):
         again = load_lexicon(MINIDICT)
         assert again.entries == lexicon.entries
         assert again.synsets == lexicon.synsets
+
+    def test_marshal_round_trip(self, lexicon):
+        assert_marshals(lexicon)
 
 
 class TestRealisticFormat:
@@ -173,23 +175,21 @@ class TestRealisticFormat:
     def test_loads_and_keeps_only_isa_pointers(self, tmp_path):
         lex = load_lexicon(self._write(tmp_path / "dict"))
         assert len(lex) == 6
-        sports_car = lex.synsets[(1740, PosTag.NOUN)]
-        assert sports_car.lemmas == ("sports_car", "sport_car")
-        assert sports_car.hypernym_ids == ((1850, PosTag.NOUN),)
-        machine_noun = lex.synsets[(1850, PosTag.NOUN)]
-        assert machine_noun.hyponym_ids == ((1740, PosTag.NOUN),)
+        lemmas, hypernyms, _hyponyms = lex.synsets[(1740, PosTag.NOUN)]
+        assert lemmas == ("sports_car", "sport_car")
+        assert hypernyms == ((1850, PosTag.NOUN),)
+        _lemmas, _hypernyms, hyponyms = lex.synsets[(1850, PosTag.NOUN)]
+        assert hyponyms == ((1740, PosTag.NOUN),)
 
     def test_verb_frames_and_cross_pos_pointers_skipped(self, tmp_path):
         lex = load_lexicon(self._write(tmp_path / "dict"))
-        machine_verb = lex.synsets[(2100, PosTag.VERB)]
-        assert machine_verb.lemmas == ("machine", "tool")
-        assert machine_verb.hypernym_ids == () and machine_verb.hyponym_ids == ()
+        assert lex.synsets[(2100, PosTag.VERB)] == (("machine", "tool"), (), ())
 
     def test_satellite_and_marker_normalization(self, tmp_path):
         lex = load_lexicon(self._write(tmp_path / "dict"))
-        fast = lex.synsets[(3000, PosTag.ADJECTIVE)]
-        assert fast.lemmas == ("fast", "quick")
-        assert lex.entries.get("fast").pos_tags() == [PosTag.ADJECTIVE]
+        lemmas, _hypernyms, _hyponyms = lex.synsets[(3000, PosTag.ADJECTIVE)]
+        assert lemmas == ("fast", "quick")
+        assert list(lex.entries.get("fast")) == [PosTag.ADJECTIVE]
 
     def test_multi_word_lemma_and_synonyms(self, tmp_path):
         lex = load_lexicon(self._write(tmp_path / "dict"))
@@ -227,14 +227,14 @@ class TestConcurrentReaders:
 class TestLookup:
     def test_good_is_noun_and_adjective(self, lexicon):
         entry = lexicon.entries.get("good")
-        assert {PosTag.NOUN, PosTag.ADJECTIVE} <= set(entry.pos_tags())
+        assert {PosTag.NOUN, PosTag.ADJECTIVE} <= set(entry)
 
     def test_unknown_word_absent(self, lexicon):
         assert lexicon.entries.get("qqzx") is None
 
     def test_set_is_noun_and_verb(self, lexicon):
         entry = lexicon.entries.get("set")
-        assert {PosTag.NOUN, PosTag.VERB} <= set(entry.pos_tags())
+        assert {PosTag.NOUN, PosTag.VERB} <= set(entry)
 
     def test_no_morphology_applied(self, lexicon):
         assert lexicon.entries.get("values") is None
@@ -394,8 +394,7 @@ def _dictionaries(draw):
                 + " | a gloss\n"
             )
             lemmas = tuple(word.lower() for word in words[offset])
-            synsets[(offset, tag)] = Synset(
-                (offset, tag),
+            synsets[(offset, tag)] = (
                 lemmas,
                 tuple((t, tag) for symbol, t in pointers[offset] if symbol[0] == "@"),
                 tuple((t, tag) for symbol, t in pointers[offset] if symbol[0] == "~"),
@@ -415,9 +414,7 @@ def _dictionaries(draw):
                 + " ".join(f"{offset:08d}" for offset in ordered)
                 + "  \n"
             )
-            entry = entries.setdefault(lemma, LexiconEntry({}, {}))
-            entry.senses_by_pos[tag] = tuple((offset, tag) for offset in ordered)
-            entry.tag_count_by_pos[tag] = tag_count
+            entries.setdefault(lemma, {})[tag] = (tag_count, tuple((offset, tag) for offset in ordered))
         files[f"data.{suffix}"] = data
         files[f"index.{suffix}"] = index
 
@@ -443,3 +440,10 @@ def test_load_returns_the_modelled_dictionary(case):
     assert lexicon.entries == entries
     assert lexicon.synsets == synsets
     assert lexicon.exceptions == exceptions
+    assert_marshals(lexicon)
+
+
+def assert_marshals(lexicon):
+    # The loaded lexicon is plain data: marshal takes it whole and gives it back equal.
+    tables = (lexicon.entries, lexicon.synsets, lexicon.exceptions)
+    assert marshal.loads(marshal.dumps(tables)) == tables
