@@ -10,9 +10,7 @@ expanded through lexical relations.
 from .domain import (
     DomainTermEntry,
     DomainVocabulary,
-    TooFewProjectsError,
     build_domain_vocabulary,
-    domain_term_percentage,
 )
 from .extractor import (
     ScanDiagnostics,
@@ -83,9 +81,7 @@ __all__ = [
     "load_stoplist",
     "DomainTermEntry",
     "DomainVocabulary",
-    "TooFewProjectsError",
     "build_domain_vocabulary",
-    "domain_term_percentage",
     "ConceptQuery",
     "ConceptMatch",
     "ScopeError",

@@ -12,6 +12,7 @@ import gc
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,21 +140,36 @@ def _load_dictionary(args) -> Lexicon:
     return lexicon
 
 
+@contextmanager
+def _text_input(path: str):
+    """Report an input file that is not UTF-8 as a bad input file (exit 2)."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise OSError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def cmd_analyze(args) -> int:
+    # abspath, so "." and ".." name the directory they stand for; unlike
+    # resolve(), it keeps a symlinked tree's own name.
+    source = Path(os.path.abspath(args.src))
+    project = args.project or (source.stem if args.input_mode == "jsonl" else source.name)
+    if not project:
+        raise ValueError(f"cannot name a project after {args.src!r}; pass --project NAME")
+
     lexicon = _load_dictionary(args)
     if args.stoplist:
-        filter_config = FilterConfig(stoplist=load_stoplist(args.stoplist))
+        with _text_input(args.stoplist):
+            filter_config = FilterConfig(stoplist=load_stoplist(args.stoplist))
     else:
         filter_config = FilterConfig.default()
 
     if args.input_mode == "jsonl":
-        with open(args.src, encoding="utf-8") as stream:
+        with _text_input(args.src), open(args.src, encoding="utf-8") as stream:
             nodes = ingest_nodes(stream)
         file_count = len({node.file_path for node in nodes})
-        project = args.project or Path(args.src).stem
     else:
         nodes, file_count = extract_project(args.src)
-        project = args.project or Path(args.src).name
 
     vocabulary = build_vocabulary(
         nodes, lexicon, filter_config, project_name=project, file_count=file_count
@@ -243,15 +259,11 @@ def cmd_domain(args) -> int:
     if len(args.indexes) < 2:
         raise ValueError("need at least 2 index files")
     vocabularies = [load_index(path).vocabulary for path in args.indexes]
-    lexicon = None
-    if args.semantic:
-        lexicon = _load_dictionary(args)
-    result = build_domain_vocabulary(
-        vocabularies, args.k, semantic=args.semantic, lexicon=lexicon, domain_name=args.name
-    )
+    lexicon = _load_dictionary(args) if args.semantic else None
+    result = build_domain_vocabulary(vocabularies, args.k, lexicon=lexicon)
 
     projects = ", ".join(result.project_names)
-    print(f"{result.domain_name}: projects [{projects}]  k={result.k}  "
+    print(f"{args.name}: projects [{projects}]  k={args.k}  "
           f"semantic={'on' if args.semantic else 'off'}")
     width = max((len(_marker(t.word, t.status)) for t in result.terms), default=0)
     for term in result.terms:

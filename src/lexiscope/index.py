@@ -68,7 +68,7 @@ def save_index(index: ProjectIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> ProjectIndex:
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
 
     if not isinstance(document, dict) or document.get("formatVersion") != FORMAT_VERSION:

@@ -29,6 +29,7 @@ __all__ = [
     "lemmatize",
     "classify",
     "related_words",
+    "best_first",
 ]
 
 
@@ -71,6 +72,9 @@ SYNONYM = "synonym"
 HYPERNYM = "hypernym"
 HYPONYM = "hyponym"
 RELATIONS = frozenset({SYNONYM, HYPERNYM, HYPONYM})
+
+# Tie-break between relations at one distance; best_first's middle key.
+_RELATION_RANK = {SELF: 0, SYNONYM: 1, HYPERNYM: 2, HYPONYM: 3}
 
 # Morphy-style suffix detachments: (suffix, replacement) tried in order.
 _DETACHMENTS: dict[PosTag, tuple[tuple[str, str], ...]] = {
@@ -222,17 +226,35 @@ def _dict_lines(path: Path):
     first content line is malformed.
     """
     in_header = True
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if line[0] == " ":
-                if in_header:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                fields = line.split()
+                if not fields:
                     continue
-                raise MalformedLineError(path.name, line_no, "indented line after the license header")
-            in_header = False
-            yield line_no, fields
+                if line[0] == " ":
+                    if in_header:
+                        continue
+                    raise MalformedLineError(path.name, line_no, "indented line after the license header")
+                in_header = False
+                yield line_no, fields
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
+
+
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> MalformedLineError:
+    """The error for a file that is not UTF-8, at its first undecodable line.
+
+    Text reads decode in chunks, so the line is found by reading the file
+    again in binary; only a failed load pays for that.
+    """
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return MalformedLineError(path.name, line_no, f"not UTF-8 text ({exc.reason})")
 
 
 def _parse_index_line(fields: list[str], tag: PosTag, file_name: str, line_no: int):
@@ -295,13 +317,16 @@ def _strip_marker(word: str) -> str:
 def _parse_exceptions(path: Path) -> dict[str, tuple[str, ...]]:
     # inflected_form base_form...
     table: dict[str, tuple[str, ...]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            words = line.lower().split()
-            if len(words) == 1:
-                raise MalformedLineError(path.name, line_no, "exception line without a base form")
-            if words:
-                table[words[0]] = tuple(words[1:])
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                words = line.lower().split()
+                if len(words) == 1:
+                    raise MalformedLineError(path.name, line_no, "exception line without a base form")
+                if words:
+                    table[words[0]] = tuple(words[1:])
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
     return table
 
 
@@ -414,3 +439,14 @@ def related_words(
                 break
 
     return result
+
+
+def best_first(triples) -> list[tuple[str, str, int]]:
+    """Related-word triples, best first.
+
+    Nearer distance first; at one distance self, synonym, hypernym, then
+    hyponym; then the word alphabetically.  The self entry (distance 0)
+    always leads.  Where several related words are present, locate and
+    domain report the first one in this order.
+    """
+    return sorted(triples, key=lambda t: (t[2], _RELATION_RANK[t[1]], t[0]))

@@ -16,12 +16,11 @@ from fractions import Fraction
 
 from .extractor import SourceNode
 from .lexicon import (
-    HYPERNYM,
-    HYPONYM,
     RELATIONS,
     SELF,
     SYNONYM,
     Lexicon,
+    best_first,
     lemmatize,
     related_words,
 )
@@ -31,23 +30,10 @@ __all__ = [
     "ConceptQuery",
     "ConceptMatch",
     "ScopeError",
-    "RELATION_WEIGHTS",
     "expand_query",
     "node_scope",
     "locate_concept",
 ]
-
-# Match weights per relation; hypernym/hyponym weight is divided by the
-# pointer distance.  Any monotone weighting with self >= others preserves
-# the exact-match-first ranking guarantee; these are the defaults.
-RELATION_WEIGHTS: dict[str, Fraction] = {
-    SELF: Fraction(3),
-    SYNONYM: Fraction(2),
-    HYPERNYM: Fraction(1),
-    HYPONYM: Fraction(1),
-}
-
-_RELATION_RANK = {SELF: 0, SYNONYM: 1, HYPERNYM: 2, HYPONYM: 3}
 
 _KIND_RANK = {"method": 0, "class": 1}
 
@@ -87,9 +73,12 @@ class ConceptMatch:
 
 
 def match_weight(relation: str, distance: int) -> Fraction:
-    if relation in (HYPERNYM, HYPONYM):
-        return RELATION_WEIGHTS[relation] / distance
-    return RELATION_WEIGHTS[relation]
+    """Score of one keyword match: exact 3, synonym 2, is-a 1/distance."""
+    if relation == SELF:
+        return Fraction(3)
+    if relation == SYNONYM:
+        return Fraction(2)
+    return Fraction(1, distance)
 
 
 def expand_query(
@@ -139,19 +128,6 @@ def _token_readings(lexicon: Lexicon, token: str) -> list[str]:
     return [token] + [lemma for lemma, _pos in lemmatize(lexicon, token)]
 
 
-def _ranked(expansion: set[tuple[str, str, int]]) -> list[tuple[str, str, int]]:
-    """Expansion words best first: weight, relation, distance, word."""
-    return sorted(
-        expansion,
-        key=lambda entry: (
-            -match_weight(entry[1], entry[2]),
-            _RELATION_RANK[entry[1]],
-            entry[2],
-            entry[0],
-        ),
-    )
-
-
 def locate_concept(
     nodes: list[SourceNode],
     query: ConceptQuery,
@@ -170,7 +146,7 @@ def locate_concept(
         raise ValueError("limit must be >= 1")
     expansions = expand_query(query, lexicon)
     keywords = list(dict.fromkeys(query.keywords))
-    ranked = {keyword: _ranked(expansions[keyword]) for keyword in keywords}
+    ranked = {keyword: best_first(expansions[keyword]) for keyword in keywords}
     wanted = {word for words in ranked.values() for word, _rel, _dist in words}
 
     candidates: list[SourceNode] = []

@@ -185,7 +185,7 @@ def test_criterion_5_semantic_merge_and_monotonicity(lexicon):
             }),
         ]
         plain = build_domain_vocabulary(vocabs, k=50)
-        merged = build_domain_vocabulary(vocabs, k=50, semantic=True, lexicon=lexicon)
+        merged = build_domain_vocabulary(vocabs, k=50, lexicon=lexicon)
         plain_car = next(t for t in plain.terms if t.word == "car")
         merged_car = next(t for t in merged.terms if t.word == "car")
         assert plain_car.support_count == 1 and plain_car.status == SINGLE
@@ -207,7 +207,7 @@ def test_criterion_5_semantic_merge_and_monotonicity(lexicon):
                 )
             k = rng.randint(1, 8)
             off = build_domain_vocabulary(projects, k=k)
-            on = build_domain_vocabulary(projects, k=k, semantic=True, lexicon=lexicon)
+            on = build_domain_vocabulary(projects, k=k, lexicon=lexicon)
             support_off = {t.word: t.support_count for t in off.terms}
             support_on = {t.word: t.support_count for t in on.terms}
             assert set(support_off) == set(support_on)

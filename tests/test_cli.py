@@ -107,6 +107,61 @@ class TestAnalyze:
         assert "new" in words  # default stoplist no longer applies
 
 
+    @pytest.mark.parametrize("src", [".", ".."])
+    def test_relative_source_is_named_after_its_directory(self, tmp_path, monkeypatch, src):
+        tree = tmp_path / "shop" / "tree"
+        shutil.copytree(MINICORPUS, tree)
+        monkeypatch.chdir(tree / "deep" if src == ".." else tree)
+        out = tmp_path / "index.json"
+        assert main(["analyze", src, "--dict", str(MINIDICT), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["projectName"] == "tree"
+
+    def test_filesystem_root_needs_a_project_name(self, tmp_path, monkeypatch, capsys):
+        def no_scan(src):
+            raise AssertionError(f"scanned {src}")
+
+        monkeypatch.setattr("lexiscope.cli.extract_project", no_scan)
+        monkeypatch.chdir(os.path.abspath(os.sep))
+        assert main(["analyze", ".", "--dict", str(MINIDICT), "-o", str(tmp_path / "o.json")]) == 1
+        assert "--project" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is a bad input file, reported by name."""
+
+    def test_index_exits_2(self, tmp_path, capsys):
+        index = tmp_path / "bad.json"
+        index.write_bytes(b'{"formatVersion": 1, "projectName": "\xff"}')
+        assert main(["stats", str(index)]) == 2
+        assert str(index) in capsys.readouterr().err
+
+    def test_jsonl_exits_2(self, tmp_path, capsys):
+        node_file = tmp_path / "nodes.jsonl"
+        node_file.write_bytes(b'{"kind":"class","name":"Caf\xff","file":"a.java","line":1}\n')
+        rc = main(["analyze", str(node_file), "--dict", str(MINIDICT),
+                   "-o", str(tmp_path / "o.json"), "--input-mode", "jsonl"])
+        assert rc == 2
+        assert str(node_file) in capsys.readouterr().err
+
+    def test_stoplist_exits_2(self, tmp_path, capsys):
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"goodness\nbr\xffce\n")
+        rc = main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT),
+                   "-o", str(tmp_path / "o.json"), "--stoplist", str(stop)])
+        assert rc == 2
+        assert str(stop) in capsys.readouterr().err
+
+    def test_dictionary_exits_3_at_the_line(self, tmp_path, capsys):
+        root = tmp_path / "dict"
+        shutil.copytree(MINIDICT, root)
+        lines = (root / "index.noun").read_bytes().count(b"\n")
+        with open(root / "index.noun", "ab") as handle:
+            handle.write(b"caf\xff n 1 0 1 0 00000001\n")
+        rc = main(["analyze", str(MINICORPUS), "--dict", str(root), "-o", str(tmp_path / "o.json")])
+        assert rc == 3
+        assert f"index.noun, line {lines + 1}: not UTF-8" in capsys.readouterr().err
+
+
 class TestStats:
     def test_table_golden(self, corpus_index, capsys):
         assert main(["stats", corpus_index]) == 0

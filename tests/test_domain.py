@@ -6,9 +6,7 @@ from lexiscope.domain import (
     DOMAIN,
     POTENTIAL,
     SINGLE,
-    TooFewProjectsError,
     build_domain_vocabulary,
-    domain_term_percentage,
 )
 from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry
 
@@ -60,7 +58,7 @@ class TestStatuses:
         assert by_word["action"].per_project_totals["glassfish"] == 0
 
     def test_one_vocabulary_is_too_few(self):
-        with pytest.raises(TooFewProjectsError):
+        with pytest.raises(ValueError, match="at least 2"):
             build_domain_vocabulary(SERVERS[:1], k=50)
 
     def test_repeated_project_name_rejected(self):
@@ -109,7 +107,7 @@ class TestSemanticMerge:
             vocab("p2", {"vehicle": 9, "beta": 1}),
         ]
         plain = build_domain_vocabulary(projects, k=50)
-        merged = build_domain_vocabulary(projects, k=50, semantic=True, lexicon=lexicon)
+        merged = build_domain_vocabulary(projects, k=50, lexicon=lexicon)
 
         plain_car = {t.word: t for t in plain.terms}["car"]
         merged_car = {t.word: t for t in merged.terms}["car"]
@@ -123,7 +121,7 @@ class TestSemanticMerge:
 
     def test_synonym_support(self, lexicon):
         projects = [vocab("p1", {"car": 5}), vocab("p2", {"auto": 4})]
-        merged = build_domain_vocabulary(projects, k=50, semantic=True, lexicon=lexicon)
+        merged = build_domain_vocabulary(projects, k=50, lexicon=lexicon)
         by_word = {t.word: t for t in merged.terms}
         assert by_word["car"].evidence == {"p2": ("auto", "synonym")}
         assert by_word["car"].status == DOMAIN
@@ -144,39 +142,27 @@ class TestSemanticMerge:
             ]
             k = rng.randint(1, 12)
             plain = build_domain_vocabulary(projects, k=k)
-            merged = build_domain_vocabulary(projects, k=k, semantic=True, lexicon=lexicon)
+            merged = build_domain_vocabulary(projects, k=k, lexicon=lexicon)
             plain_support = {t.word: t.support_count for t in plain.terms}
             merged_support = {t.word: t.support_count for t in merged.terms}
             assert set(plain_support) == set(merged_support)
             for word, support in plain_support.items():
                 assert merged_support[word] >= support
 
-    def test_semantic_requires_lexicon(self):
-        with pytest.raises(ValueError):
-            build_domain_vocabulary(SERVERS, k=5, semantic=True, lexicon=None)
-
-
-class TestDomainTermPercentage:
-    def test_all_present(self):
-        domain_vocab = build_domain_vocabulary(SERVERS, k=50)
-        assert domain_term_percentage(SERVERS[0], domain_vocab) == 100.0
-
-    def test_none_present(self):
-        domain_vocab = build_domain_vocabulary(SERVERS, k=50)
-        assert domain_term_percentage(vocab("other", {"zzz": 1}), domain_vocab) == 0.0
-
-    def test_three_of_four(self):
-        projects = [
-            vocab("p1", {"alpha": 4, "beta": 3, "gamma": 2, "delta": 1}),
-            vocab("p2", {"alpha": 4, "beta": 3, "gamma": 2, "delta": 1}),
-        ]
-        domain_vocab = build_domain_vocabulary(projects, k=50)
-        assert len([t for t in domain_vocab.terms if t.status == DOMAIN]) == 4
-        probe = vocab("probe", {"alpha": 1, "beta": 1, "gamma": 1})
-        assert domain_term_percentage(probe, domain_vocab) == 75.0
-
-    def test_empty_domain_vocabulary(self):
-        projects = [vocab("p1", {"alpha": 1}), vocab("p2", {"beta": 1})]
-        domain_vocab = build_domain_vocabulary(projects, k=50)
-        assert all(t.status != DOMAIN for t in domain_vocab.terms)
-        assert domain_term_percentage(SERVERS[0], domain_vocab) == 0.0
+    @pytest.mark.parametrize(
+        "word, present, expected",
+        [
+            ("vehicle", {"car": 3, "transport": 1}, ("transport", "hypernym")),
+            ("vehicle", {"transport": 3, "conveyance": 1}, ("conveyance", "hypernym")),
+            ("vehicle", {"car": 3, "auto": 1}, ("auto", "hyponym")),
+            ("car", {"vehicle": 3, "auto": 1}, ("auto", "synonym")),
+        ],
+        ids=["hypernym-beats-hyponym", "hypernym-tie-alphabetical",
+             "hyponym-tie-alphabetical", "synonym-beats-hypernym"],
+    )
+    def test_evidence_is_the_best_related_word(self, lexicon, word, present, expected):
+        # Minidict: vehicle's hypernyms are conveyance and transport, its
+        # hyponyms car and auto; car and auto are synonyms.
+        projects = [vocab("p1", {word: 5}), vocab("p2", present)]
+        merged = build_domain_vocabulary(projects, k=50, lexicon=lexicon)
+        assert {t.word: t for t in merged.terms}[word].evidence == {"p2": expected}

@@ -17,6 +17,7 @@ from lexiscope.lexicon import (
     MalformedLineError,
     MissingFileError,
     PosTag,
+    best_first,
     classify,
     lemmatize,
     load_lexicon,
@@ -126,6 +127,20 @@ class TestLoad:
             load_lexicon(root)
         assert err.value.file_name == file_name
         assert err.value.line_number == len((root / file_name).read_text().splitlines())
+
+    @pytest.mark.parametrize("file_name", ["data.noun", "index.verb", "verb.exc"])
+    def test_undecodable_line_is_reported(self, tmp_path, file_name):
+        # A long license header puts the bad byte past the first chunk a
+        # text read decodes.
+        root = tmp_path / "dict"
+        shutil.copytree(MINIDICT, root)
+        path = root / file_name
+        header = b"" if file_name.endswith(".exc") else b"  license text, one of many lines\n" * 500
+        path.write_bytes(header + path.read_bytes() + b"caf\xe9 cafe\n")
+        with pytest.raises(MalformedLineError, match="not UTF-8") as err:
+            load_lexicon(root)
+        assert err.value.file_name == file_name
+        assert err.value.line_number == path.read_bytes().count(b"\n")
 
     def test_satellite_adjective_and_marker(self, lexicon):
         entry = lexicon.entries.get("new")
@@ -447,3 +462,34 @@ def assert_marshals(lexicon):
     # The loaded lexicon is plain data: marshal takes it whole and gives it back equal.
     tables = (lexicon.entries, lexicon.synsets, lexicon.exceptions)
     assert marshal.loads(marshal.dumps(tables)) == tables
+
+
+class TestBestFirst:
+    def test_self_then_distance_relation_word(self):
+        triples = {
+            ("zeta", HYPONYM, 1),
+            ("alpha", HYPERNYM, 2),
+            ("beta", SYNONYM, 1),
+            ("omega", SELF, 0),
+            ("gamma", HYPERNYM, 1),
+            ("delta", HYPONYM, 1),
+            ("acme", HYPONYM, 2),
+        }
+        assert best_first(triples) == [
+            ("omega", SELF, 0),
+            ("beta", SYNONYM, 1),
+            ("gamma", HYPERNYM, 1),
+            ("delta", HYPONYM, 1),
+            ("zeta", HYPONYM, 1),
+            ("alpha", HYPERNYM, 2),
+            ("acme", HYPONYM, 2),
+        ]
+
+    def test_car_at_depth_two(self, lexicon):
+        assert best_first(related_words(lexicon, "car", RELATIONS, 2)) == [
+            ("car", SELF, 0),
+            ("auto", SYNONYM, 1),
+            ("vehicle", HYPERNYM, 1),
+            ("conveyance", HYPERNYM, 2),
+            ("transport", HYPERNYM, 2),
+        ]

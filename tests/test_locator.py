@@ -9,13 +9,11 @@ from lexiscope.extractor import SourceNode, extract_java
 from lexiscope.lexicon import HYPERNYM, HYPONYM, RELATIONS, SELF, SYNONYM
 from lexiscope.locator import (
     _KIND_RANK,
-    _RELATION_RANK,
     ConceptMatch,
     ConceptQuery,
     ScopeError,
     expand_query,
     locate_concept,
-    match_weight,
     node_scope,
 )
 from lexiscope.tokenizer import split_identifier
@@ -125,6 +123,13 @@ class TestLocateConcept:
         assert matches and matches[0].per_keyword["car"] == ("auto", SYNONYM, 1)
         assert matches[0].score == Fraction(2)
 
+    def test_hypernym_outranks_hyponym_then_word_order(self, lexicon):
+        # vehicle: hypernyms conveyance and transport, hyponyms car and auto.
+        src = "class Fleet { void park(Car car, Transport transport, Conveyance conveyance) {} }"
+        nodes = extract_java(src, "Fleet.java")
+        matches = locate_concept(nodes, ConceptQuery(("vehicle",)), lexicon)
+        assert matches and matches[0].per_keyword["vehicle"] == ("conveyance", HYPERNYM, 1)
+
     def test_methods_rank_before_classes_on_ties(self, lexicon):
         src = "class CarWheel { } class Garage { void carWheel() {} }"
         nodes = extract_java(src, "G.java")
@@ -203,6 +208,19 @@ class TestConceptQueryValidation:
             ConceptQuery(("find",), depth=-1)
 
 
+# The match order and score as weights, kept here independent of
+# `best_first` and `match_weight`: highest weight first, then relation,
+# distance and word.  Is-a weights are divided by the distance.
+_REFERENCE_WEIGHTS = {SELF: Fraction(3), SYNONYM: Fraction(2), HYPERNYM: Fraction(1), HYPONYM: Fraction(1)}
+_REFERENCE_RANK = {SELF: 0, SYNONYM: 1, HYPERNYM: 2, HYPONYM: 3}
+
+
+def _reference_weight(relation, distance):
+    if relation in (HYPERNYM, HYPONYM):
+        return _REFERENCE_WEIGHTS[relation] / distance
+    return _REFERENCE_WEIGHTS[relation]
+
+
 def _reference_locate(nodes, query, lexicon, limit=10):
     """The per-candidate locator: one `node_scope` scan per class and method."""
     if limit < 1:
@@ -221,8 +239,8 @@ def _reference_locate(nodes, query, lexicon, limit=10):
                 if word not in scope:
                     continue
                 key = (
-                    -match_weight(relation, distance),
-                    _RELATION_RANK[relation],
+                    -_reference_weight(relation, distance),
+                    _REFERENCE_RANK[relation],
                     distance,
                     word,
                 )
@@ -235,7 +253,7 @@ def _reference_locate(nodes, query, lexicon, limit=10):
         if not per_keyword:
             continue
         score = sum(
-            (match_weight(rel, dist) for _, rel, dist in per_keyword.values()),
+            (_reference_weight(rel, dist) for _, rel, dist in per_keyword.values()),
             Fraction(0),
         )
         matches.append(
