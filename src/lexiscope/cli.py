@@ -166,7 +166,10 @@ def cmd_analyze(args) -> int:
 
     if args.input_mode == "jsonl":
         with _text_input(args.src), open(args.src, encoding="utf-8") as stream:
-            nodes = ingest_nodes(stream)
+            try:
+                nodes = ingest_nodes(stream)
+            except SchemaError as exc:
+                raise SchemaError(exc.line_number, exc.reason, args.src) from exc
         file_count = len({node.file_path for node in nodes})
     else:
         nodes, file_count = extract_project(args.src)

@@ -80,8 +80,10 @@ class ScanDiagnostics:
 class SchemaError(Exception):
     """A line-delimited node record violates the ingestion schema."""
 
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
+    def __init__(self, line_number: int, reason: str, file_name: str | None = None):
+        where = f"line {line_number}" if file_name is None else f"{file_name}, line {line_number}"
+        super().__init__(f"{where}: {reason}")
+        self.file_name = file_name
         self.line_number = line_number
         self.reason = reason
 

@@ -10,7 +10,11 @@ pointer type are parsed past and dropped.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import marshal
+import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,7 +160,7 @@ class Lexicon:
 
 
 def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
-    """Parse index/data (and optional .exc) files into a Lexicon.
+    """Load index/data (and optional .exc) files into a Lexicon.
 
     Raises MissingFileError if any index/data file is absent and
     MalformedLineError (with file and line number) on the first bad line:
@@ -164,6 +168,12 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     one lemma, a repeated synset offset, an unresolved offset or pointer,
     an indented line after the license header, or an exception line
     without a base form.
+
+    The first load of a dictionary parses it and writes a snapshot of the
+    result to ``<cache>/lexiscope/<key>.marshal``, where the key covers the
+    content of every dictionary file; later loads of the same content read
+    the snapshot.  A snapshot that is missing, damaged or cannot be written
+    only means a parse, so every error above comes from the parse.
     """
     root = Path(dictionary_directory)
     for tag, suffix in _POS_FILES.items():
@@ -171,6 +181,19 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
             if not (root / f"{prefix}.{suffix}").is_file():
                 raise MissingFileError(f"missing {prefix}.{suffix} in {root}")
 
+    snapshot = _snapshot_path(root)
+    tables = _read_snapshot(snapshot) if snapshot is not None else None
+    if tables is None:
+        tables = _parse_lexicon(root)
+        # A file edited during the parse would file its tables under a key
+        # they do not match.
+        if snapshot is not None and _snapshot_path(root) == snapshot:
+            _write_snapshot(snapshot, tables)
+    return Lexicon(*tables)
+
+
+def _parse_lexicon(root: Path):
+    """Parse the dictionary files under root into (entries, synsets, exceptions)."""
     entries: dict[str, dict] = {}
     synsets: dict[SynsetKey, tuple] = {}
     exceptions: dict[int, dict] = {}
@@ -215,7 +238,7 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
                     data_name, line_no, f"pointer target {target[0]} ({PosTag(target[1])}) unresolved"
                 )
 
-    return Lexicon(entries, synsets, exceptions)
+    return entries, synsets, exceptions
 
 
 def _dict_lines(path: Path):
@@ -328,6 +351,104 @@ def _parse_exceptions(path: Path) -> dict[str, tuple[str, ...]]:
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from exc
     return table
+
+
+# Bump when the parse or the shape of its tables changes, so that no
+# snapshot of an older parse is read.
+_SNAPSHOT_FORMAT = b"lexiscope-lexicon-1"
+
+# Every file a load reads, in a fixed order; an optional file that is
+# absent hashes as _ABSENT in place of its digest.
+_DICT_FILES = tuple(
+    name
+    for suffix in _POS_FILES.values()
+    for name in (f"index.{suffix}", f"data.{suffix}", f"{suffix}.exc")
+)
+_ABSENT = bytes(32)
+_CHUNK = 1 << 20
+
+
+def _snapshot_path(root: Path) -> Path | None:
+    """The snapshot file for the dictionary content under root, or None for none.
+
+    The key is a sha256 over the snapshot format, this Python's cache tag
+    (marshal's format is per Python version) and each file's sha256.  The
+    cache is $XDG_CACHE_HOME if that is absolute, else ~/.cache.
+    """
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):
+        cache = os.path.expanduser(os.path.join("~", ".cache"))
+        if not os.path.isabs(cache):
+            return None
+    import hashlib  # here, not at the top: stats and topwords never load a dictionary
+
+    key = hashlib.sha256(_SNAPSHOT_FORMAT)
+    key.update(str(sys.implementation.cache_tag).encode())
+    try:
+        for name in _DICT_FILES:
+            path = root / name
+            if not path.is_file():
+                key.update(_ABSENT)
+                continue
+            digest = hashlib.sha256()
+            with open(path, "rb") as handle:
+                while chunk := handle.read(_CHUNK):
+                    digest.update(chunk)
+            key.update(digest.digest())
+    except OSError:
+        return None
+    return Path(cache) / "lexiscope" / f"{key.hexdigest()}.marshal"
+
+
+def _read_snapshot(path: Path):
+    """The (entries, synsets, exceptions) stored at path, or None if there are none.
+
+    The file is the sha256 of its payload, then the marshalled tables.  A
+    missing, unreadable, truncated or altered file, or one of another
+    shape, gives None.
+    """
+    import hashlib
+
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    payload = memoryview(data)[32:]
+    if hashlib.sha256(payload).digest() != data[:32]:
+        return None
+    try:
+        tables = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if not (isinstance(tables, tuple) and len(tables) == 3
+            and all(isinstance(table, dict) for table in tables)):
+        return None
+    return tables
+
+
+def _write_snapshot(path: Path, tables) -> None:
+    """Store tables at path for _read_snapshot; a cache that cannot be written is skipped.
+
+    The file is written under a temporary name and renamed into place, so
+    a concurrent load never reads a partial snapshot.
+    """
+    import hashlib
+    import tempfile
+
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        handle, temp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError:
+        return
+    payload = marshal.dumps(tables)
+    try:
+        with os.fdopen(handle, "wb") as out:
+            out.write(hashlib.sha256(payload).digest())
+            out.write(payload)
+        os.replace(temp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
 
 
 def lemmatize(lexicon: Lexicon, token: str) -> list[tuple[str, PosTag]]:

@@ -10,6 +10,14 @@ MINIDICT = FIXTURES / "minidict"
 MINICORPUS = FIXTURES / "minicorpus"
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_cache(tmp_path_factory):
+    """Keep dictionary snapshots, also those of CLI subprocesses, out of the user's cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture(autouse=True)
 def thaw_collector():
     """Undo the CLI's gc.freeze() after each test, so frozen objects do not pile up."""

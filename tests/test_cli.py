@@ -95,6 +95,14 @@ class TestAnalyze:
                    "-o", str(tmp_path / "o.json"), "--input-mode", "jsonl"])
         assert rc == 2
 
+    def test_jsonl_schema_error_names_the_file(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "bad.jsonl").write_text('{"kind":"module","name":"X","file":"a.java","line":1}\n')
+        monkeypatch.chdir(tmp_path)
+        rc = main(["analyze", "bad.jsonl", "--dict", str(MINIDICT),
+                   "-o", "o.json", "--input-mode", "jsonl"])
+        assert rc == 2
+        assert capsys.readouterr().err == "lexiscope: bad.jsonl, line 1: bad kind 'module'\n"
+
     def test_custom_stoplist(self, tmp_path, capsys):
         stop = tmp_path / "stop.txt"
         stop.write_text("goodness\nbrace\n")

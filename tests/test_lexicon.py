@@ -1,13 +1,18 @@
+import hashlib
 import marshal
+import os
+import re
 import shutil
 import tempfile
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexiscope.lexicon as lexicon_module
 from lexiscope.lexicon import (
     HYPERNYM,
     HYPONYM,
@@ -17,6 +22,8 @@ from lexiscope.lexicon import (
     MalformedLineError,
     MissingFileError,
     PosTag,
+    _parse_lexicon,
+    _read_snapshot,
     best_first,
     classify,
     lemmatize,
@@ -35,6 +42,38 @@ def fixture_lemma_count():
             if line.strip() and not line.startswith(" "):
                 lemmas.add(line.split()[0])
     return len(lemmas)
+
+
+# One line appended to a minidict file, and the synset key it adds when
+# the line is accepted; None means the load must reject the line.
+_APPENDED_LINES = [
+    pytest.param("index.verb", "car n 1 0 1 0 00000001", None, id="misfiled-index-line"),
+    pytest.param(
+        "data.verb", "00000199 29 n 01 zap 0 000 | a noun synset among verbs", None,
+        id="misfiled-data-line",
+    ),
+    pytest.param(
+        "data.noun", "00000299 03 s 01 zap 0 000 | a satellite among nouns", None,
+        id="satellite-outside-data-adj",
+    ),
+    pytest.param("index.noun", "car n 1 0 1 0 00000001", None, id="duplicate-lemma"),
+    pytest.param("verb.exc", "went", None, id="exception-without-base-form"),
+    pytest.param("index.noun", " zap n 1 0 1 0 00000001", None, id="indented-line-after-header"),
+    pytest.param(
+        "data.noun", "00000099 03 n 01 zap 0 001 @ 00000077 n 0000 | points nowhere", None,
+        id="unresolved-pointer",
+    ),
+    pytest.param(
+        "data.adj", "00000203 00 s 01 fresh 0 000 | a satellite", (203, PosTag.ADJECTIVE),
+        id="satellite-in-data-adj",
+    ),
+    pytest.param(
+        "data.noun",
+        "00000015 03 n 01 finder 0 001 + 00000101 v 0101 | one who finds",
+        (15, PosTag.NOUN),
+        id="cross-pos-pointer",
+    ),
+]
 
 
 class TestLoad:
@@ -85,35 +124,7 @@ class TestLoad:
         with pytest.raises(MalformedLineError, match="00000099|99"):
             load_lexicon(root)
 
-    @pytest.mark.parametrize(
-        "file_name, line, accepted_id",
-        [
-            ("index.verb", "car n 1 0 1 0 00000001", None),
-            ("data.verb", "00000199 29 n 01 zap 0 000 | a noun synset among verbs", None),
-            ("data.noun", "00000299 03 s 01 zap 0 000 | a satellite among nouns", None),
-            ("index.noun", "car n 1 0 1 0 00000001", None),
-            ("verb.exc", "went", None),
-            ("index.noun", " zap n 1 0 1 0 00000001", None),
-            ("data.noun", "00000099 03 n 01 zap 0 001 @ 00000077 n 0000 | points nowhere", None),
-            ("data.adj", "00000203 00 s 01 fresh 0 000 | a satellite", (203, PosTag.ADJECTIVE)),
-            (
-                "data.noun",
-                "00000015 03 n 01 finder 0 001 + 00000101 v 0101 | one who finds",
-                (15, PosTag.NOUN),
-            ),
-        ],
-        ids=[
-            "misfiled-index-line",
-            "misfiled-data-line",
-            "satellite-outside-data-adj",
-            "duplicate-lemma",
-            "exception-without-base-form",
-            "indented-line-after-header",
-            "unresolved-pointer",
-            "satellite-in-data-adj",
-            "cross-pos-pointer",
-        ],
-    )
+    @pytest.mark.parametrize("file_name, line, accepted_id", _APPENDED_LINES)
     def test_appended_line_is_checked(self, tmp_path, file_name, line, accepted_id):
         root = tmp_path / "dict"
         shutil.copytree(MINIDICT, root)
@@ -154,6 +165,144 @@ class TestLoad:
 
     def test_marshal_round_trip(self, lexicon):
         assert_marshals(lexicon)
+
+
+def _tables(lexicon):
+    return lexicon.entries, lexicon.synsets, lexicon.exceptions
+
+
+def _no_parse(root):
+    raise AssertionError(f"parsed {root} with a valid snapshot present")
+
+
+def _with_digest(payload):
+    return hashlib.sha256(payload).digest() + payload
+
+
+@pytest.fixture
+def snapshots(tmp_path, monkeypatch):
+    """An empty cache of this test's own; returns its snapshot directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "lexiscope"
+
+
+class TestSnapshot:
+    def test_second_load_reads_the_snapshot(self, tmp_path, snapshots, monkeypatch):
+        parsed = _parse_lexicon(MINIDICT)
+        cold = load_lexicon(MINIDICT)
+        [path] = snapshots.iterdir()
+        assert re.fullmatch(r"[0-9a-f]{64}\.marshal", path.name)
+        data = path.read_bytes()
+        assert data[:32] == hashlib.sha256(data[32:]).digest()
+        assert marshal.loads(data[32:]) == parsed
+        # The key is the content, not the directory: a copy reads the same snapshot.
+        copy = tmp_path / "copy"
+        shutil.copytree(MINIDICT, copy)
+        monkeypatch.setattr(lexicon_module, "_parse_lexicon", _no_parse)
+        warm = load_lexicon(copy)
+        assert _tables(cold) == _tables(warm) == parsed
+        assert list(snapshots.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda data: data[: len(data) // 2], id="truncated"),
+            pytest.param(lambda data: data[:20], id="shorter-than-a-digest"),
+            pytest.param(  # still unmarshals, to other words
+                lambda data: data[:32] + data[32:].replace(b"vehicle", b"vehicla", 1),
+                id="flipped-payload-byte",
+            ),
+            pytest.param(
+                lambda data: _with_digest(marshal.dumps(list(marshal.loads(data[32:])))),
+                id="marshalled-list",
+            ),
+            pytest.param(lambda data: _with_digest(marshal.dumps(({}, {}, []))), id="list-for-a-table"),
+            pytest.param(lambda data: _with_digest(data[32:-1]), id="marshal-eof"),
+            pytest.param(lambda data: _with_digest(b"\xff"), id="marshal-bad-type-code"),
+        ],
+    )
+    def test_damaged_snapshot_is_parsed_again(self, snapshots, damage):
+        parsed = _parse_lexicon(MINIDICT)
+        load_lexicon(MINIDICT)
+        [path] = snapshots.iterdir()
+        path.write_bytes(damage(path.read_bytes()))
+        assert _tables(load_lexicon(MINIDICT)) == parsed
+        assert _read_snapshot(path) == parsed
+        assert list(snapshots.iterdir()) == [path]
+
+    @pytest.mark.parametrize("blocked", ["cache", "cache/lexiscope"])
+    def test_cache_path_that_is_a_file_is_skipped(self, tmp_path, monkeypatch, blocked):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        (tmp_path / blocked).parent.mkdir(exist_ok=True)
+        (tmp_path / blocked).write_text("not a directory")
+        assert _tables(load_lexicon(MINIDICT)) == _parse_lexicon(MINIDICT)
+        assert (tmp_path / blocked).read_text() == "not a directory"
+        assert [p.name for p in (tmp_path / blocked).parent.iterdir()] == [Path(blocked).name]
+
+    @pytest.mark.parametrize("home", ["absolute", "relative"])
+    def test_relative_cache_home_is_not_used(self, tmp_path, monkeypatch, home):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+        monkeypatch.setenv("HOME", str(tmp_path / "home") if home == "absolute" else "home")
+        assert _tables(load_lexicon(MINIDICT)) == _parse_lexicon(MINIDICT)
+        written = [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()]
+        if home == "absolute":
+            [name] = written
+            assert re.fullmatch(r"home/\.cache/lexiscope/[0-9a-f]{64}\.marshal", name)
+        else:
+            assert written == []
+
+    def test_edited_file_is_parsed_again(self, tmp_path, snapshots):
+        # Same length and the same mtime: only the content tells the edit.
+        root = tmp_path / "dict"
+        shutil.copytree(MINIDICT, root)
+        assert load_lexicon(root).entries["car"][PosTag.NOUN][0] == 12
+        index = root / "index.noun"
+        stat = index.stat()
+        edited = index.read_text().replace("car n 1 1 @ 1 12 ", "car n 1 1 @ 1 13 ")
+        index.write_text(edited)
+        os.utime(index, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert index.stat().st_size == stat.st_size
+        reloaded = load_lexicon(root)
+        assert reloaded.entries["car"][PosTag.NOUN][0] == 13
+        assert _tables(reloaded) == _parse_lexicon(root)
+        assert len(list(snapshots.iterdir())) == 2
+
+    @pytest.mark.parametrize(
+        "file_name, line, accepted_id",
+        [case for case in _APPENDED_LINES if case.values[2] is None],
+    )
+    def test_malformed_dictionary_is_rejected_past_a_snapshot(
+        self, tmp_path, snapshots, file_name, line, accepted_id
+    ):
+        root = tmp_path / "dict"
+        shutil.copytree(MINIDICT, root)
+        load_lexicon(root)
+        before = list(snapshots.iterdir())
+        with open(root / file_name, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(MalformedLineError) as err:
+            load_lexicon(root)
+        assert err.value.file_name == file_name
+        assert err.value.line_number == len((root / file_name).read_text().splitlines())
+        assert list(snapshots.iterdir()) == before
+
+    def test_missing_file_is_reported_past_a_snapshot(self, tmp_path, snapshots):
+        root = tmp_path / "dict"
+        shutil.copytree(MINIDICT, root)
+        load_lexicon(root)
+        (root / "data.adv").unlink()
+        with pytest.raises(MissingFileError, match="data.adv"):
+            load_lexicon(root)
+
+    def test_concurrent_first_loads_leave_one_snapshot(self, snapshots):
+        parsed = _parse_lexicon(MINIDICT)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(load_lexicon, MINIDICT) for _ in range(8)]
+            loaded = [future.result(timeout=60) for future in futures]
+        assert all(_tables(lexicon) == parsed for lexicon in loaded)
+        [path] = snapshots.iterdir()
+        assert path.suffix == ".marshal" and _read_snapshot(path) == parsed
 
 
 class TestRealisticFormat:
@@ -447,15 +596,26 @@ def _dictionaries(draw):
 @settings(max_examples=150, deadline=None)
 @given(_dictionaries())
 def test_load_returns_the_modelled_dictionary(case):
+    # Loaded twice into a cache of its own: the first load parses and writes
+    # the snapshot, the second reads it.
     files, entries, synsets, exceptions = case
-    with tempfile.TemporaryDirectory() as directory:
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        root = Path(directory) / "dict"
+        root.mkdir()
         for name, text in files.items():
-            (Path(directory) / name).write_text(text, encoding="utf-8")
-        lexicon = load_lexicon(directory)
-    assert lexicon.entries == entries
-    assert lexicon.synsets == synsets
-    assert lexicon.exceptions == exceptions
-    assert_marshals(lexicon)
+            (root / name).write_text(text, encoding="utf-8")
+        patch.setenv("XDG_CACHE_HOME", str(Path(directory) / "cache"))
+        parsed = _parse_lexicon(root)
+        cold = load_lexicon(root)
+        assert len(list((Path(directory) / "cache" / "lexiscope").iterdir())) == 1
+        patch.setattr(lexicon_module, "_parse_lexicon", _no_parse)
+        warm = load_lexicon(root)
+    for lexicon in (cold, warm):
+        assert lexicon.entries == entries
+        assert lexicon.synsets == synsets
+        assert lexicon.exceptions == exceptions
+        assert _tables(lexicon) == parsed
+    assert_marshals(cold)
 
 
 def assert_marshals(lexicon):

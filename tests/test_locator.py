@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import lexiscope.locator as locator
 from lexiscope.extractor import SourceNode, extract_java
-from lexiscope.lexicon import HYPERNYM, HYPONYM, RELATIONS, SELF, SYNONYM
+from lexiscope.lexicon import HYPERNYM, HYPONYM, RELATIONS, SELF, SYNONYM, load_lexicon
 from lexiscope.locator import (
     _KIND_RANK,
     ConceptMatch,
@@ -17,6 +17,8 @@ from lexiscope.locator import (
     node_scope,
 )
 from lexiscope.tokenizer import split_identifier
+
+from conftest import write_dict
 
 WORDTOOLS_SRC = """
 public class WordTools {
@@ -129,6 +131,25 @@ class TestLocateConcept:
         nodes = extract_java(src, "Fleet.java")
         matches = locate_concept(nodes, ConceptQuery(("vehicle",)), lexicon)
         assert matches and matches[0].per_keyword["vehicle"] == ("conveyance", HYPERNYM, 1)
+
+    def test_nearer_hyponym_outranks_farther_hypernym(self, tmp_path):
+        # root <- alpha <- beta <- gamma: from beta, gamma is a hyponym at
+        # distance 1 and root a hypernym at distance 2.  Minidict has no such
+        # keyword, so only this dictionary tells distance-first ranking from
+        # relation-first.
+        root = write_dict(tmp_path / "dict", nouns=["root", "alpha", "beta", "gamma"])
+        (root / "data.noun").write_text(
+            "00000001 00 n 01 root 0 001 ~ 00000002 n 0000 | top\n"
+            "00000002 00 n 01 alpha 0 002 @ 00000001 n 0000 ~ 00000003 n 0000 | middle\n"
+            "00000003 00 n 01 beta 0 002 @ 00000002 n 0000 ~ 00000004 n 0000 | keyword\n"
+            "00000004 00 n 01 gamma 0 001 @ 00000003 n 0000 | below\n"
+        )
+        chain = load_lexicon(root)
+        nodes = extract_java("class Tree { void rootGamma() {} }", "Tree.java")
+        query = ConceptQuery(("beta",), relations=frozenset({HYPERNYM, HYPONYM}), depth=2)
+        matches = locate_concept(nodes, query, chain)
+        assert matches == _reference_locate(nodes, query, chain)
+        assert [m.per_keyword for m in matches] == [{"beta": ("gamma", HYPONYM, 1)}]
 
     def test_methods_rank_before_classes_on_ties(self, lexicon):
         src = "class CarWheel { } class Garage { void carWheel() {} }"
