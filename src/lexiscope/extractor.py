@@ -42,13 +42,16 @@ _NON_TYPE_KEYWORDS = {
 } | _CLASS_KEYWORDS
 
 # Comments, text blocks, strings, and char literals, in match-priority order.
+# An unclosed comment or text block runs to the end of the file, and an
+# unclosed string or char literal to the end of its line, so none of them is
+# scanned as code.
 _NOISE_RE = re.compile(
-    r'"""(?:[^"\\]|\\.|"(?!""))*"""'
+    r'"""(?:[^"\\]|\\.|"(?!""))*(?:"""|\Z)'
     r"|//[^\n]*"
-    r"|/\*.*?\*/"
-    r'|"(?:[^"\\\n]|\\.)*"'
-    r"|'(?:[^'\\\n]|\\.)*'",
-    re.S,
+    r"|/\*(?:.*?\*/|.*)"
+    r'|"(?:[^"\\\n]|\\.)*(?:"|$)'
+    r"|'(?:[^'\\\n]|\\.)*(?:'|$)",
+    re.S | re.M,
 )
 
 _TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|[0-9][0-9A-Za-z_$]*|\S")
@@ -89,23 +92,42 @@ class SchemaError(Exception):
 
 
 def _blank_noise(match: re.Match) -> str:
-    return re.sub(r"[^\n]", " ", match.group(0))
+    # One space keeps the tokens on either side apart, and the newlines keep
+    # every later token on its line.
+    return " " + "\n" * match.group(0).count("\n")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    """(token, 1-based line) pairs of the comment/literal-stripped text."""
+def _tokenize(text: str, line_ends: list[int]) -> list[str]:
+    """The tokens of the comment/literal-stripped text.
+
+    Appends to `line_ends`, for each line of the text (split at "\\n" only),
+    the number of tokens up to the end of that line, so token i is on line
+    bisect_right(line_ends, i) + 1.
+    """
     cleaned = _NOISE_RE.sub(_blank_noise, text)
-    newlines = [i for i, ch in enumerate(cleaned) if ch == "\n"]
-    return [
-        (m.group(0), bisect.bisect_right(newlines, m.start()) + 1)
-        for m in _TOKEN_RE.finditer(cleaned)
-    ]
+    tokens: list[str] = []
+    extend, findall, append = tokens.extend, _TOKEN_RE.findall, line_ends.append
+    for line in cleaned.split("\n"):
+        extend(findall(line))
+        append(len(tokens))
+    return tokens
+
+
+def _next(tokens: list[str], token: str, start: int) -> int:
+    """Index of the first `token` at or after `start`, else len(tokens)."""
+    try:
+        return tokens.index(token, start)
+    except ValueError:
+        return len(tokens)
 
 
 class _Scanner:
-    def __init__(self, tokens: list[tuple[str, int]], file_path: str, start_id: int,
+    """Walks the tokens by index; a node's line is looked up when it is emitted."""
+
+    def __init__(self, tokens: list[str], line_ends: list[int], file_path: str, start_id: int,
                  diagnostics: ScanDiagnostics):
         self.tokens = tokens
+        self.line_ends = line_ends
         self.pos = 0
         self.file_path = file_path
         self.next_id = start_id
@@ -118,36 +140,51 @@ class _Scanner:
         return self.pos >= len(self.tokens)
 
     def peek(self) -> str | None:
-        return None if self.at_end() else self.tokens[self.pos][0]
+        return None if self.at_end() else self.tokens[self.pos]
 
-    def advance(self) -> tuple[str, int]:
+    def advance(self) -> str:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def emit(self, kind: str, name: str, line: int, parent_id: int | None) -> int:
+    def emit(self, kind: str, index: int, parent_id: int | None) -> int:
+        """Append the node named by token `index`."""
         node_id = self.next_id
         self.next_id += 1
-        self.nodes.append(SourceNode(node_id, kind, name, self.file_path, line, parent_id))
+        line = bisect.bisect_right(self.line_ends, index) + 1
+        self.nodes.append(
+            SourceNode(node_id, kind, self.tokens[index], self.file_path, line, parent_id)
+        )
         return node_id
 
     def skip_balanced(self, opener: str, closer: str) -> None:
-        """Consume tokens until the matching closer; opener already consumed."""
-        depth = 1
-        while not self.at_end() and depth > 0:
-            tok, _ = self.advance()
-            if tok == opener:
+        """Consume tokens until the matching closer; opener already consumed.
+
+        Jumps from one opener or closer to the next with list.index, keeping
+        the next opener found until the closers pass it.
+        """
+        tokens, end = self.tokens, len(self.tokens)
+        depth, pos = 1, self.pos
+        next_opener = _next(tokens, opener, pos)
+        while depth:
+            next_closer = _next(tokens, closer, pos)
+            if next_closer == end:
+                pos = end
+                break
+            while next_opener < next_closer:
                 depth += 1
-            elif tok == closer:
-                depth -= 1
+                next_opener = _next(tokens, opener, next_opener + 1)
+            depth -= 1
+            pos = next_closer + 1
+        self.pos = pos
 
     def skip_annotation(self) -> None:
         """Consume an @Name[(args)] annotation; the '@' already consumed."""
-        if not self.at_end() and IDENTIFIER_RE.fullmatch(self.tokens[self.pos][0]):
+        if not self.at_end() and IDENTIFIER_RE.fullmatch(self.tokens[self.pos]):
             self.advance()
             while self.peek() == ".":  # qualified annotation name
                 self.advance()
-                if not self.at_end() and IDENTIFIER_RE.fullmatch(self.tokens[self.pos][0]):
+                if not self.at_end() and IDENTIFIER_RE.fullmatch(self.tokens[self.pos]):
                     self.advance()
             if self.peek() == "(":
                 self.advance()
@@ -157,7 +194,7 @@ class _Scanner:
 
     def scan_compilation_unit(self) -> None:
         while not self.at_end():
-            tok, _ = self.advance()
+            tok = self.advance()
             if tok in _CLASS_KEYWORDS:
                 self.scan_class_declaration(parent_id=None)
             elif tok == "@":
@@ -169,14 +206,14 @@ class _Scanner:
 
     def scan_class_declaration(self, parent_id: int | None) -> None:
         """Keyword already consumed; emits the node and scans the body."""
-        if self.at_end() or not IDENTIFIER_RE.fullmatch(self.tokens[self.pos][0]):
+        if self.at_end() or not IDENTIFIER_RE.fullmatch(self.tokens[self.pos]):
             self.diagnostics.skipped_declarations += 1
             return
-        name, line = self.advance()
-        class_id = self.emit("class", name, line, parent_id)
+        class_id = self.emit("class", self.pos, parent_id)
+        self.pos += 1
         # Skim the header: generics, extends/implements lists, record components.
         while not self.at_end():
-            tok, _ = self.advance()
+            tok = self.advance()
             if tok == "{":
                 self.scan_class_body(class_id)
                 return
@@ -191,13 +228,16 @@ class _Scanner:
 
     def scan_class_body(self, class_id: int) -> None:
         """Member loop between the braces of a type body."""
-        buffer: list = []  # identifier (text, line) pairs and _COMMA sentinels
+        buffer: list = []  # identifier token indices and _COMMA sentinels
 
         def reset():
             buffer.clear()
 
-        while not self.at_end():
-            tok, line = self.advance()
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            index = self.pos
+            tok = tokens[index]
+            self.pos = index + 1
             if tok == "}":
                 if any(item is not _COMMA for item in buffer):
                     self.diagnostics.skipped_declarations += 1
@@ -227,7 +267,7 @@ class _Scanner:
             elif tok == "<":
                 self.skip_balanced("<", ">")
             elif IDENTIFIER_RE.fullmatch(tok):
-                buffer.append((tok, line))
+                buffer.append(index)
             # '.', '[', ']', numbers and other noise are dropped
 
         if any(item is not _COMMA for item in buffer):
@@ -244,7 +284,7 @@ class _Scanner:
             tok = self.peek()
             if depth == 0 and tok in (";", ","):
                 return
-            tok, _ = self.advance()
+            tok = self.advance()
             if tok in "([{":
                 depth += 1
             elif tok in ")]}":
@@ -261,20 +301,20 @@ class _Scanner:
         idents = [item for item in buffer if item is not _COMMA]
         if len(idents) < 2 or _COMMA in buffer:
             return False
-        name, line = idents[-1]
-        type_token = idents[-2][0]
-        if type_token in _NON_TYPE_KEYWORDS or not IDENTIFIER_RE.fullmatch(name):
+        name_index = idents[-1]
+        type_token = self.tokens[idents[-2]]
+        if type_token in _NON_TYPE_KEYWORDS or not IDENTIFIER_RE.fullmatch(self.tokens[name_index]):
             return False
 
         saved = self.pos
         params = self.scan_parameters()
         # Confirm with the trailer: optional throws list, then '{' or ';'.
         while not self.at_end():
-            tok, _ = self.advance()
+            tok = self.advance()
             if tok in ("{", ";"):
-                method_id = self.emit("method", name, line, class_id)
-                for param_name, param_line in params:
-                    self.emit("parameter", param_name, param_line, method_id)
+                method_id = self.emit("method", name_index, class_id)
+                for param_index in params:
+                    self.emit("parameter", param_index, method_id)
                 if tok == "{":
                     self.skip_balanced("{", "}")
                 return True
@@ -291,18 +331,21 @@ class _Scanner:
         self.pos = saved
         return False
 
-    def scan_parameters(self) -> list[tuple[str, int]]:
-        """Parameter names of a '(...)' list; the '(' already consumed."""
-        params: list[tuple[str, int]] = []
-        current: list[tuple[str, int]] = []
+    def scan_parameters(self) -> list[int]:
+        """Token indices of the parameter names of a '(...)' list; '(' consumed."""
+        params: list[int] = []
+        current: list[int] = []
 
         def close_segment():
             if current:
                 params.append(current[-1])
                 current.clear()
 
-        while not self.at_end():
-            tok, line = self.advance()
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            index = self.pos
+            tok = tokens[index]
+            self.pos = index + 1
             if tok == ")":
                 close_segment()
                 return params
@@ -315,7 +358,7 @@ class _Scanner:
             elif tok == "(":
                 self.skip_balanced("(", ")")
             elif IDENTIFIER_RE.fullmatch(tok):
-                current.append((tok, line))
+                current.append(index)
         close_segment()
         return params
 
@@ -323,7 +366,7 @@ class _Scanner:
         """Emit field nodes for a ';'-terminated member declaration."""
         if not buffer:
             return
-        segments: list[list[tuple[str, int]]] = [[]]
+        segments: list[list[int]] = [[]]
         for item in buffer:
             if item is _COMMA:
                 segments.append([])
@@ -334,8 +377,8 @@ class _Scanner:
             self.diagnostics.skipped_declarations += 1
             return
         names = [head[-1]] + [seg[0] for seg in segments[1:] if seg]
-        for name, line in names:
-            self.emit("field", name, line, class_id)
+        for index in names:
+            self.emit("field", index, class_id)
 
 
 def extract_java(
@@ -349,8 +392,10 @@ def extract_java(
     Best effort: nothing raises on weird input; regions the scanner cannot
     shape into a declaration are counted in `diagnostics` and skipped.
     """
+    line_ends: list[int] = []
     scanner = _Scanner(
-        _tokenize(text), str(file_path), start_id, diagnostics or ScanDiagnostics()
+        _tokenize(text, line_ends), line_ends, str(file_path), start_id,
+        diagnostics or ScanDiagnostics(),
     )
     scanner.scan_compilation_unit()
     return scanner.nodes

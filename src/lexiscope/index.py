@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
 from .extractor import KINDS, SourceNode, _validate_node
@@ -34,35 +35,59 @@ class ProjectIndex:
     vocabulary: ProjectVocabulary
 
 
+# The layout json.dumps(document, indent=2) gives one node and one
+# vocabulary entry; save_index fills it in without the pure-Python encoder.
+_NODE_LAYOUT = (
+    '\n    {\n      "id": %d,\n      "kind": %s,\n      "name": %s,\n      "file": %s,'
+    '\n      "line": %d,\n      "parent": %s\n    }'
+)
+_ENTRY_LAYOUT = (
+    '\n    {\n      "word": %s,\n      "recognized": %s,\n      "pos": %s,\n      "total": %d,'
+    '\n      "counts": {' + ",".join("\n        %s: %%d" % _encode(kind) for kind in KINDS)
+    + '\n      }\n    }'
+)
+_DOCUMENT_LAYOUT = (
+    '{\n  "formatVersion": %d,\n  "projectName": %s,\n  "fileCount": %d,'
+    '\n  "nodes": %s,\n  "vocabulary": %s\n}\n'
+)
+
+
+def _json_list(items: list[str]) -> str:
+    return "[" + ",".join(items) + "\n  ]" if items else "[]"
+
+
 def save_index(index: ProjectIndex, path: str | Path) -> None:
+    """Write the bytes json.dumps(document, indent=2) + "\\n" would give."""
     vocabulary = index.vocabulary
-    document = {
-        "formatVersion": FORMAT_VERSION,
-        "projectName": vocabulary.project_name,
-        "fileCount": vocabulary.file_count,
-        "nodes": [
-            {
-                "id": node.id,
-                "kind": node.kind,
-                "name": node.name,
-                "file": node.file_path,
-                "line": node.line,
-                "parent": node.parent_id,
-            }
-            for node in index.nodes
-        ],
-        "vocabulary": [
-            {
-                "word": entry.word,
-                "recognized": entry.recognized,
-                "pos": str(entry.pos) if entry.pos is not None else None,
-                "total": entry.total,
-                "counts": {kind: entry.counts_by_kind.get(kind, 0) for kind in KINDS},
-            }
-            for entry in sorted(vocabulary.entries.values(), key=lambda e: e.word)
-        ],
-    }
-    Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    nodes = [
+        _NODE_LAYOUT % (
+            node.id,
+            _encode(node.kind),
+            _encode(node.name),
+            _encode(node.file_path),
+            node.line,
+            "null" if node.parent_id is None else "%d" % node.parent_id,
+        )
+        for node in index.nodes
+    ]
+    entries = [
+        _ENTRY_LAYOUT % (
+            _encode(entry.word),
+            "true" if entry.recognized else "false",
+            "null" if entry.pos is None else _encode(str(entry.pos)),
+            entry.total,
+            *[entry.counts_by_kind.get(kind, 0) for kind in KINDS],
+        )
+        for entry in sorted(vocabulary.entries.values(), key=lambda e: e.word)
+    ]
+    document = _DOCUMENT_LAYOUT % (
+        FORMAT_VERSION,
+        _encode(vocabulary.project_name),
+        vocabulary.file_count,
+        _json_list(nodes),
+        _json_list(entries),
+    )
+    Path(path).write_text(document, encoding="utf-8")
 
 
 def load_index(path: str | Path) -> ProjectIndex:

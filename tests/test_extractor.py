@@ -1,13 +1,21 @@
+import bisect
 import io
 import json
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexiscope.extractor import (
+    _NOISE_RE,
+    _TOKEN_RE,
     ScanDiagnostics,
     SchemaError,
     SourceNode,
+    _Scanner,
+    _tokenize,
     extract_java,
     extract_project,
     ingest_nodes,
@@ -183,9 +191,123 @@ class TestExtractJava:
         for node in extract_java(text, "X.java"):
             assert re.fullmatch(r"[A-Za-z_$][A-Za-z0-9_$]*", node.name)
 
+    @pytest.mark.parametrize("opener", ["/*", '"""'], ids=["comment", "text-block"])
+    def test_unclosed_comment_or_text_block_runs_to_end_of_file(self, opener):
+        nodes = extract_java(f"class A {{ int x; }}\n{opener}\nclass Ghost {{ int y; }}", "A.java")
+        assert shapes(nodes) == [("class", "A", None), ("field", "x", 0)]
+
+    @pytest.mark.parametrize("quote", ['"', "'"], ids=["string", "char"])
+    def test_unclosed_literal_runs_to_end_of_line(self, quote):
+        text = f"class B {{\n  String s = {quote}abc; int z; }}\n  ;\n  int w;\n}}\n"
+        nodes = extract_java(text, "B.java")
+        assert [(n.kind, n.name, n.line) for n in nodes] == [
+            ("class", "B", 1),
+            ("field", "s", 2),
+            ("field", "w", 4),
+        ]
+
     def test_rerun_is_identical(self):
         text = "class R { int a; void f(int b) {} class Q { int c; } }"
         assert extract_java(text, "R.java") == extract_java(text, "R.java")
+
+
+def _reference_tokenize(text):
+    """(token, 1-based line) pairs: the tokenizer before line tables.
+
+    Blanks each noise character but newlines, lists every newline offset,
+    and finds each token's line by bisection.
+    """
+    cleaned = _NOISE_RE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
+    newlines = [i for i, ch in enumerate(cleaned) if ch == "\n"]
+    return [
+        (m.group(0), bisect.bisect_right(newlines, m.start()) + 1)
+        for m in _TOKEN_RE.finditer(cleaned)
+    ]
+
+
+class _PerTokenScanner(_Scanner):
+    """The scanner over reference (token, line) pairs, skipping one token at a time."""
+
+    def __init__(self, pairs, file_path, diagnostics):
+        super().__init__([token for token, _ in pairs], [], file_path, 0, diagnostics)
+        self.lines = [line for _, line in pairs]
+
+    def emit(self, kind, index, parent_id):
+        node_id = self.next_id
+        self.next_id += 1
+        self.nodes.append(
+            SourceNode(node_id, kind, self.tokens[index], self.file_path, self.lines[index], parent_id)
+        )
+        return node_id
+
+    def skip_balanced(self, opener, closer):
+        depth = 1
+        while not self.at_end() and depth > 0:
+            tok = self.advance()
+            if tok == opener:
+                depth += 1
+            elif tok == closer:
+                depth -= 1
+
+
+# Every character str.splitlines() breaks at; only "\n" ends a Java line here.
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+_JAVA_PIECES = [
+    "class A {", "interface Shape {", "enum Color {", "record P(int x) {", "@interface M {",
+    "int x;", "int a, b = 2, c[];", "String s = null;", "void f(int a, String b) {",
+    "abstract void g(List<T> items) throws IOException;", "<T> T pick(T t) {", "A(int n) {",
+    "static {", "@Override", "@Ann(value = 1)", "public", "private", "final", "return",
+    "new Runnable() {", "x = f(1);", "Map<String, List<Integer>> m;", "42", "0x1F", ".",
+    "{", "}", "(", ")", "[", "]", "<", ">", ",", ";", "=", "@", "$x", "_y",
+    "{ {", "} }", "((", "))", "<<", ">>", "if (a) { b(); }",
+    "// class Line { int c; }", "/* void block(int p) {} */", "/*", "*/", "/** doc */",
+    '"s"', '"a\\"b"', '"{"', '"', "'c'", "'\\''", "'{'", "'", '"""\ntext { \n"""', '"""',
+    "\\", "é", "日本",
+]
+
+# Balanced runs nested a few levels deep, as in method bodies, initializers
+# and generic types; the skipper must find the closer that matches.
+_nested = st.recursive(
+    st.sampled_from(["", "x();", "int local = 1;", "a < b", "new Runnable() { }"]),
+    lambda inner: st.tuples(st.sampled_from(["{}", "()", "<>", "[]"]), st.lists(inner, max_size=3)).map(
+        lambda pair: pair[0][0] + " ".join(pair[1]) + pair[0][1]
+    ),
+    max_leaves=8,
+)
+
+_members = st.tuples(
+    st.sampled_from(["void m(int a) ", "static ", "int f = ", "A(int n) ", "List<T> g(Map", "@Ann"]),
+    _nested,
+    st.sampled_from(["", ";", " int after;", " void next(int p) {}"]),
+).map("".join)
+
+_java_like = st.lists(
+    st.sampled_from(_JAVA_PIECES)
+    | st.sampled_from(_LINE_BREAKS)
+    | st.sampled_from([" ", "\t"])
+    | _members,
+    max_size=80,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_java_like)
+def test_tokens_lines_and_scan_agree_with_reference(text):
+    reference = _reference_tokenize(text)
+    line_ends = []
+    tokens = _tokenize(text, line_ends)
+    assert tokens == [token for token, _ in reference]
+    assert [bisect.bisect_right(line_ends, i) + 1 for i in range(len(tokens))] == [
+        line for _, line in reference
+    ]
+
+    diagnostics = ScanDiagnostics()
+    nodes = extract_java(text, "F.java", diagnostics=diagnostics)
+    expected = _PerTokenScanner(reference, "F.java", ScanDiagnostics())
+    expected.scan_compilation_unit()
+    assert nodes == expected.nodes
+    assert diagnostics == expected.diagnostics
 
 
 class TestExtractProject:

@@ -1,12 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexiscope.extractor import KINDS, SchemaError, extract_project, ingest_nodes
-from lexiscope.index import InvalidIndexError, ProjectIndex, load_index, save_index
-from lexiscope.vocabulary import FilterConfig, build_vocabulary
+from lexiscope.extractor import KINDS, SchemaError, SourceNode, extract_project, ingest_nodes
+from lexiscope.index import FORMAT_VERSION, InvalidIndexError, ProjectIndex, load_index, save_index
+from lexiscope.lexicon import PosTag
+from lexiscope.vocabulary import FilterConfig, ProjectVocabulary, VocabularyEntry, build_vocabulary
 
 from conftest import MINICORPUS
 
@@ -189,3 +190,82 @@ def test_index_load_and_jsonl_ingest_agree(tmp_path_factory, records):
     except InvalidIndexError:
         loaded = None
     assert loaded == expected
+
+
+def _reference_bytes(index):
+    """The index as the json module's encoder writes it: the writer's oracle."""
+    vocabulary = index.vocabulary
+    document = {
+        "formatVersion": FORMAT_VERSION,
+        "projectName": vocabulary.project_name,
+        "fileCount": vocabulary.file_count,
+        "nodes": [
+            {
+                "id": node.id,
+                "kind": node.kind,
+                "name": node.name,
+                "file": node.file_path,
+                "line": node.line,
+                "parent": node.parent_id,
+            }
+            for node in index.nodes
+        ],
+        "vocabulary": [
+            {
+                "word": entry.word,
+                "recognized": entry.recognized,
+                "pos": str(entry.pos) if entry.pos is not None else None,
+                "total": entry.total,
+                "counts": {kind: entry.counts_by_kind.get(kind, 0) for kind in KINDS},
+            }
+            for entry in sorted(vocabulary.entries.values(), key=lambda e: e.word)
+        ],
+    }
+    return (json.dumps(document, indent=2) + "\n").encode("utf-8")
+
+
+# Text with non-ASCII, control characters, quotes, backslashes and the
+# line and paragraph separators, which the encoder must escape.
+_awkward_text = st.text(
+    st.sampled_from(["a", "Z", "_", "/", " ", "é", "日", "\U0001f600", '"', "\\", "\n", "\t",
+                     "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\ud800"])
+    | st.characters(),
+    max_size=8,
+)
+_counts = st.integers(0, 10**12)
+
+
+@st.composite
+def _indexes(draw):
+    files = draw(st.lists(_awkward_text.filter(bool), min_size=1, max_size=3))
+    nodes = []
+    for node_id in range(draw(st.integers(0, 8))):
+        parent = draw(st.none() | st.integers(0, max(0, node_id - 1)))
+        nodes.append(SourceNode(
+            node_id,
+            draw(st.sampled_from(KINDS)),
+            draw(st.sampled_from(("Car", "drive", "$x", "_y1"))),
+            draw(st.sampled_from(files)),
+            draw(st.integers(1, 10**9)),
+            parent,
+        ))
+    vocabulary = ProjectVocabulary(draw(_awkward_text), draw(_counts))
+    for word in draw(st.lists(_awkward_text.filter(bool), max_size=4, unique=True)):
+        by_kind = draw(st.dictionaries(st.sampled_from(KINDS), _counts))
+        vocabulary.entries[word] = VocabularyEntry(
+            word,
+            draw(st.booleans()),
+            draw(st.none() | st.sampled_from(list(PosTag))),
+            draw(_counts),
+            by_kind,
+        )
+    return ProjectIndex(nodes, vocabulary)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_indexes())
+def test_save_writes_the_json_encoders_bytes(tmp_path_factory, index):
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    save_index(index, path)
+    assert path.read_bytes() == _reference_bytes(index)
+
