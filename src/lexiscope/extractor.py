@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -56,7 +56,8 @@ _NOISE_RE = re.compile(
 
 _TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|[0-9][0-9A-Za-z_$]*|\S")
 
-_COMMA = object()  # declarator boundary sentinel inside a member buffer
+_BRACKETS = {"(": ")", "[": "]", "{": "}"}
+_INITIALIZER_ENDS = {",", ";", ")", "]", "}"}
 
 
 @dataclass(frozen=True)
@@ -134,18 +135,9 @@ class _Scanner:
         self.nodes: list[SourceNode] = []
         self.diagnostics = diagnostics
 
-    # --- token stream helpers ---
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def peek(self) -> str | None:
-        return None if self.at_end() else self.tokens[self.pos]
-
-    def advance(self) -> str:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
+    def peek(self) -> str:
+        """The token at pos, or "" at the end."""
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else ""
 
     def emit(self, kind: str, index: int, parent_id: int | None) -> int:
         """Append the node named by token `index`."""
@@ -180,21 +172,38 @@ class _Scanner:
 
     def skip_annotation(self) -> None:
         """Consume an @Name[(args)] annotation; the '@' already consumed."""
-        if not self.at_end() and IDENTIFIER_RE.fullmatch(self.tokens[self.pos]):
-            self.advance()
+        if IDENTIFIER_RE.fullmatch(self.peek()):
+            self.pos += 1
             while self.peek() == ".":  # qualified annotation name
-                self.advance()
-                if not self.at_end() and IDENTIFIER_RE.fullmatch(self.tokens[self.pos]):
-                    self.advance()
+                self.pos += 1
+                if IDENTIFIER_RE.fullmatch(self.peek()):
+                    self.pos += 1
             if self.peek() == "(":
-                self.advance()
+                self.pos += 1
                 self.skip_balanced("(", ")")
+
+    def skip_run(self, tok: str) -> bool:
+        """Skip the annotation, '<...>' or '(...)' run that the consumed `tok` opens.
+
+        False, with nothing consumed, when `tok` opens none of them.
+        """
+        if tok == "@":
+            self.skip_annotation()
+        elif tok == "<":
+            self.skip_balanced("<", ">")
+        elif tok == "(":
+            self.skip_balanced("(", ")")
+        else:
+            return False
+        return True
 
     # --- grammar-ish scanning ---
 
     def scan_compilation_unit(self) -> None:
-        while not self.at_end():
-            tok = self.advance()
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            tok = tokens[self.pos]
+            self.pos += 1
             if tok in _CLASS_KEYWORDS:
                 self.scan_class_declaration(parent_id=None)
             elif tok == "@":
@@ -206,127 +215,107 @@ class _Scanner:
 
     def scan_class_declaration(self, parent_id: int | None) -> None:
         """Keyword already consumed; emits the node and scans the body."""
-        if self.at_end() or not IDENTIFIER_RE.fullmatch(self.tokens[self.pos]):
+        if not IDENTIFIER_RE.fullmatch(self.peek()):
             self.diagnostics.skipped_declarations += 1
             return
         class_id = self.emit("class", self.pos, parent_id)
         self.pos += 1
         # Skim the header: generics, extends/implements lists, record components.
-        while not self.at_end():
-            tok = self.advance()
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            tok = tokens[self.pos]
+            self.pos += 1
             if tok == "{":
                 self.scan_class_body(class_id)
                 return
             if tok == ";":  # headerless declaration, nothing more to scan
                 return
-            if tok == "<":
-                self.skip_balanced("<", ">")
-            elif tok == "(":
-                self.skip_balanced("(", ")")
-            elif tok == "@":
-                self.skip_annotation()
+            self.skip_run(tok)
 
     def scan_class_body(self, class_id: int) -> None:
         """Member loop between the braces of a type body."""
-        buffer: list = []  # identifier token indices and _COMMA sentinels
-
-        def reset():
-            buffer.clear()
-
         tokens = self.tokens
+        declarators: list[list[int]] = [[]]  # identifier indices per ','-separated declarator
         while self.pos < len(tokens):
             index = self.pos
             tok = tokens[index]
             self.pos = index + 1
             if tok == "}":
-                if any(item is not _COMMA for item in buffer):
-                    self.diagnostics.skipped_declarations += 1
-                return
+                break
             if tok == ";":
-                self.finish_field(buffer, class_id)
-                reset()
+                self.finish_field(declarators, class_id)
+                declarators = [[]]
             elif tok == "=":
-                self.skip_initializer(buffer)
+                self.skip_initializer()
             elif tok == ",":
-                buffer.append(_COMMA)
+                declarators.append([])
             elif tok == "(":
-                if not self.try_method(buffer, class_id):
-                    self.skip_balanced("(", ")")
+                if self.try_method(declarators, class_id):
+                    declarators = [[]]
                 else:
-                    reset()
+                    self.skip_balanced("(", ")")
             elif tok == "{":
                 # initializer block, constructor body, or unparsed construct
                 self.diagnostics.skipped_blocks += 1
                 self.skip_balanced("{", "}")
-                reset()
+                declarators = [[]]
             elif tok in _CLASS_KEYWORDS:
                 self.scan_class_declaration(class_id)
-                reset()
-            elif tok == "@":
-                self.skip_annotation()
-            elif tok == "<":
-                self.skip_balanced("<", ">")
+                declarators = [[]]
             elif IDENTIFIER_RE.fullmatch(tok):
-                buffer.append(index)
-            # '.', '[', ']', numbers and other noise are dropped
+                declarators[-1].append(index)
+            else:  # '@' and '<' runs; '.', '[', ']', numbers and other noise are dropped
+                self.skip_run(tok)
 
-        if any(item is not _COMMA for item in buffer):
+        if any(declarators):
             self.diagnostics.skipped_declarations += 1
 
-    def skip_initializer(self, buffer: list) -> None:
-        """Consume '= ...' up to a declarator comma or the ending ';'.
+    def skip_initializer(self) -> None:
+        """Consume '= ...' up to the ',' or ';' at its depth, or a closer it did not open.
 
-        Leaves the terminator for the member loop, so multi-declarator
-        fields keep their boundaries and the ';' still closes the member.
+        Leaves that token for the member loop, so declarators keep their
+        boundaries and a '}' still closes the type body.  '<' is not an
+        opener here: in an initializer, 'a < b' is a comparison.
         """
-        depth = 0
-        while not self.at_end():
-            tok = self.peek()
-            if depth == 0 and tok in (";", ","):
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            tok = tokens[self.pos]
+            if tok in _INITIALIZER_ENDS:
                 return
-            tok = self.advance()
-            if tok in "([{":
-                depth += 1
-            elif tok in ")]}":
-                depth -= 1
+            self.pos += 1
+            if tok in _BRACKETS:
+                self.skip_balanced(tok, _BRACKETS[tok])
 
-    def try_method(self, buffer: list, class_id: int) -> bool:
-        """Decide whether buffer + '(' starts a method; emit it if so.
+    def try_method(self, declarators: list[list[int]], class_id: int) -> bool:
+        """Decide whether the member read so far + '(' starts a method; emit it if so.
 
         A method name must be an identifier directly preceded by a type
-        token (an identifier that is not a modifier/keyword).  The '('
-        is already consumed; on success the parameter list, optional
-        throws clause, and body/semicolon are consumed too.
+        token (an identifier that is not a modifier/keyword), in a member
+        with one declarator.  The '(' is already consumed; on success the
+        parameter list, optional throws clause, and body/semicolon are
+        consumed too.
         """
-        idents = [item for item in buffer if item is not _COMMA]
-        if len(idents) < 2 or _COMMA in buffer:
-            return False
-        name_index = idents[-1]
-        type_token = self.tokens[idents[-2]]
-        if type_token in _NON_TYPE_KEYWORDS or not IDENTIFIER_RE.fullmatch(self.tokens[name_index]):
+        idents = declarators[0]
+        if len(declarators) > 1 or len(idents) < 2 or self.tokens[idents[-2]] in _NON_TYPE_KEYWORDS:
             return False
 
         saved = self.pos
         params = self.scan_parameters()
         # Confirm with the trailer: optional throws list, then '{' or ';'.
-        while not self.at_end():
-            tok = self.advance()
-            if tok in ("{", ";"):
-                method_id = self.emit("method", name_index, class_id)
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            tok = tokens[self.pos]
+            self.pos += 1
+            if tok == "{" or tok == ";":
+                method_id = self.emit("method", idents[-1], class_id)
                 for param_index in params:
                     self.emit("parameter", param_index, method_id)
                 if tok == "{":
                     self.skip_balanced("{", "}")
                 return True
-            if tok == "@":
-                self.skip_annotation()
-            elif tok == "(":  # annotation-member default value etc.
-                self.skip_balanced("(", ")")
-            elif IDENTIFIER_RE.fullmatch(tok) or tok[0].isdigit() or tok in (",", ".", "[", "]"):
+            if IDENTIFIER_RE.fullmatch(tok) or tok[0].isdigit() or tok in (",", ".", "[", "]"):
                 continue
-            elif tok == "<":
-                self.skip_balanced("<", ">")
-            else:
+            if not self.skip_run(tok):  # annotation-member default value etc.
                 break
         self.pos = saved
         return False
@@ -334,51 +323,41 @@ class _Scanner:
     def scan_parameters(self) -> list[int]:
         """Token indices of the parameter names of a '(...)' list; '(' consumed."""
         params: list[int] = []
-        current: list[int] = []
-
-        def close_segment():
-            if current:
-                params.append(current[-1])
-                current.clear()
-
+        last = None  # the last identifier of a parameter names it
         tokens = self.tokens
         while self.pos < len(tokens):
             index = self.pos
             tok = tokens[index]
             self.pos = index + 1
             if tok == ")":
-                close_segment()
-                return params
+                break
             if tok == ",":
-                close_segment()
-            elif tok == "@":
-                self.skip_annotation()
-            elif tok == "<":
-                self.skip_balanced("<", ">")
-            elif tok == "(":
-                self.skip_balanced("(", ")")
+                if last is not None:
+                    params.append(last)
+                last = None
             elif IDENTIFIER_RE.fullmatch(tok):
-                current.append(index)
-        close_segment()
+                last = index
+            else:
+                self.skip_run(tok)
+        if last is not None:
+            params.append(last)
         return params
 
-    def finish_field(self, buffer: list, class_id: int) -> None:
-        """Emit field nodes for a ';'-terminated member declaration."""
-        if not buffer:
+    def finish_field(self, declarators: list[list[int]], class_id: int) -> None:
+        """Emit field nodes for a ';'-terminated member declaration.
+
+        The first declarator needs a type and a name and is named by its last
+        identifier; each later one is named by its first.
+        """
+        head = declarators[0]
+        if len(head) < 2:
+            if head or len(declarators) > 1:  # not an empty member such as ';;'
+                self.diagnostics.skipped_declarations += 1
             return
-        segments: list[list[int]] = [[]]
-        for item in buffer:
-            if item is _COMMA:
-                segments.append([])
-            else:
-                segments[-1].append(item)
-        head = segments[0]
-        if len(head) < 2:  # needs at least a type and a name
-            self.diagnostics.skipped_declarations += 1
-            return
-        names = [head[-1]] + [seg[0] for seg in segments[1:] if seg]
-        for index in names:
-            self.emit("field", index, class_id)
+        self.emit("field", head[-1], class_id)
+        for declarator in declarators[1:]:
+            if declarator:
+                self.emit("field", declarator[0], class_id)
 
 
 def extract_java(

@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexiscope.extractor import (
+    _CLASS_KEYWORDS,
     _NOISE_RE,
+    _NON_TYPE_KEYWORDS,
     _TOKEN_RE,
+    IDENTIFIER_RE,
     ScanDiagnostics,
     SchemaError,
     SourceNode,
@@ -206,6 +209,26 @@ class TestExtractJava:
             ("field", "w", 4),
         ]
 
+    @pytest.mark.parametrize(
+        ("text", "expected", "skipped"),
+        [
+            ("class A { int x = 1 } class B { int y; }",
+             [("class", "A", None), ("class", "B", None), ("field", "y", 1)], 1),
+            ("class A { class I { int x = 1 } int y; }",
+             [("class", "A", None), ("class", "I", 0), ("field", "y", 0)], 1),
+            ("class A { int x = f(1) } int z; class B { int y; }",
+             [("class", "A", None), ("class", "B", None), ("field", "y", 1)], 1),
+            ("class A { int c = a < b; int d; }",
+             [("class", "A", None), ("field", "c", 0), ("field", "d", 0)], 0),
+        ],
+        ids=["closes-type", "closes-nested-type", "closes-after-call", "comparison"],
+    )
+    def test_initializer_ends_at_a_closer_it_did_not_open(self, text, expected, skipped):
+        diagnostics = ScanDiagnostics()
+        nodes = extract_java(text, "A.java", diagnostics=diagnostics)
+        assert shapes(nodes) == expected
+        assert diagnostics.skipped_declarations == skipped
+
     def test_rerun_is_identical(self):
         text = "class R { int a; void f(int b) {} class Q { int c; } }"
         assert extract_java(text, "R.java") == extract_java(text, "R.java")
@@ -225,14 +248,40 @@ def _reference_tokenize(text):
     ]
 
 
-class _PerTokenScanner(_Scanner):
-    """The scanner over reference (token, line) pairs, skipping one token at a time."""
+_COMMA = object()  # declarator boundary sentinel inside a member buffer
 
-    def __init__(self, pairs, file_path, diagnostics):
-        super().__init__([token for token, _ in pairs], [], file_path, 0, diagnostics)
+
+class _ReferenceScanner:
+    """The scanner before declarator lists, over reference (token, line) pairs.
+
+    Skips balanced runs one token at a time.  Its one intended difference
+    from that scanner, where a field initializer ends, comes from calling
+    `_Scanner.skip_initializer`.
+    """
+
+    def __init__(self, pairs, file_path: str, diagnostics: ScanDiagnostics):
+        self.tokens = [token for token, _ in pairs]
         self.lines = [line for _, line in pairs]
+        self.pos = 0
+        self.file_path = file_path
+        self.next_id = 0
+        self.nodes: list[SourceNode] = []
+        self.diagnostics = diagnostics
 
-    def emit(self, kind, index, parent_id):
+    # --- token stream helpers ---
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.tokens)
+
+    def peek(self) -> str | None:
+        return None if self.at_end() else self.tokens[self.pos]
+
+    def advance(self) -> str:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def emit(self, kind: str, index: int, parent_id: int | None) -> int:
         node_id = self.next_id
         self.next_id += 1
         self.nodes.append(
@@ -240,7 +289,7 @@ class _PerTokenScanner(_Scanner):
         )
         return node_id
 
-    def skip_balanced(self, opener, closer):
+    def skip_balanced(self, opener: str, closer: str) -> None:
         depth = 1
         while not self.at_end() and depth > 0:
             tok = self.advance()
@@ -248,6 +297,194 @@ class _PerTokenScanner(_Scanner):
                 depth += 1
             elif tok == closer:
                 depth -= 1
+
+    def skip_annotation(self) -> None:
+        """Consume an @Name[(args)] annotation; the '@' already consumed."""
+        if not self.at_end() and IDENTIFIER_RE.fullmatch(self.tokens[self.pos]):
+            self.advance()
+            while self.peek() == ".":  # qualified annotation name
+                self.advance()
+                if not self.at_end() and IDENTIFIER_RE.fullmatch(self.tokens[self.pos]):
+                    self.advance()
+            if self.peek() == "(":
+                self.advance()
+                self.skip_balanced("(", ")")
+
+    # --- grammar-ish scanning ---
+
+    def scan_compilation_unit(self) -> None:
+        while not self.at_end():
+            tok = self.advance()
+            if tok in _CLASS_KEYWORDS:
+                self.scan_class_declaration(parent_id=None)
+            elif tok == "@":
+                self.skip_annotation()
+            elif tok == "{":
+                self.diagnostics.skipped_blocks += 1
+                self.skip_balanced("{", "}")
+            # package/import statements and stray tokens fall through
+
+    def scan_class_declaration(self, parent_id: int | None) -> None:
+        """Keyword already consumed; emits the node and scans the body."""
+        if self.at_end() or not IDENTIFIER_RE.fullmatch(self.tokens[self.pos]):
+            self.diagnostics.skipped_declarations += 1
+            return
+        class_id = self.emit("class", self.pos, parent_id)
+        self.pos += 1
+        # Skim the header: generics, extends/implements lists, record components.
+        while not self.at_end():
+            tok = self.advance()
+            if tok == "{":
+                self.scan_class_body(class_id)
+                return
+            if tok == ";":  # headerless declaration, nothing more to scan
+                return
+            if tok == "<":
+                self.skip_balanced("<", ">")
+            elif tok == "(":
+                self.skip_balanced("(", ")")
+            elif tok == "@":
+                self.skip_annotation()
+
+    def scan_class_body(self, class_id: int) -> None:
+        """Member loop between the braces of a type body."""
+        buffer: list = []  # identifier token indices and _COMMA sentinels
+
+        def reset():
+            buffer.clear()
+
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            index = self.pos
+            tok = tokens[index]
+            self.pos = index + 1
+            if tok == "}":
+                if any(item is not _COMMA for item in buffer):
+                    self.diagnostics.skipped_declarations += 1
+                return
+            if tok == ";":
+                self.finish_field(buffer, class_id)
+                reset()
+            elif tok == "=":
+                self.skip_initializer(buffer)
+            elif tok == ",":
+                buffer.append(_COMMA)
+            elif tok == "(":
+                if not self.try_method(buffer, class_id):
+                    self.skip_balanced("(", ")")
+                else:
+                    reset()
+            elif tok == "{":
+                # initializer block, constructor body, or unparsed construct
+                self.diagnostics.skipped_blocks += 1
+                self.skip_balanced("{", "}")
+                reset()
+            elif tok in _CLASS_KEYWORDS:
+                self.scan_class_declaration(class_id)
+                reset()
+            elif tok == "@":
+                self.skip_annotation()
+            elif tok == "<":
+                self.skip_balanced("<", ">")
+            elif IDENTIFIER_RE.fullmatch(tok):
+                buffer.append(index)
+            # '.', '[', ']', numbers and other noise are dropped
+
+        if any(item is not _COMMA for item in buffer):
+            self.diagnostics.skipped_declarations += 1
+
+    def skip_initializer(self, buffer: list) -> None:
+        _Scanner.skip_initializer(self)
+
+    def try_method(self, buffer: list, class_id: int) -> bool:
+        """Decide whether buffer + '(' starts a method; emit it if so.
+
+        A method name must be an identifier directly preceded by a type
+        token (an identifier that is not a modifier/keyword).  The '('
+        is already consumed; on success the parameter list, optional
+        throws clause, and body/semicolon are consumed too.
+        """
+        idents = [item for item in buffer if item is not _COMMA]
+        if len(idents) < 2 or _COMMA in buffer:
+            return False
+        name_index = idents[-1]
+        type_token = self.tokens[idents[-2]]
+        if type_token in _NON_TYPE_KEYWORDS or not IDENTIFIER_RE.fullmatch(self.tokens[name_index]):
+            return False
+
+        saved = self.pos
+        params = self.scan_parameters()
+        # Confirm with the trailer: optional throws list, then '{' or ';'.
+        while not self.at_end():
+            tok = self.advance()
+            if tok in ("{", ";"):
+                method_id = self.emit("method", name_index, class_id)
+                for param_index in params:
+                    self.emit("parameter", param_index, method_id)
+                if tok == "{":
+                    self.skip_balanced("{", "}")
+                return True
+            if tok == "@":
+                self.skip_annotation()
+            elif tok == "(":  # annotation-member default value etc.
+                self.skip_balanced("(", ")")
+            elif IDENTIFIER_RE.fullmatch(tok) or tok[0].isdigit() or tok in (",", ".", "[", "]"):
+                continue
+            elif tok == "<":
+                self.skip_balanced("<", ">")
+            else:
+                break
+        self.pos = saved
+        return False
+
+    def scan_parameters(self) -> list[int]:
+        """Token indices of the parameter names of a '(...)' list; '(' consumed."""
+        params: list[int] = []
+        current: list[int] = []
+
+        def close_segment():
+            if current:
+                params.append(current[-1])
+                current.clear()
+
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            index = self.pos
+            tok = tokens[index]
+            self.pos = index + 1
+            if tok == ")":
+                close_segment()
+                return params
+            if tok == ",":
+                close_segment()
+            elif tok == "@":
+                self.skip_annotation()
+            elif tok == "<":
+                self.skip_balanced("<", ">")
+            elif tok == "(":
+                self.skip_balanced("(", ")")
+            elif IDENTIFIER_RE.fullmatch(tok):
+                current.append(index)
+        close_segment()
+        return params
+
+    def finish_field(self, buffer: list, class_id: int) -> None:
+        """Emit field nodes for a ';'-terminated member declaration."""
+        if not buffer:
+            return
+        segments: list[list[int]] = [[]]
+        for item in buffer:
+            if item is _COMMA:
+                segments.append([])
+            else:
+                segments[-1].append(item)
+        head = segments[0]
+        if len(head) < 2:  # needs at least a type and a name
+            self.diagnostics.skipped_declarations += 1
+            return
+        names = [head[-1]] + [seg[0] for seg in segments[1:] if seg]
+        for index in names:
+            self.emit("field", index, class_id)
 
 
 # Every character str.splitlines() breaks at; only "\n" ends a Java line here.
@@ -282,11 +519,27 @@ _members = st.tuples(
     st.sampled_from(["", ";", " int after;", " void next(int p) {}"]),
 ).map("".join)
 
+# Type bodies whose members share a declaration, end early or nest a type,
+# so the member loop must split declarators and start afresh after each member.
+_MEMBER_PIECES = [
+    "public static class In { int i; }", "int a, b c;", "int a, String b() {}", "x, y(int z);",
+    "int f = 1", "int k = new int[] {1}, q;", "enum E { A, B; int e; }", "int c = a < b;",
+    "int x;", "String s, t;", "void f(int a, String b) {}", "int g(final int p, List<T> q);",
+    "A(int n) {}", "static {}", "@Override", "x;", ",", ";", "=", "\n",
+]
+
+_type_bodies = st.tuples(
+    st.sampled_from(["class C {", "interface I {", "record R(int r) {"]),
+    st.lists(st.sampled_from(_MEMBER_PIECES) | _members, max_size=10),
+    st.sampled_from(["}", "} }", ""]),
+).map(lambda parts: " ".join([parts[0], *parts[1], parts[2]]))
+
 _java_like = st.lists(
     st.sampled_from(_JAVA_PIECES)
     | st.sampled_from(_LINE_BREAKS)
     | st.sampled_from([" ", "\t"])
-    | _members,
+    | _members
+    | _type_bodies,
     max_size=80,
 ).map("".join)
 
@@ -304,7 +557,7 @@ def test_tokens_lines_and_scan_agree_with_reference(text):
 
     diagnostics = ScanDiagnostics()
     nodes = extract_java(text, "F.java", diagnostics=diagnostics)
-    expected = _PerTokenScanner(reference, "F.java", ScanDiagnostics())
+    expected = _ReferenceScanner(reference, "F.java", ScanDiagnostics())
     expected.scan_compilation_unit()
     assert nodes == expected.nodes
     assert diagnostics == expected.diagnostics
