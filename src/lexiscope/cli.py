@@ -19,7 +19,7 @@ from pathlib import Path
 from .domain import DOMAIN, POTENTIAL, build_domain_vocabulary
 from .extractor import SchemaError, extract_project, ingest_nodes
 from .index import InvalidIndexError, ProjectIndex, load_index, save_index
-from .lexicon import RELATIONS, Lexicon, LexiconError, load_lexicon
+from .lexicon import RELATIONS, LexiconError, load_lexicon
 from .locator import ConceptQuery, locate_concept
 from .tokenizer import split_identifier
 from .vocabulary import FilterConfig, build_vocabulary, compute_stats, load_stoplist, top_k
@@ -95,7 +95,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help exits 0, usage errors exit 1
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        with _collector_paused():
+            return args.func(args)
     except ValueError as exc:
         print(f"lexiscope: error: {exc}", file=sys.stderr)
         return 1
@@ -118,26 +119,23 @@ def _dictionary_dir(args) -> str:
     return configured
 
 
-def _load_dictionary(args) -> Lexicon:
-    """Load the dictionary with cyclic GC paused, then freeze what was loaded.
+@contextmanager
+def _collector_paused():
+    """Run a command with cyclic GC paused, restoring its on/off state after, also on errors.
 
-    A WordNet-size lexicon is over a million container objects, all long-lived
-    and none ever garbage.  Collecting during the parse walks them again and
-    again and frees nothing; freezing moves them (and whatever else this
-    process holds) to the permanent generation, so later full collections skip
-    them too.  The collector's on/off state is restored even when the load
-    fails.
+    A command's data (nodes, the dictionary parse, the lexicon shards it
+    reads) is long-lived and holds no reference cycles worth finding, so
+    collections during a command walk ever more objects and free nothing:
+    a cold dictionary parse builds over a million, and an ``analyze``
+    unmarshals every entry shard while it classifies.
     """
-    directory = _dictionary_dir(args)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        lexicon = load_lexicon(directory)
-        gc.freeze()
+        yield
     finally:
         if was_enabled:
             gc.enable()
-    return lexicon
 
 
 @contextmanager
@@ -157,7 +155,7 @@ def cmd_analyze(args) -> int:
     if not project:
         raise ValueError(f"cannot name a project after {args.src!r}; pass --project NAME")
 
-    lexicon = _load_dictionary(args)
+    lexicon = load_lexicon(_dictionary_dir(args))
     if args.stoplist:
         with _text_input(args.stoplist):
             filter_config = FilterConfig(stoplist=load_stoplist(args.stoplist))
@@ -262,7 +260,7 @@ def cmd_domain(args) -> int:
     if len(args.indexes) < 2:
         raise ValueError("need at least 2 index files")
     vocabularies = [load_index(path).vocabulary for path in args.indexes]
-    lexicon = _load_dictionary(args) if args.semantic else None
+    lexicon = load_lexicon(_dictionary_dir(args)) if args.semantic else None
     result = build_domain_vocabulary(vocabularies, args.k, lexicon=lexicon)
 
     projects = ", ".join(result.project_names)
@@ -309,7 +307,7 @@ def cmd_locate(args) -> int:
     if not keywords:
         raise ValueError("empty phrase")
     index = load_index(args.index)
-    lexicon = _load_dictionary(args)
+    lexicon = load_lexicon(_dictionary_dir(args))
     query = ConceptQuery(tuple(keywords), relations=_parse_relations(args.relations), depth=args.depth)
     matches = locate_concept(index.nodes, query, lexicon, limit=args.limit)
     if not matches:

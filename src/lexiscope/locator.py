@@ -23,6 +23,7 @@ from .lexicon import (
     best_first,
     lemmatize,
     related_words,
+    surface_forms,
 )
 from .tokenizer import split_identifier
 
@@ -119,13 +120,9 @@ def node_scope(
     scope: set[str] = set()
     for name in names:
         for token in split_identifier(name):
-            scope.update(_token_readings(lexicon, token))
+            scope.add(token)
+            scope.update(lemma for lemma, _pos in lemmatize(lexicon, token))
     return scope
-
-
-def _token_readings(lexicon: Lexicon, token: str) -> list[str]:
-    """The words a token puts into a scope: itself and its lemmas."""
-    return [token] + [lemma for lemma, _pos in lemmatize(lexicon, token)]
 
 
 def locate_concept(
@@ -137,10 +134,12 @@ def locate_concept(
     """Rank candidates where every keyword matches the identifier scope.
 
     One pass over `nodes` gathers each candidate's scope names (the scope
-    `node_scope` defines), lemmatizing each distinct token once, and posts
-    each candidate under the expansion words its scope holds.  A keyword
-    matches the union of its words' postings; only candidates in every
-    keyword's union are scored.
+    `node_scope` defines) and posts each candidate under the expansion
+    words its scope holds.  No token is lemmatized: `surface_forms` lists,
+    once per query, the inflected forms that read as an expansion word, so
+    a token's scope words are itself if it is one and the words it is a
+    form of.  A keyword matches the union of its words' postings; only
+    candidates in every keyword's union are scored.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -148,6 +147,7 @@ def locate_concept(
     keywords = list(dict.fromkeys(query.keywords))
     ranked = {keyword: best_first(expansions[keyword]) for keyword in keywords}
     wanted = {word for words in ranked.values() for word, _rel, _dist in words}
+    forms = surface_forms(lexicon, wanted)
 
     candidates: list[SourceNode] = []
     children: dict[tuple[int, str], list[str]] = {}
@@ -157,23 +157,20 @@ def locate_concept(
         elif node.parent_id is not None:
             children.setdefault((node.parent_id, node.kind), []).append(node.name)
 
-    # Caches per distinct name (its wanted scope words) and per distinct
-    # token (its readings), so each token is split and lemmatized once.
+    # A cache per distinct name (its wanted scope words), so each name is
+    # split once.
     name_words: dict[str, set[str]] = {}
-    token_words: dict[str, list[str]] = {}
     postings: dict[str, list[int]] = {word: [] for word in wanted}
     for position, node in enumerate(candidates):
         scope: set[str] = set()
         for name in [node.name, *children.get((node.id, _SCOPE_CHILD_KIND[node.kind]), ())]:
             words = name_words.get(name)
             if words is None:
-                words = set()
+                words = name_words[name] = set()
                 for token in split_identifier(name):
-                    readings = token_words.get(token)
-                    if readings is None:
-                        readings = token_words[token] = _token_readings(lexicon, token)
-                    words.update(readings)
-                words = name_words[name] = words & wanted
+                    if token in wanted:
+                        words.add(token)
+                    words.update(forms.get(token, ()))
             scope |= words
         for word in scope:
             postings[word].append(position)

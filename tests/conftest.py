@@ -1,4 +1,3 @@
-import gc
 from pathlib import Path
 
 import pytest
@@ -16,13 +15,6 @@ def private_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield
-
-
-@pytest.fixture(autouse=True)
-def thaw_collector():
-    """Undo the CLI's gc.freeze() after each test, so frozen objects do not pile up."""
-    yield
-    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lexiscope
+import lexiscope.lexicon as lexicon_module
 from lexiscope.cli import main
 from lexiscope.index import ProjectIndex, save_index
 from lexiscope.lexicon import load_lexicon
@@ -386,7 +387,7 @@ def dictionary_command(request, tmp_path, corpus_index):
 
 
 class TestCollector:
-    """Commands load the dictionary with cyclic GC paused, then freeze it."""
+    """Commands run with cyclic GC paused and restore its on/off state."""
 
     @pytest.mark.parametrize("dictionary_command", DICTIONARY_COMMANDS, indirect=True)
     def test_enabled_collector_is_enabled_again(self, dictionary_command):
@@ -418,8 +419,16 @@ class TestCollector:
         assert gc.isenabled()
 
     @pytest.mark.parametrize("dictionary_command", DICTIONARY_COMMANDS, indirect=True)
-    def test_loaded_dictionary_is_frozen(self, dictionary_command):
-        lexicon = load_lexicon(MINIDICT)
-        before = gc.get_freeze_count()
+    def test_shards_load_with_the_collector_paused(self, dictionary_command, monkeypatch):
+        load_lexicon(MINIDICT)  # the command then reads the snapshot, a shard at a time
+        states = []
+        load = lexicon_module._ShardedTable._load
+
+        def recording(table, index):
+            states.append(gc.isenabled())
+            return load(table, index)
+
+        monkeypatch.setattr(lexicon_module._ShardedTable, "_load", recording)
         assert main(dictionary_command) == 0
-        assert gc.get_freeze_count() - before >= len(lexicon.entries) + len(lexicon.synsets)
+        assert states and not any(states)
+        assert gc.isenabled()

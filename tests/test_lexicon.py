@@ -3,6 +3,8 @@ import marshal
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -163,8 +165,8 @@ class TestLoad:
         assert again.entries == lexicon.entries
         assert again.synsets == lexicon.synsets
 
-    def test_marshal_round_trip(self, lexicon):
-        assert_marshals(lexicon)
+    def test_marshal_round_trip(self):
+        assert_marshals(_parse_lexicon(MINIDICT))
 
 
 def _tables(lexicon):
@@ -177,6 +179,64 @@ def _no_parse(root):
 
 def _with_digest(payload):
     return hashlib.sha256(payload).digest() + payload
+
+
+_SHARDS = 1024
+
+# The header's fields, in order.
+_ENTRY_COUNT, _SYNSET_COUNT, _EXCEPTIONS, _ENTRY_STARTS, _SYNSET_STARTS, _BOUNDS = range(6)
+
+
+def _split(data):
+    """A snapshot file's (header, shard bytes), read by the documented layout."""
+    size = int.from_bytes(data[32:40], "little")
+    return marshal.loads(data[40 : 40 + size]), data[40 + size :]
+
+
+def _join(header, shards, header_bytes=None):
+    """A snapshot file holding header and shards, with a valid digest."""
+    if header_bytes is None:
+        header_bytes = marshal.dumps(header)
+    return _with_digest(len(header_bytes).to_bytes(8, "little") + header_bytes + shards)
+
+
+def _shard_tables(data):
+    """The entries and synsets a snapshot's shards hold, every shard unmarshalled."""
+    header, shards = _split(data)
+    bounds = header[_BOUNDS]
+    tables = ({}, {})
+    for number in range(2 * _SHARDS):
+        blob = shards[bounds[number] : bounds[number + 1]]
+        if blob:
+            tables[number // _SHARDS].update(marshal.loads(blob))
+    return tables
+
+
+def _with_field(data, field, change):
+    """data with one header field replaced by change(its value), the digest made valid."""
+    header, shards = _split(data)
+    header = list(header)
+    header[field] = change(header[field])
+    return _join(tuple(header), shards)
+
+
+def assert_same_mapping(table, expected, missing):
+    """table answers get, [], in, len and iteration as the dict expected does."""
+    keys = list(table)
+    assert len(table) == len(keys) == len(expected)
+    assert set(keys) == set(expected)
+    for key, value in expected.items():
+        assert table.get(key) == value
+        assert table[key] == value
+        assert key in table
+    for key in missing:
+        assert key not in expected
+        assert table.get(key) is None
+        assert table.get(key, "default") == "default"
+        assert key not in table
+        with pytest.raises(KeyError):
+            table[key]
+    assert table == expected
 
 
 @pytest.fixture
@@ -194,7 +254,20 @@ class TestSnapshot:
         assert re.fullmatch(r"[0-9a-f]{64}\.marshal", path.name)
         data = path.read_bytes()
         assert data[:32] == hashlib.sha256(data[32:]).digest()
-        assert marshal.loads(data[32:]) == parsed
+        (entry_count, synset_count, exceptions, entry_starts, synset_starts, bounds), shards = _split(data)
+        assert (entry_count, synset_count) == (len(parsed[0]), len(parsed[1]))
+        assert exceptions == parsed[2]
+        assert len(bounds) == 2 * _SHARDS + 1 and bounds[0] == 0 and bounds[-1] == len(shards)
+        assert _shard_tables(data) == parsed[:2]
+        # Each shard holds one range of sorted keys, which its start opens.
+        for starts, first in ((entry_starts, 0), (synset_starts, _SHARDS)):
+            assert len(starts) == _SHARDS - 1 and list(starts) == sorted(starts)
+            for number in range(_SHARDS):
+                blob = shards[bounds[first + number] : bounds[first + number + 1]]
+                keys = list(marshal.loads(blob)) if blob else []
+                assert keys == sorted(keys)
+                assert all(number == 0 or starts[number - 1] <= key for key in keys)
+                assert all(number == _SHARDS - 1 or key < starts[number] for key in keys)
         # The key is the content, not the directory: a copy reads the same snapshot.
         copy = tmp_path / "copy"
         shutil.copytree(MINIDICT, copy)
@@ -212,13 +285,40 @@ class TestSnapshot:
                 lambda data: data[:32] + data[32:].replace(b"vehicle", b"vehicla", 1),
                 id="flipped-payload-byte",
             ),
-            pytest.param(
-                lambda data: _with_digest(marshal.dumps(list(marshal.loads(data[32:])))),
-                id="marshalled-list",
+            pytest.param(lambda data: _join(list(_split(data)[0]), _split(data)[1]), id="marshalled-list"),
+            pytest.param(lambda data: _with_field(data, _EXCEPTIONS, lambda _: []), id="list-for-a-table"),
+            pytest.param(  # a header cut short, its length field to match
+                lambda data: _join(None, _split(data)[1], marshal.dumps(_split(data)[0])[:-1]),
+                id="marshal-eof",
             ),
-            pytest.param(lambda data: _with_digest(marshal.dumps(({}, {}, []))), id="list-for-a-table"),
-            pytest.param(lambda data: _with_digest(data[32:-1]), id="marshal-eof"),
-            pytest.param(lambda data: _with_digest(b"\xff"), id="marshal-bad-type-code"),
+            pytest.param(lambda data: _join(None, _split(data)[1], b"\xff"), id="marshal-bad-type-code"),
+            pytest.param(
+                lambda data: _with_field(data, _BOUNDS, lambda bounds: bounds[:-1] + (bounds[-1] + 1,)),
+                id="offsets-past-the-end",
+            ),
+            pytest.param(
+                lambda data: _with_field(data, _BOUNDS, lambda bounds: (0, bounds[-1]) + bounds[2:]),
+                id="offsets-out-of-order",
+            ),
+            pytest.param(lambda data: _with_field(data, _BOUNDS, lambda bounds: bounds[:-1]), id="offset-table-short"),
+            pytest.param(
+                lambda data: _with_field(data, _ENTRY_STARTS, lambda starts: starts[::-1]), id="starts-out-of-order"
+            ),
+            pytest.param(lambda data: _with_field(data, _SYNSET_STARTS, lambda starts: starts[1:]), id="starts-short"),
+            pytest.param(
+                lambda data: _with_field(data, _SYNSET_STARTS, lambda starts: starts[:-1] + ("car",)),
+                id="starts-of-two-types",
+            ),
+            pytest.param(  # a byte of the last shard, the digest left as it was
+                lambda data: data[:-3] + bytes([data[-3] ^ 0x20]) + data[-2:],
+                id="damaged-shard",
+            ),
+            pytest.param(lambda data: _with_field(data, _ENTRY_COUNT, lambda _: 0), id="zero-count-over-shards"),
+            pytest.param(lambda data: _with_field(data, _SYNSET_COUNT, lambda _: -1), id="negative-count"),
+            pytest.param(lambda data: _with_field(data, _ENTRY_COUNT, str), id="count-not-an-int"),
+            pytest.param(  # the format-1 layout: the sha256, then the marshalled tables
+                lambda data: _with_digest(marshal.dumps(_parse_lexicon(MINIDICT))), id="format-1",
+            ),
         ],
     )
     def test_damaged_snapshot_is_parsed_again(self, snapshots, damage):
@@ -303,6 +403,62 @@ class TestSnapshot:
         assert all(_tables(lexicon) == parsed for lexicon in loaded)
         [path] = snapshots.iterdir()
         assert path.suffix == ".marshal" and _read_snapshot(path) == parsed
+
+    def test_tables_answer_as_the_parse(self, snapshots):
+        entries, synsets, exceptions = _parse_lexicon(MINIDICT)
+        cold = load_lexicon(MINIDICT)
+        warm = load_lexicon(MINIDICT)
+        for lexicon in (cold, warm):
+            assert_same_mapping(lexicon.entries, entries, ["values", "qqzx", "CAR", "car\u2028", "\ud800", 7, None])
+            assert_same_mapping(
+                lexicon.synsets, synsets,
+                [(1, PosTag.ADVERB), (-5, 1), (float("nan"), 1), (float("inf"), 1), "ab", (1,), 3, None],
+            )
+            assert lexicon.exceptions == exceptions
+            assert len(lexicon) == len(entries)
+
+    def test_equal_keys_find_one_synset(self, lexicon):
+        key = next(iter(lexicon.synsets))
+        assert lexicon.synsets[(float(key[0]), PosTag(key[1]))] == lexicon.synsets[key]
+        assert (float(key[0]) + 0.5, key[1]) not in lexicon.synsets
+
+    def test_snapshot_does_not_depend_on_the_hash_seed(self, tmp_path):
+        written = []
+        for seed in ("1", "2"):
+            cache = tmp_path / f"cache-{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed, XDG_CACHE_HOME=str(cache))
+            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from lexiscope.lexicon import load_lexicon; load_lexicon(sys.argv[1])",
+                 str(MINIDICT)],
+                env=env, check=True,
+            )
+            [path] = (cache / "lexiscope").iterdir()
+            written.append((path.name, path.read_bytes()))
+        assert written[0] == written[1]
+
+    def test_threads_reading_one_fresh_lexicon_agree(self, snapshots):
+        entries, synsets, _exceptions = _parse_lexicon(MINIDICT)
+        load_lexicon(MINIDICT)
+        fresh = load_lexicon(MINIDICT)  # read from the snapshot, no shard loaded yet
+
+        def read(order):
+            return (
+                [(word, fresh.entries.get(word)) for word in order]
+                + [(key, fresh.synsets[key]) for key in sorted(synsets)]
+            )
+
+        orders = [sorted(entries, reverse=bool(n % 2)) + ["qqzx"] for n in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside a shard load too
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(read, order) for order in orders]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for order, result in zip(orders, results):
+            assert result == [(word, entries.get(word)) for word in order] + sorted(synsets.items())
 
 
 class TestRealisticFormat:
@@ -610,17 +766,18 @@ def test_load_returns_the_modelled_dictionary(case):
         assert len(list((Path(directory) / "cache" / "lexiscope").iterdir())) == 1
         patch.setattr(lexicon_module, "_parse_lexicon", _no_parse)
         warm = load_lexicon(root)
+    missing_entries = ["zork", "", "Car", "car "]
+    missing_synsets = [(0, PosTag.NOUN), (100_000_000, PosTag.VERB), (1, 5), (1.5, 1), "car", (1, 2, 3)]
     for lexicon in (cold, warm):
-        assert lexicon.entries == entries
-        assert lexicon.synsets == synsets
+        assert_same_mapping(lexicon.entries, entries, missing_entries)
+        assert_same_mapping(lexicon.synsets, synsets, missing_synsets)
         assert lexicon.exceptions == exceptions
         assert _tables(lexicon) == parsed
-    assert_marshals(cold)
+    assert_marshals(parsed)
 
 
-def assert_marshals(lexicon):
-    # The loaded lexicon is plain data: marshal takes it whole and gives it back equal.
-    tables = (lexicon.entries, lexicon.synsets, lexicon.exceptions)
+def assert_marshals(tables):
+    # The parsed tables are plain data: marshal takes them whole and gives them back equal.
     assert marshal.loads(marshal.dumps(tables)) == tables
 
 

@@ -1,4 +1,6 @@
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,16 @@ from hypothesis import strategies as st
 
 import lexiscope.locator as locator
 from lexiscope.extractor import SourceNode, extract_java
-from lexiscope.lexicon import HYPERNYM, HYPONYM, RELATIONS, SELF, SYNONYM, load_lexicon
+from lexiscope.lexicon import (
+    HYPERNYM,
+    HYPONYM,
+    RELATIONS,
+    SELF,
+    SYNONYM,
+    lemmatize,
+    load_lexicon,
+    surface_forms,
+)
 from lexiscope.locator import (
     _KIND_RANK,
     ConceptMatch,
@@ -19,6 +30,7 @@ from lexiscope.locator import (
 from lexiscope.tokenizer import split_identifier
 
 from conftest import write_dict
+from test_lexicon import _dictionaries
 
 WORDTOOLS_SRC = """
 public class WordTools {
@@ -288,6 +300,90 @@ def _reference_locate(nodes, query, lexicon, limit=10):
     return [match for _, match in matches[:limit]]
 
 
+def _token_readings(lexicon, token):
+    """The words a token puts into a scope: itself and its lemmas."""
+    return [token] + [lemma for lemma, _pos in lemmatize(lexicon, token)]
+
+
+def _reference_token_words(lexicon, tokens, wanted):
+    """Each token's scope words among wanted, lemmatizing each distinct token once."""
+    token_words: dict[str, set[str]] = {}
+    for token in tokens:
+        if token not in token_words:
+            token_words[token] = set(_token_readings(lexicon, token)) & wanted
+    return token_words
+
+
+# Endings that make inflected forms of a word, regular or not, and a few
+# that lemmatize undoes for no part of speech.
+_ENDINGS = ("", "s", "es", "ses", "xes", "zes", "ches", "shes", "ies", "ed", "d", "ing",
+            "er", "est", "r", "st", "ings", "ly")
+
+
+@st.composite
+def _tokens(draw, words):
+    """A token near one of words: a cut, a doubled last letter and an ending, or any text."""
+    if words and draw(st.booleans()):
+        word = draw(st.sampled_from(sorted(words)))
+        stem = word[: len(word) - draw(st.integers(0, 2))]
+        if stem and draw(st.booleans()):
+            stem += stem[-1]
+        return stem + draw(st.sampled_from(_ENDINGS))
+    return draw(st.sampled_from(("ran", "went", "geese", "runn", "es", "ing", "sing", "ed"))
+                if draw(st.booleans()) else st.text("acdeghilnorsuxyz_", max_size=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_dictionaries(), data=st.data())
+def test_surface_forms_invert_lemmatize(case, data):
+    # Dictionaries of the lexicon model test, whose words include "run"
+    # (running, runned) and whose exception lists map ran, went and geese.
+    files, entries, _synsets, _exceptions = case
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        root = Path(directory) / "dict"
+        root.mkdir()
+        for name, text in files.items():
+            (root / name).write_text(text, encoding="utf-8")
+        patch.setenv("XDG_CACHE_HOME", str(Path(directory) / "cache"))
+        lexicon = load_lexicon(root)
+    words = sorted(entries) + ["runs", "zork", "ra"]
+    wanted = data.draw(st.sets(st.sampled_from(words)))
+    tokens = data.draw(st.lists(_tokens(words), max_size=30))
+    forms = surface_forms(lexicon, wanted)
+    expected = _reference_token_words(lexicon, tokens, wanted)
+    assert {token: ({token} & wanted) | forms.get(token, set()) for token in tokens} == expected
+    # Every form reads as its words, so the map holds no stray token either.
+    for form, form_words in forms.items():
+        assert form_words <= set(_token_readings(lexicon, form)) & wanted
+
+
+def test_surface_forms_of_the_minidict(lexicon):
+    forms = surface_forms(lexicon, {"run", "find", "value", "car", "good", "zork"})
+    assert forms["running"] == {"run"}
+    assert forms["ran"] == {"run"}
+    assert forms["found"] == {"find"}
+    assert forms["values"] == {"value"}
+    assert forms["cars"] == {"car"}
+    assert "zorks" not in forms and "zork" not in forms
+    tokens = ["running", "ran", "runs", "found", "finding", "values", "cars", "better", "goods", "qux"]
+    wanted = {"run", "find", "value", "car", "good"}
+    assert {token: ({token} & wanted) | forms.get(token, set()) for token in tokens} == (
+        _reference_token_words(lexicon, tokens, wanted)
+    )
+
+
+def test_surface_forms_of_words_that_are_all_ending(tmp_path):
+    # lemmatize never strips a whole token: "ies" does not read as "y".
+    root = write_dict(tmp_path / "dict", nouns=["y", "ch", "s", "x"], verbs=["e", "y"], adjs=["e"])
+    lexicon = load_lexicon(root)
+    wanted = {"y", "ch", "s", "x", "e"}
+    tokens = ["ies", "ches", "s", "ss", "es", "xes", "ing", "ed", "er", "est", "yer", "ying", "eing", "eed"]
+    forms = surface_forms(lexicon, wanted)
+    assert {token: ({token} & wanted) | forms.get(token, set()) for token in tokens} == (
+        _reference_token_words(lexicon, tokens, wanted)
+    )
+
+
 # Minidict lemmas, inflections of them (regular and exception-list), and
 # words the dictionary does not know.
 _LEMMAS = ("car", "auto", "vehicle", "conveyance", "find", "get", "acquire", "word",
@@ -363,3 +459,26 @@ def test_each_distinct_token_is_lemmatized_once(lexicon, monkeypatch):
     matches = locate_concept(nodes, query, lexicon, limit=500)
     assert len(matches) == 200
     assert len(calls) <= len(distinct) + expand_calls
+
+
+def test_locate_lemmatizes_only_its_keywords(lexicon, monkeypatch):
+    nodes = extract_java(
+        "class CarShop { int wordCount; void findCarValues(int runningTotal) {} void getWords() {} }",
+        "Shop.java",
+    )
+    query = ConceptQuery(("finding", "car"))
+    calls = []
+    original = locator.lemmatize
+
+    def counting(lexicon, token):
+        calls.append(token)
+        return original(lexicon, token)
+
+    monkeypatch.setattr(locator, "lemmatize", counting)
+    expand_query(query, lexicon)
+    expanded = list(calls)
+    calls.clear()
+    matches = locate_concept(nodes, query, lexicon)
+    assert calls == expanded == ["finding", "car"]
+    assert matches == _reference_locate(nodes, query, lexicon)
+    assert [m.per_keyword["finding"] for m in matches] == [("find", SELF, 0)]
