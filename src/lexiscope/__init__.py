@@ -42,12 +42,12 @@ from .locator import (
 )
 from .tokenizer import split_identifier
 from .vocabulary import (
-    FilterConfig,
     ProjectStats,
     ProjectVocabulary,
     VocabularyEntry,
     build_vocabulary,
     compute_stats,
+    default_stoplist,
     load_stoplist,
     top_k,
 )
@@ -71,7 +71,6 @@ __all__ = [
     "extract_project",
     "ingest_nodes",
     "split_identifier",
-    "FilterConfig",
     "VocabularyEntry",
     "ProjectVocabulary",
     "ProjectStats",
@@ -79,6 +78,7 @@ __all__ = [
     "compute_stats",
     "top_k",
     "load_stoplist",
+    "default_stoplist",
     "DomainTermEntry",
     "DomainVocabulary",
     "build_domain_vocabulary",

@@ -22,7 +22,7 @@ from .index import InvalidIndexError, ProjectIndex, load_index, save_index
 from .lexicon import RELATIONS, LexiconError, load_lexicon
 from .locator import ConceptQuery, locate_concept
 from .tokenizer import split_identifier
-from .vocabulary import FilterConfig, build_vocabulary, compute_stats, load_stoplist, top_k
+from .vocabulary import build_vocabulary, compute_stats, default_stoplist, load_stoplist, top_k
 
 __all__ = ["main", "entrypoint"]
 
@@ -158,9 +158,9 @@ def cmd_analyze(args) -> int:
     lexicon = load_lexicon(_dictionary_dir(args))
     if args.stoplist:
         with _text_input(args.stoplist):
-            filter_config = FilterConfig(stoplist=load_stoplist(args.stoplist))
+            stoplist = load_stoplist(args.stoplist)
     else:
-        filter_config = FilterConfig.default()
+        stoplist = default_stoplist()
 
     if args.input_mode == "jsonl":
         with _text_input(args.src), open(args.src, encoding="utf-8") as stream:
@@ -173,7 +173,7 @@ def cmd_analyze(args) -> int:
         nodes, file_count = extract_project(args.src)
 
     vocabulary = build_vocabulary(
-        nodes, lexicon, filter_config, project_name=project, file_count=file_count
+        nodes, lexicon, stoplist, project_name=project, file_count=file_count
     )
     save_index(ProjectIndex(nodes, vocabulary), args.out)
     print(
@@ -288,6 +288,8 @@ def _parse_relations(raw: str) -> frozenset[str]:
     if raw.strip().lower() in ("none", ""):
         return frozenset()
     relations = frozenset(part.strip().lower() for part in raw.split(","))
+    if "" in relations:
+        raise ValueError(f"empty relation in --relations {raw!r}")
     unknown = relations - RELATIONS
     if unknown:
         raise ValueError(f"unknown relations: {', '.join(sorted(unknown))}")
@@ -316,8 +318,7 @@ def cmd_locate(args) -> int:
     for match in matches:
         node = index.nodes[match.node_id]
         print(f"{node.file_path}:{node.line} {node.kind} {node.name} {_format_score(match.score)}")
-        for keyword in query.keywords:
-            matched, relation, distance = match.per_keyword[keyword]
+        for keyword, (matched, relation, distance) in match.per_keyword.items():
             print(f"  {keyword}→{matched} ({relation},{distance})")
     return 0
 

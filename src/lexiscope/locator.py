@@ -65,7 +65,10 @@ class ConceptQuery:
 
 @dataclass(frozen=True)
 class ConceptMatch:
-    """One located candidate with per-keyword match evidence."""
+    """One located candidate with per-keyword match evidence.
+
+    `per_keyword` holds each distinct keyword once, in phrase order.
+    """
 
     node_id: int
     kind: str
@@ -85,15 +88,17 @@ def match_weight(relation: str, distance: int) -> Fraction:
 def expand_query(
     query: ConceptQuery, lexicon: Lexicon
 ) -> dict[str, set[tuple[str, str, int]]]:
-    """Related-word sets per keyword; the keyword itself always included.
+    """Related-word sets per distinct keyword, in phrase order.
 
-    Keywords are lemmatized first, so an inflected query expands through
-    its dictionary forms as well.
+    Each set includes the keyword itself.  Keywords are lemmatized first,
+    so an inflected query expands through its dictionary forms as well.
+    Each distinct lemma is expanded once, also when it has several parts
+    of speech.
     """
     expansions: dict[str, set[tuple[str, str, int]]] = {}
-    for keyword in query.keywords:
+    for keyword in dict.fromkeys(query.keywords):
         expansion = set(related_words(lexicon, keyword, query.relations, query.depth))
-        for lemma, _pos in lemmatize(lexicon, keyword):
+        for lemma in dict.fromkeys(lemma for lemma, _pos in lemmatize(lexicon, keyword)):
             if lemma != keyword:
                 expansion |= related_words(lexicon, lemma, query.relations, query.depth)
         expansions[keyword] = expansion
@@ -133,20 +138,24 @@ def locate_concept(
 ) -> list[ConceptMatch]:
     """Rank candidates where every keyword matches the identifier scope.
 
-    One pass over `nodes` gathers each candidate's scope names (the scope
-    `node_scope` defines) and posts each candidate under the expansion
-    words its scope holds.  No token is lemmatized: `surface_forms` lists,
-    once per query, the inflected forms that read as an expansion word, so
-    a token's scope words are itself if it is one and the words it is a
-    form of.  A keyword matches the union of its words' postings; only
-    candidates in every keyword's union are scored.
+    Each class and method is scored from its own scope (the one
+    `node_scope` defines), restricted to the query's expansion words.  No
+    token is lemmatized: `surface_forms` lists, once per query, the
+    inflected forms that read as an expansion word, so a token's scope
+    words are itself if it is one and the words it is a form of.  A
+    keyword's match is the scope word that comes first in its best-first
+    order; the pass reads a candidate's scope words, not the expansion.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    expansions = expand_query(query, lexicon)
-    keywords = list(dict.fromkeys(query.keywords))
-    ranked = {keyword: best_first(expansions[keyword]) for keyword in keywords}
-    wanted = {word for words in ranked.values() for word, _rel, _dist in words}
+    # Per keyword, each expansion word's rank in best-first order and its
+    # triple; a word related in several ways keeps its first, best entry.
+    tables: dict[str, dict[str, tuple[int, tuple[str, str, int]]]] = {}
+    for keyword, expansion in expand_query(query, lexicon).items():
+        table = tables[keyword] = {}
+        for rank, entry in enumerate(best_first(expansion)):
+            table.setdefault(entry[0], (rank, entry))
+    wanted = {word for table in tables.values() for word in table}
     forms = surface_forms(lexicon, wanted)
 
     candidates: list[SourceNode] = []
@@ -157,11 +166,10 @@ def locate_concept(
         elif node.parent_id is not None:
             children.setdefault((node.parent_id, node.kind), []).append(node.name)
 
-    # A cache per distinct name (its wanted scope words), so each name is
-    # split once.
+    # A cache per distinct name (its scope words), so each name is split once.
     name_words: dict[str, set[str]] = {}
-    postings: dict[str, list[int]] = {word: [] for word in wanted}
-    for position, node in enumerate(candidates):
+    matches: list[tuple] = []
+    for node in candidates:
         scope: set[str] = set()
         for name in [node.name, *children.get((node.id, _SCOPE_CHILD_KIND[node.kind]), ())]:
             words = name_words.get(name)
@@ -172,28 +180,16 @@ def locate_concept(
                         words.add(token)
                     words.update(forms.get(token, ()))
             scope |= words
-        for word in scope:
-            postings[word].append(position)
-
-    # Per keyword, each candidate's best match is the first ranked word
-    # whose posting holds it; the keys of that map are the keyword's union.
-    best: dict[str, dict[int, tuple[str, str, int]]] = {}
-    for keyword in keywords:
-        found: dict[int, tuple[str, str, int]] = {}
-        for entry in ranked[keyword]:
-            for position in postings[entry[0]]:
-                found.setdefault(position, entry)
-        best[keyword] = found
-
-    unions = sorted(best.values(), key=len)
-    survivors = set(unions[0])
-    for union in unions[1:]:
-        survivors.intersection_update(union)
-
-    matches: list[tuple] = []
-    for position in sorted(survivors):
-        node = candidates[position]
-        per_keyword = {keyword: best[keyword][position] for keyword in keywords}
+        if not scope:
+            continue
+        per_keyword: dict[str, tuple[str, str, int]] = {}
+        for keyword, table in tables.items():
+            hits = [table[word] for word in scope if word in table]
+            if not hits:
+                break
+            per_keyword[keyword] = min(hits)[1]
+        if len(per_keyword) < len(tables):
+            continue
         score = sum(
             (match_weight(rel, dist) for _, rel, dist in per_keyword.values()),
             Fraction(0),

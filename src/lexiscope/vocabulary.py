@@ -18,32 +18,16 @@ from .lexicon import Lexicon, PosTag, classify
 from .tokenizer import split_identifier
 
 __all__ = [
-    "FilterConfig",
     "VocabularyEntry",
     "ProjectVocabulary",
     "ProjectStats",
     "load_stoplist",
+    "default_stoplist",
     "build_vocabulary",
     "compute_stats",
     "top_k",
     "percent",
 ]
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    """Which tokens are dropped before counting: stoplist words and single characters."""
-
-    stoplist: frozenset[str] = frozenset()
-
-    def keeps(self, token: str) -> bool:
-        return len(token) >= 2 and token not in self.stoplist
-
-    @classmethod
-    def default(cls) -> "FilterConfig":
-        """The filter with the stoplist shipped with the package."""
-        with resources.as_file(resources.files("lexiscope") / "data/stoplist.txt") as path:
-            return cls(stoplist=load_stoplist(path))
 
 
 @dataclass
@@ -111,23 +95,31 @@ def load_stoplist(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
+def default_stoplist() -> frozenset[str]:
+    """The stoplist shipped with the package."""
+    with resources.as_file(resources.files("lexiscope") / "data/stoplist.txt") as path:
+        return load_stoplist(path)
+
+
 def build_vocabulary(
     nodes: list[SourceNode],
     lexicon: Lexicon,
-    filter_config: FilterConfig | None = None,
+    stoplist: frozenset[str] = frozenset(),
     *,
     project_name: str = "",
     file_count: int = 0,
 ) -> ProjectVocabulary:
-    """Count every surviving token occurrence from the given nodes."""
-    filter_config = filter_config if filter_config is not None else FilterConfig()
+    """Count every token occurrence from the given nodes.
+
+    Tokens in `stoplist` and tokens shorter than two characters are dropped.
+    """
     vocabulary = ProjectVocabulary(project_name, file_count)
     # Token classification is pure per token; memoize across occurrences.
     classified: dict[str, tuple[str, PosTag] | None] = {}
 
     for node in nodes:
         for token in split_identifier(node.name):
-            if not filter_config.keeps(token):
+            if len(token) < 2 or token in stoplist:
                 continue
             if token not in classified:
                 classified[token] = classify(lexicon, token)

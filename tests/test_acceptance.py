@@ -21,7 +21,6 @@ from lexiscope.index import ProjectIndex, save_index
 from lexiscope.lexicon import PosTag, load_lexicon
 from lexiscope.tokenizer import split_identifier
 from lexiscope.vocabulary import (
-    FilterConfig,
     ProjectVocabulary,
     VocabularyEntry,
     build_vocabulary,
@@ -79,11 +78,11 @@ def test_criterion_1_stats_partition_identity(lexicon):
         assert 537 + 229 + 117 + 20 == 903
 
         rng = random.Random(20260810)
-        config = FilterConfig(stoplist=frozenset({"impl", "cfg"}))
+        stoplist = frozenset({"impl", "cfg"})
         started = time.monotonic()
         for _ in range(1000):
             nodes = random_nodes(rng, rng.randint(0, 25))
-            stats = compute_stats(build_vocabulary(nodes, lexicon, config))
+            stats = compute_stats(build_vocabulary(nodes, lexicon, stoplist))
             assert stats.recognized + stats.unrecognized == stats.total_words
             assert (
                 stats.nouns + stats.verbs + stats.adjectives + stats.adverbs

@@ -344,6 +344,29 @@ class TestLocate:
                    "--relations", "meronym"])
         assert rc == 1
 
+    @pytest.mark.parametrize("relations", ["synonym,", ",", "synonym,,hypernym", " , hyponym"])
+    def test_empty_relation_is_usage_error(self, corpus_index, capsys, relations):
+        rc = main(["locate", corpus_index, "find", "--dict", str(MINIDICT),
+                   "--relations", relations])
+        assert rc == 1
+        assert "empty relation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("relations", ["", "NONE"])
+    def test_no_relations(self, corpus_index, capsys, relations):
+        rc = main(["locate", corpus_index, "word", "--dict", str(MINIDICT),
+                   "--relations", relations])
+        assert rc == 0
+        assert "  word→word (self,0)" in capsys.readouterr().out.splitlines()
+
+    def test_repeated_keyword_is_reported_once(self, corpus_index, capsys):
+        assert main(["locate", corpus_index, "find word find", "--dict", str(MINIDICT)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "WordTools.java:2 method getType 4",
+            "  find→get (hypernym,1)",
+            "  word→word (self,0)",
+        ]
+
 
 class TestParser:
     def test_help_exits_0(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from lexiscope.extractor import KINDS, SchemaError, SourceNode, extract_project, ingest_nodes
 from lexiscope.index import FORMAT_VERSION, InvalidIndexError, ProjectIndex, load_index, save_index
 from lexiscope.lexicon import PosTag
-from lexiscope.vocabulary import FilterConfig, ProjectVocabulary, VocabularyEntry, build_vocabulary
+from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry, build_vocabulary, default_stoplist
 
 from conftest import MINICORPUS
 
@@ -16,7 +16,7 @@ from conftest import MINICORPUS
 def sample_index(lexicon):
     nodes, file_count = extract_project(MINICORPUS)
     vocabulary = build_vocabulary(
-        nodes, lexicon, FilterConfig.default(), project_name="minicorpus", file_count=file_count
+        nodes, lexicon, default_stoplist(), project_name="minicorpus", file_count=file_count
     )
     return ProjectIndex(nodes, vocabulary)
 

@@ -14,6 +14,7 @@ from lexiscope.lexicon import (
     RELATIONS,
     SELF,
     SYNONYM,
+    PosTag,
     lemmatize,
     load_lexicon,
     surface_forms,
@@ -30,7 +31,7 @@ from lexiscope.locator import (
 from lexiscope.tokenizer import split_identifier
 
 from conftest import write_dict
-from test_lexicon import _dictionaries
+from test_lexicon import _WORDS as _MODEL_WORDS, _dictionaries
 
 WORDTOOLS_SRC = """
 public class WordTools {
@@ -67,6 +68,22 @@ class TestExpandQuery:
         assert ("get", HYPERNYM, 1) in expansions["finding"]
         assert ("find", SELF, 0) in expansions["finding"]
         assert ("type", HYPONYM, 1) in expansions["forms"]
+
+    def test_each_distinct_lemma_expands_once(self, tmp_path, monkeypatch):
+        # "forms" reads as "form" the noun and "form" the verb.
+        dictionary = load_lexicon(write_dict(tmp_path / "dict", nouns=["form"], verbs=["form"]))
+        assert lemmatize(dictionary, "forms") == [("form", PosTag.NOUN), ("form", PosTag.VERB)]
+        calls = []
+        original = locator.related_words
+
+        def counting(lexicon, word, relations, depth):
+            calls.append(word)
+            return original(lexicon, word, relations, depth)
+
+        monkeypatch.setattr(locator, "related_words", counting)
+        expansions = expand_query(ConceptQuery(("forms", "form", "forms")), dictionary)
+        assert calls == ["forms", "form", "form"]
+        assert expansions == {"forms": {("forms", SELF, 0), ("form", SELF, 0)}, "form": {("form", SELF, 0)}}
 
 
 class TestNodeScope:
@@ -333,19 +350,24 @@ def _tokens(draw, words):
                 if draw(st.booleans()) else st.text("acdeghilnorsuxyz_", max_size=7))
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=_dictionaries(), data=st.data())
-def test_surface_forms_invert_lemmatize(case, data):
-    # Dictionaries of the lexicon model test, whose words include "run"
-    # (running, runned) and whose exception lists map ran, went and geese.
-    files, entries, _synsets, _exceptions = case
+def _model_lexicon(files):
+    """Load a dictionary of the lexicon model test, with a snapshot cache of its own."""
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
         root = Path(directory) / "dict"
         root.mkdir()
         for name, text in files.items():
             (root / name).write_text(text, encoding="utf-8")
         patch.setenv("XDG_CACHE_HOME", str(Path(directory) / "cache"))
-        lexicon = load_lexicon(root)
+        return load_lexicon(root)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_dictionaries(), data=st.data())
+def test_surface_forms_invert_lemmatize(case, data):
+    # Dictionaries of the lexicon model test, whose words include "run"
+    # (running, runned) and whose exception lists map ran, went and geese.
+    files, entries, _synsets, _exceptions = case
+    lexicon = _model_lexicon(files)
     words = sorted(entries) + ["runs", "zork", "ra"]
     wanted = data.draw(st.sets(st.sampled_from(words)))
     tokens = data.draw(st.lists(_tokens(words), max_size=30))
@@ -395,15 +417,15 @@ _WORDS = _LEMMAS + _INFLECTIONS + _NON_WORDS
 
 
 @st.composite
-def _identifiers(draw, capitalized):
-    parts = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3))
+def _identifiers(draw, words, capitalized):
+    parts = draw(st.lists(words, min_size=1, max_size=3))
     first = parts[0].capitalize() if capitalized else parts[0]
     return first + "".join(part.capitalize() for part in parts[1:])
 
 
 @st.composite
-def _node_trees(draw):
-    """Classes, methods, fields and parameters nested at random, ids dense."""
+def _node_trees(draw, words=st.sampled_from(_WORDS)):
+    """Classes, methods, fields and parameters named from words, nested at random, ids dense."""
     nodes: list[SourceNode] = []
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(("class", "method", "field", "parameter")))
@@ -413,7 +435,7 @@ def _node_trees(draw):
             kind, parent = "class", None
         else:
             parent = draw(st.sampled_from(parents))
-        name = draw(_identifiers(kind == "class"))
+        name = draw(_identifiers(words, kind == "class"))
         file_path = draw(st.sampled_from(("A.java", "b/B.java")))
         nodes.append(SourceNode(len(nodes), kind, name, file_path, draw(st.integers(1, 4)), parent))
     return nodes
@@ -433,6 +455,33 @@ def test_locate_agrees_with_per_candidate_reference(lexicon, nodes, keywords, re
     expected = _reference_locate(nodes, query, lexicon, limit)
     assert located == expected
     assert [m.per_keyword for m in located] == [m.per_keyword for m in expected]
+
+
+# The model's words as keywords, and the forms its exception lists map.
+_MODEL_KEYWORDS = sorted(word.lower() for word in _MODEL_WORDS if word.isalpha()) + ["geese", "ran", "went"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_dictionaries(), data=st.data())
+def test_locate_agrees_with_reference_on_model_dictionaries(case, data):
+    # The model has lemmas in several parts of speech, and a word can be a
+    # synonym and a hypernym of one keyword at once.  Nodes are named from
+    # its words, their inflections and the exception forms.
+    files, entries, _synsets, _exceptions = case
+    lexicon = _model_lexicon(files)
+    words = st.one_of(st.sampled_from(_MODEL_WORDS), _tokens(sorted(entries)))
+    nodes = data.draw(_node_trees(words))
+    # Keywords mostly from the names' own tokens, so that queries match.
+    tokens = sorted({token for node in nodes for token in split_identifier(node.name) if token.isalpha()})
+    keywords = data.draw(st.lists(st.sampled_from(tokens + _MODEL_KEYWORDS), min_size=1, max_size=3))
+    relations = data.draw(st.sets(st.sampled_from(sorted(RELATIONS)), min_size=1))
+    query = ConceptQuery(tuple(keywords), relations=frozenset(relations), depth=data.draw(st.integers(1, 3)))
+    limit = data.draw(st.integers(1, 20))
+    located = locate_concept(nodes, query, lexicon, limit)
+    expected = _reference_locate(nodes, query, lexicon, limit)
+    assert located == expected
+    # Evidence included, in phrase order, as the CLI prints it.
+    assert [list(m.per_keyword.items()) for m in located] == [list(m.per_keyword.items()) for m in expected]
 
 
 def test_each_distinct_token_is_lemmatized_once(lexicon, monkeypatch):

@@ -5,17 +5,15 @@ import pytest
 from lexiscope.extractor import SourceNode
 from lexiscope.lexicon import PosTag
 from lexiscope.vocabulary import (
-    FilterConfig,
     ProjectVocabulary,
     VocabularyEntry,
     build_vocabulary,
     compute_stats,
+    default_stoplist,
     load_stoplist,
     percent,
     top_k,
 )
-
-NO_FILTER = FilterConfig(stoplist=frozenset())
 
 
 def node(node_id, kind, name, parent=None):
@@ -34,7 +32,7 @@ def entry(word, total, pos=None):
 
 class TestBuildVocabulary:
     def test_single_class_node(self, lexicon):
-        vocab = build_vocabulary([node(0, "class", "Car")], lexicon, NO_FILTER)
+        vocab = build_vocabulary([node(0, "class", "Car")], lexicon)
         assert set(vocab.entries) == {"car"}
         car = vocab.entries["car"]
         assert car.recognized and car.pos == PosTag.NOUN
@@ -42,10 +40,10 @@ class TestBuildVocabulary:
         assert car.counts_by_kind == {"class": 1, "method": 0, "parameter": 0, "field": 0}
 
     def test_empty_node_list(self, lexicon):
-        assert build_vocabulary([], lexicon, NO_FILTER).entries == {}
+        assert build_vocabulary([], lexicon).entries == {}
 
     def test_set_value_split_counts(self, lexicon):
-        vocab = build_vocabulary([node(0, "method", "setValue")], lexicon, NO_FILTER)
+        vocab = build_vocabulary([node(0, "method", "setValue")], lexicon)
         assert set(vocab.entries) == {"set", "value"}
         for word in ("set", "value"):
             assert vocab.entries[word].counts_by_kind["method"] == 1
@@ -53,21 +51,20 @@ class TestBuildVocabulary:
 
     def test_inflections_merge_under_lemma(self, lexicon):
         nodes = [node(0, "field", "value"), node(1, "field", "values")]
-        vocab = build_vocabulary(nodes, lexicon, NO_FILTER)
+        vocab = build_vocabulary(nodes, lexicon)
         assert set(vocab.entries) == {"value"}
         assert vocab.entries["value"].total == 2
 
     def test_unrecognized_words_keep_raw_text(self, lexicon):
-        vocab = build_vocabulary([node(0, "method", "fooBar")], lexicon, NO_FILTER)
+        vocab = build_vocabulary([node(0, "method", "fooBar")], lexicon)
         assert set(vocab.entries) == {"foo", "bar"}
         for word_entry in vocab.entries.values():
             assert not word_entry.recognized
             assert word_entry.pos is None
 
     def test_stoplist_and_min_length(self, lexicon):
-        config = FilterConfig(stoplist=frozenset({"if"}))
         nodes = [node(0, "method", "ifValue"), node(1, "parameter", "aCar")]
-        vocab = build_vocabulary(nodes, lexicon, config)
+        vocab = build_vocabulary(nodes, lexicon, frozenset({"if"}))
         assert set(vocab.entries) == {"value", "car"}
 
     def test_counts_by_kind_accumulate(self, lexicon):
@@ -76,14 +73,14 @@ class TestBuildVocabulary:
             node(1, "field", "carWheel", 0),
             node(2, "parameter", "car", 0),
         ]
-        vocab = build_vocabulary(nodes, lexicon, NO_FILTER)
+        vocab = build_vocabulary(nodes, lexicon)
         car = vocab.entries["car"]
         assert car.counts_by_kind == {"class": 1, "method": 0, "parameter": 1, "field": 1}
         assert car.total == 3
 
     def test_recognized_iff_pos_present(self, lexicon):
         nodes = [node(i, "method", name) for i, name in enumerate(["setXyzzyValue", "runFoo"])]
-        vocab = build_vocabulary(nodes, lexicon, NO_FILTER)
+        vocab = build_vocabulary(nodes, lexicon)
         for word_entry in vocab.entries.values():
             assert word_entry.recognized == (word_entry.pos is not None)
 
@@ -95,8 +92,8 @@ class TestBuildVocabulary:
         ]
         shuffled = nodes[:]
         random.Random(7).shuffle(shuffled)
-        forward = build_vocabulary(nodes, lexicon, NO_FILTER)
-        backward = build_vocabulary(shuffled, lexicon, NO_FILTER)
+        forward = build_vocabulary(nodes, lexicon)
+        backward = build_vocabulary(shuffled, lexicon)
         assert forward.entries == backward.entries
 
     def test_conservation(self, lexicon):
@@ -108,14 +105,14 @@ class TestBuildVocabulary:
             node(2, "parameter", "newValue", 1),
             node(3, "field", "a", 0),
         ]
-        config = FilterConfig(stoplist=frozenset({"new"}))
+        stoplist = frozenset({"new"})
         surviving = sum(
             1
             for n in nodes
             for token in split_identifier(n.name)
-            if config.keeps(token)
+            if len(token) >= 2 and token not in stoplist
         )
-        vocab = build_vocabulary(nodes, lexicon, config)
+        vocab = build_vocabulary(nodes, lexicon, stoplist)
         assert sum(e.total for e in vocab.entries.values()) == surviving
 
 
@@ -128,7 +125,7 @@ class TestComputeStats:
             node(3, "parameter", "quicklyFoo", 1),
         ]
         stats = compute_stats(
-            build_vocabulary(nodes, lexicon, NO_FILTER, project_name="demo", file_count=4)
+            build_vocabulary(nodes, lexicon, project_name="demo", file_count=4)
         )
         assert stats.total_words == 7
         assert (stats.recognized, stats.unrecognized) == (6, 1)
@@ -146,14 +143,14 @@ class TestComputeStats:
 
     def test_two_recognized_one_not(self, lexicon):
         nodes = [node(0, "class", "CarWheel"), node(1, "field", "zzz", 0)]
-        stats = compute_stats(build_vocabulary(nodes, lexicon, NO_FILTER))
+        stats = compute_stats(build_vocabulary(nodes, lexicon))
         assert stats.total_words == 3
         assert stats.recognized == 2
         assert stats.recognized_pct == 67
         assert stats.noun_pct == 100
 
     def test_empty_vocabulary_is_all_zero(self, lexicon):
-        stats = compute_stats(build_vocabulary([], lexicon, NO_FILTER))
+        stats = compute_stats(build_vocabulary([], lexicon))
         assert stats.total_words == 0
         assert stats.recognized_pct == 0
         assert stats.adverb_pct == 0
@@ -200,7 +197,7 @@ class TestStoplist:
         assert load_stoplist(path) == frozenset({"foo", "bar"})
 
     def test_default_stoplist_contents(self):
-        stoplist = FilterConfig.default().stoplist
+        stoplist = default_stoplist()
         assert "a" in stoplist and "z" in stoplist
         assert "public" in stoplist and "while" in stoplist
         assert "class" not in stoplist
