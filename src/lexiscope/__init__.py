@@ -42,7 +42,6 @@ from .locator import (
 )
 from .tokenizer import split_identifier
 from .vocabulary import (
-    ProjectStats,
     ProjectVocabulary,
     VocabularyEntry,
     build_vocabulary,
@@ -73,7 +72,6 @@ __all__ = [
     "split_identifier",
     "VocabularyEntry",
     "ProjectVocabulary",
-    "ProjectStats",
     "build_vocabulary",
     "compute_stats",
     "top_k",

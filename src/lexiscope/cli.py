@@ -155,7 +155,8 @@ def cmd_analyze(args) -> int:
     if not project:
         raise ValueError(f"cannot name a project after {args.src!r}; pass --project NAME")
 
-    lexicon = load_lexicon(_dictionary_dir(args))
+    # Bad input exits 2 before the dictionary parse, which may take seconds.
+    dictionary = _dictionary_dir(args)
     if args.stoplist:
         with _text_input(args.stoplist):
             stoplist = load_stoplist(args.stoplist)
@@ -172,6 +173,7 @@ def cmd_analyze(args) -> int:
     else:
         nodes, file_count = extract_project(args.src)
 
+    lexicon = load_lexicon(dictionary)
     vocabulary = build_vocabulary(
         nodes, lexicon, stoplist, project_name=project, file_count=file_count
     )
@@ -183,39 +185,22 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-_STATS_ROWS = (
-    ("files", "file_count", None),
-    ("distinct words", "total_words", None),
-    ("recognized", "recognized", "recognized_pct"),
-    ("unrecognized", "unrecognized", "unrecognized_pct"),
-    ("nouns", "nouns", "noun_pct"),
-    ("verbs", "verbs", "verb_pct"),
-    ("adjectives", "adjectives", "adjective_pct"),
-    ("adverbs", "adverbs", "adverb_pct"),
-)
-
-
 def cmd_stats(args) -> int:
     stats = compute_stats(load_index(args.index).vocabulary)
     if args.format == "json":
-        document = {}
-        for label, count_attr, pct_attr in _STATS_ROWS:
-            key = label.replace(" ", "_")
-            document[key] = getattr(stats, count_attr)
-            if pct_attr:
-                document[key + "_pct"] = getattr(stats, pct_attr)
-        print(json.dumps(document, indent=2))
-    elif args.format == "csv":
+        print(json.dumps(stats, indent=2))
+        return 0
+    if args.format == "csv":
         print("metric,count,percent")
-        for label, count_attr, pct_attr in _STATS_ROWS:
-            pct = "" if pct_attr is None else getattr(stats, pct_attr)
-            print(f"{label.replace(' ', '_')},{getattr(stats, count_attr)},{pct}")
-    else:
-        for label, count_attr, pct_attr in _STATS_ROWS:
-            line = f"{label:<16}{getattr(stats, count_attr):>8}"
-            if pct_attr is not None:
-                line += f" ({getattr(stats, pct_attr)}%)"
-            print(line)
+    for key, count in stats.items():
+        if key.endswith("_pct"):
+            continue
+        pct = stats.get(key + "_pct")
+        if args.format == "csv":
+            print(f"{key},{count},{'' if pct is None else pct}")
+        else:
+            label = key.replace("_", " ")
+            print(f"{label:<16}{count:>8}" + ("" if pct is None else f" ({pct}%)"))
     return 0
 
 

@@ -394,6 +394,8 @@ def extract_project(
     for path in sorted(root.rglob("*.java")):
         try:
             text = path.read_text(encoding="utf-8", errors="replace")
+        except IsADirectoryError:  # a directory named like a source file
+            continue
         except OSError:
             diagnostics.unreadable_files += 1
             continue

@@ -96,7 +96,8 @@ def load_index(path: str | Path) -> ProjectIndex:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
 
-    if not isinstance(document, dict) or document.get("formatVersion") != FORMAT_VERSION:
+    version = document.get("formatVersion") if isinstance(document, dict) else None
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InvalidIndexError(f"unsupported index format in {path}")
     project_name = document.get("projectName")
     file_count = document.get("fileCount")

@@ -235,7 +235,13 @@ def _parse_lexicon(root: Path):
 
         exc_name = f"{suffix}.exc"
         if (root / exc_name).is_file():
-            exceptions[pos] = _parse_exceptions(root / exc_name)
+            # inflected_form base_form...
+            table = exceptions[pos] = {}
+            for line_no, fields in _dict_lines(root / exc_name):
+                if len(fields) == 1:
+                    raise MalformedLineError(exc_name, line_no, "exception line without a base form")
+                form, *bases = (field.lower() for field in fields)
+                table[form] = tuple(bases)
 
     # Pointer targets must resolve; data files carry both directions.  Only
     # a failure reads the pointing file again, to find the line to report.
@@ -301,7 +307,7 @@ def _parse_index_line(fields: list[str], tag: PosTag, file_name: str, line_no: i
         synset_cnt = int(fields[2])
         p_cnt = int(fields[3])
         rest = fields[4 + p_cnt:]
-        tag_count = int(rest[1])
+        _sense_cnt, tag_count = int(rest[0]), int(rest[1])
         offsets = [int(off) for off in rest[2 : 2 + synset_cnt]]
         if len(offsets) != synset_cnt or len(rest) != 2 + synset_cnt:
             raise ValueError("field count mismatch")
@@ -349,25 +355,9 @@ def _strip_marker(word: str) -> str:
     return word
 
 
-def _parse_exceptions(path: Path) -> dict[str, tuple[str, ...]]:
-    # inflected_form base_form...
-    table: dict[str, tuple[str, ...]] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                words = line.lower().split()
-                if len(words) == 1:
-                    raise MalformedLineError(path.name, line_no, "exception line without a base form")
-                if words:
-                    table[words[0]] = tuple(words[1:])
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from exc
-    return table
-
-
 # Bump when the parse, the shape of its tables or the snapshot layout
 # changes, so that no snapshot of an older format is read.
-_SNAPSHOT_FORMAT = b"lexiscope-lexicon-2"
+_SNAPSHOT_FORMAT = b"lexiscope-lexicon-3"
 
 # Shards per table.
 _SHARDS = 1024

@@ -20,7 +20,6 @@ from .tokenizer import split_identifier
 __all__ = [
     "VocabularyEntry",
     "ProjectVocabulary",
-    "ProjectStats",
     "load_stoplist",
     "default_stoplist",
     "build_vocabulary",
@@ -50,32 +49,6 @@ class ProjectVocabulary:
     project_name: str
     file_count: int
     entries: dict[str, VocabularyEntry] = dataclass_field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ProjectStats:
-    """Distinct-word statistics of one project vocabulary.
-
-    Identities: recognized + unrecognized == total_words and
-    nouns + verbs + adjectives + adverbs == recognized.  Percentages are
-    whole percents (half-up): recognized/unrecognized over total_words,
-    each part of speech over recognized.
-    """
-
-    file_count: int
-    total_words: int
-    recognized: int
-    unrecognized: int
-    nouns: int
-    verbs: int
-    adjectives: int
-    adverbs: int
-    recognized_pct: int
-    unrecognized_pct: int
-    noun_pct: int
-    verb_pct: int
-    adjective_pct: int
-    adverb_pct: int
 
 
 def percent(numerator: int, denominator: int) -> int:
@@ -144,32 +117,34 @@ def build_vocabulary(
     return vocabulary
 
 
-def compute_stats(vocabulary: ProjectVocabulary) -> ProjectStats:
-    """Distinct-word totals, recognition split, and POS breakdown."""
+def compute_stats(vocabulary: ProjectVocabulary) -> dict[str, int]:
+    """Distinct-word totals, recognition split, and POS breakdown.
+
+    Keys, in this order: files, distinct_words, then recognized,
+    unrecognized, nouns, verbs, adjectives and adverbs, each followed by
+    its whole percent (half-up) under `<key>_pct`: recognized and
+    unrecognized over distinct_words, each part of speech over recognized.
+    Identities: recognized + unrecognized == distinct_words and
+    nouns + verbs + adjectives + adverbs == recognized.
+    """
     pos_counts = {tag: 0 for tag in PosTag}
-    recognized = 0
     for entry in vocabulary.entries.values():
         if entry.recognized:
-            recognized += 1
             pos_counts[entry.pos] += 1
-    total = len(vocabulary.entries)
-    unrecognized = total - recognized
-    return ProjectStats(
-        file_count=vocabulary.file_count,
-        total_words=total,
-        recognized=recognized,
-        unrecognized=unrecognized,
-        nouns=pos_counts[PosTag.NOUN],
-        verbs=pos_counts[PosTag.VERB],
-        adjectives=pos_counts[PosTag.ADJECTIVE],
-        adverbs=pos_counts[PosTag.ADVERB],
-        recognized_pct=percent(recognized, total),
-        unrecognized_pct=percent(unrecognized, total),
-        noun_pct=percent(pos_counts[PosTag.NOUN], recognized),
-        verb_pct=percent(pos_counts[PosTag.VERB], recognized),
-        adjective_pct=percent(pos_counts[PosTag.ADJECTIVE], recognized),
-        adverb_pct=percent(pos_counts[PosTag.ADVERB], recognized),
-    )
+    distinct = len(vocabulary.entries)
+    recognized = sum(pos_counts.values())
+    stats = {"files": vocabulary.file_count, "distinct_words": distinct}
+    for key, count, whole in (
+        ("recognized", recognized, distinct),
+        ("unrecognized", distinct - recognized, distinct),
+        ("nouns", pos_counts[PosTag.NOUN], recognized),
+        ("verbs", pos_counts[PosTag.VERB], recognized),
+        ("adjectives", pos_counts[PosTag.ADJECTIVE], recognized),
+        ("adverbs", pos_counts[PosTag.ADVERB], recognized),
+    ):
+        stats[key] = count
+        stats[key + "_pct"] = percent(count, whole)
+    return stats
 
 
 def top_k(vocabulary: ProjectVocabulary, k: int) -> list[VocabularyEntry]:

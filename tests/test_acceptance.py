@@ -83,10 +83,10 @@ def test_criterion_1_stats_partition_identity(lexicon):
         for _ in range(1000):
             nodes = random_nodes(rng, rng.randint(0, 25))
             stats = compute_stats(build_vocabulary(nodes, lexicon, stoplist))
-            assert stats.recognized + stats.unrecognized == stats.total_words
+            assert stats["recognized"] + stats["unrecognized"] == stats["distinct_words"]
             assert (
-                stats.nouns + stats.verbs + stats.adjectives + stats.adverbs
-                == stats.recognized
+                stats["nouns"] + stats["verbs"] + stats["adjectives"] + stats["adverbs"]
+                == stats["recognized"]
             )
         elapsed = time.monotonic() - started
         assert elapsed < 5.0, f"took {elapsed:.2f}s"

@@ -58,6 +58,20 @@ class TestAnalyze:
                    "-o", str(tmp_path / "o.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("mode", ["missing-directory", "bad-jsonl-record"])
+    def test_bad_input_exits_2_before_the_dictionary_loads(self, tmp_path, monkeypatch, mode):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        if mode == "missing-directory":
+            args = [str(tmp_path / "nope")]
+        else:
+            node_file = tmp_path / "nodes.jsonl"
+            node_file.write_text('{"kind":"class","name":"X","file":"a.java","line":0}\n')
+            args = [str(node_file), "--input-mode", "jsonl"]
+        rc = main(["analyze", *args, "--dict", str(MINIDICT), "-o", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert not (cache / "lexiscope").exists()
+
     def test_bad_dictionary_exits_3(self, tmp_path):
         rc = main(["analyze", str(MINICORPUS), "--dict", str(tmp_path),
                    "-o", str(tmp_path / "o.json")])
@@ -188,8 +202,26 @@ class TestStats:
 
     def test_json_matches_table_numbers(self, corpus_index, capsys):
         assert main(["stats", corpus_index, "--format", "json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document == {
+        out = capsys.readouterr().out
+        assert out == (
+            "{\n"
+            '  "files": 20,\n'
+            '  "distinct_words": 73,\n'
+            '  "recognized": 17,\n'
+            '  "recognized_pct": 23,\n'
+            '  "unrecognized": 56,\n'
+            '  "unrecognized_pct": 77,\n'
+            '  "nouns": 11,\n'
+            '  "nouns_pct": 65,\n'
+            '  "verbs": 4,\n'
+            '  "verbs_pct": 24,\n'
+            '  "adjectives": 1,\n'
+            '  "adjectives_pct": 6,\n'
+            '  "adverbs": 1,\n'
+            '  "adverbs_pct": 6\n'
+            "}\n"
+        )
+        assert json.loads(out) == {
             "files": 20,
             "distinct_words": 73,
             "recognized": 17,
@@ -208,10 +240,17 @@ class TestStats:
 
     def test_csv_format(self, corpus_index, capsys):
         assert main(["stats", corpus_index, "--format", "csv"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "metric,count,percent"
-        assert "recognized,17,23" in lines
-        assert "files,20," in lines
+        assert capsys.readouterr().out.splitlines(keepends=True) == [
+            "metric,count,percent\n",
+            "files,20,\n",
+            "distinct_words,73,\n",
+            "recognized,17,23\n",
+            "unrecognized,56,77\n",
+            "nouns,11,65\n",
+            "verbs,4,24\n",
+            "adjectives,1,6\n",
+            "adverbs,1,6\n",
+        ]
 
     def test_empty_project_all_zero(self, tmp_path, capsys):
         index_path = make_index(tmp_path / "empty.json", "empty", {})

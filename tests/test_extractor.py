@@ -582,6 +582,16 @@ class TestExtractProject:
         with pytest.raises(OSError):
             extract_project(tmp_path / "nope")
 
+    def test_directory_named_java_is_skipped_and_dangling_link_unreadable(self, tmp_path):
+        (tmp_path / "pkg.java").mkdir()
+        (tmp_path / "pkg.java" / "a.java").write_text("class A { }")
+        (tmp_path / "C.java").symlink_to(tmp_path / "gone.java")
+        diagnostics = ScanDiagnostics()
+        nodes, file_count = extract_project(tmp_path, diagnostics)
+        assert file_count == 1
+        assert [n.file_path for n in nodes] == ["pkg.java/a.java"]
+        assert diagnostics.unreadable_files == 1
+
     def test_parent_ids_reference_earlier_nodes(self, tmp_path):
         (tmp_path / "a.java").write_text("class A { void f(int p) {} }")
         (tmp_path / "b.java").write_text("class B { int q; }")

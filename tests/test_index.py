@@ -102,6 +102,8 @@ class TestValidation:
             lambda d: d["vocabulary"][0].update(pos="NOUN"),
             lambda d: d["vocabulary"][0].update(pos=1),
             lambda d: d["vocabulary"][0].update(pos=["noun"]),
+            lambda d: d.update(formatVersion=True),
+            lambda d: d.update(formatVersion=1.0),
         ],
         ids=[
             "bad-version",
@@ -127,6 +129,8 @@ class TestValidation:
             "upper-case-pos",
             "int-pos",
             "list-pos",
+            "bool-format-version",
+            "float-format-version",
         ],
     )
     def test_invalid_documents_rejected(self, tmp_path, mutate):

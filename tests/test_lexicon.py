@@ -61,6 +61,8 @@ _APPENDED_LINES = [
     pytest.param("index.noun", "car n 1 0 1 0 00000001", None, id="duplicate-lemma"),
     pytest.param("verb.exc", "went", None, id="exception-without-base-form"),
     pytest.param("index.noun", " zap n 1 0 1 0 00000001", None, id="indented-line-after-header"),
+    pytest.param("verb.exc", " sped speed", None, id="indented-exception-line"),
+    pytest.param("index.noun", "motorcar n 1 1 @ X 2 00000003", None, id="sense-count-not-a-number"),
     pytest.param(
         "data.noun", "00000099 03 n 01 zap 0 001 @ 00000077 n 0000 | points nowhere", None,
         id="unresolved-pointer",

@@ -127,33 +127,35 @@ class TestComputeStats:
         stats = compute_stats(
             build_vocabulary(nodes, lexicon, project_name="demo", file_count=4)
         )
-        assert stats.total_words == 7
-        assert (stats.recognized, stats.unrecognized) == (6, 1)
-        assert (stats.nouns, stats.verbs, stats.adjectives, stats.adverbs) == (3, 1, 1, 1)
-        assert stats.recognized + stats.unrecognized == stats.total_words
-        assert stats.nouns + stats.verbs + stats.adjectives + stats.adverbs == stats.recognized
-        assert (stats.recognized_pct, stats.unrecognized_pct) == (86, 14)
-        assert (stats.noun_pct, stats.verb_pct, stats.adjective_pct, stats.adverb_pct) == (
-            50,
-            17,
-            17,
-            17,
+        assert stats["distinct_words"] == 7
+        assert (stats["recognized"], stats["unrecognized"]) == (6, 1)
+        assert (
+            stats["nouns"], stats["verbs"], stats["adjectives"], stats["adverbs"]
+        ) == (3, 1, 1, 1)
+        assert stats["recognized"] + stats["unrecognized"] == stats["distinct_words"]
+        assert (
+            stats["nouns"] + stats["verbs"] + stats["adjectives"] + stats["adverbs"]
+            == stats["recognized"]
         )
-        assert stats.file_count == 4
+        assert (stats["recognized_pct"], stats["unrecognized_pct"]) == (86, 14)
+        assert (
+            stats["nouns_pct"], stats["verbs_pct"], stats["adjectives_pct"], stats["adverbs_pct"]
+        ) == (50, 17, 17, 17)
+        assert stats["files"] == 4
 
     def test_two_recognized_one_not(self, lexicon):
         nodes = [node(0, "class", "CarWheel"), node(1, "field", "zzz", 0)]
         stats = compute_stats(build_vocabulary(nodes, lexicon))
-        assert stats.total_words == 3
-        assert stats.recognized == 2
-        assert stats.recognized_pct == 67
-        assert stats.noun_pct == 100
+        assert stats["distinct_words"] == 3
+        assert stats["recognized"] == 2
+        assert stats["recognized_pct"] == 67
+        assert stats["nouns_pct"] == 100
 
     def test_empty_vocabulary_is_all_zero(self, lexicon):
         stats = compute_stats(build_vocabulary([], lexicon))
-        assert stats.total_words == 0
-        assert stats.recognized_pct == 0
-        assert stats.adverb_pct == 0
+        assert stats["distinct_words"] == 0
+        assert stats["recognized_pct"] == 0
+        assert stats["adverbs_pct"] == 0
 
 
 class TestPercent:
