@@ -1,8 +1,9 @@
 """Command-line surface: analyze, stats, topwords, domain, locate.
 
-Exit codes: 0 success, 1 usage problem, 2 I/O or bad input file,
-3 dictionary load failure.  The dictionary directory comes from --dict
-or the LEXISCOPE_DICT environment variable.
+Exit codes: 0 success (also when stdout is closed early), 1 usage
+problem, 2 I/O or bad input file, 3 dictionary load failure.  The
+dictionary directory comes from --dict or the LEXISCOPE_DICT environment
+variable.
 """
 
 from __future__ import annotations
@@ -96,7 +97,17 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         with _collector_paused():
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # A reader that stopped early (head, a pager) is not a bad input.
+        # Stdout goes to devnull so the interpreter's own flush at exit
+        # does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ValueError as exc:
         print(f"lexiscope: error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 __all__ = [
     "SourceNode",
@@ -60,8 +60,7 @@ _BRACKETS = {"(": ")", "[": "]", "{": "}"}
 _INITIALIZER_ENDS = {",", ";", ")", "]", "}"}
 
 
-@dataclass(frozen=True)
-class SourceNode:
+class SourceNode(NamedTuple):
     """One extracted declaration: a class, method, parameter, or field."""
 
     id: int

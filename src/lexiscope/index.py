@@ -3,16 +3,25 @@
 The index is a single human-readable document: project metadata, the
 extracted nodes, and the vocabulary entries (sorted by word).  Writing is
 byte-deterministic for identical inputs, and loading re-validates every
-structural invariant, so round-trips are exact.
+structural invariant, so round-trips are exact.  A load of bytes that an
+earlier load from the same path validated reads the marshalled slot that
+load left in the cache instead.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import marshal
+import os
+import sys
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
+from ._snapshot import cache_directory, read_checked, write_checked
 from .extractor import KINDS, SourceNode, _validate_node
 from .lexicon import PosTag
 from .vocabulary import ProjectVocabulary, VocabularyEntry
@@ -91,11 +100,48 @@ def save_index(index: ProjectIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> ProjectIndex:
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
+    """Read and validate an index file.
 
+    Raises InvalidIndexError if the file cannot be read or breaks any rule
+    of the format.  A successful parse is stored in the file's slot,
+    ``<cache>/lexiscope/index-<sha256 of its absolute path>.marshal``,
+    keyed by the content of the index file; a later load of the same bytes
+    from the same path builds the index from the slot without parsing.  A
+    slot that is missing, damaged, of another shape or of other bytes only
+    means a parse, so every InvalidIndexError comes from the parse.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
+    slot = _slot_path(path)
+    if slot is not None:
+        key = hashlib.sha256(_SLOT_FORMAT)
+        key.update(str(sys.implementation.cache_tag).encode())
+        key.update(data)
+        key = key.digest()
+        payload = read_checked(slot)
+        index = None if payload is None else _index_from_slot(payload, key)
+        if index is not None:
+            return index
+    # The bytes, and then the text, are dropped as soon as they are used, so
+    # neither sits beside the parsed document.
+    try:
+        # Decoded as Path.read_text decodes, newlines translated.
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        del data
+        document = json.loads(text)
+        del text
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
+    index = _index_from_document(document, path)
+    if slot is not None:
+        write_checked(slot, _slot_payload(key, index))
+    return index
+
+
+def _index_from_document(document, path) -> ProjectIndex:
+    """Validate a decoded index document into a ProjectIndex."""
     version = document.get("formatVersion") if isinstance(document, dict) else None
     if type(version) is not int or version != FORMAT_VERSION:
         raise InvalidIndexError(f"unsupported index format in {path}")
@@ -163,3 +209,69 @@ def _parse_entry(raw, path) -> VocabularyEntry:
     if type(total) is not int or total != sum(by_kind.values()) or total < 1:
         raise InvalidIndexError(f"{word}: total must equal the sum of counts in {path}")
     return VocabularyEntry(word, recognized, pos, total, by_kind)
+
+
+# Bump when the parse, the index format or the slot layout changes, so that
+# no slot of an older format is read.
+_SLOT_FORMAT = b"lexiscope-index-1"
+
+# A slot stores a pos as its int value, or None.
+_POS_OF_INT = {None: None, **{int(tag): tag for tag in PosTag}}
+
+
+def _slot_path(path) -> Path | None:
+    """The slot of the index file at path, or None when there is no cache."""
+    cache = cache_directory()
+    if cache is None:
+        return None
+    return cache / f"index-{hashlib.sha256(os.fsencode(os.path.abspath(path))).hexdigest()}.marshal"
+
+
+def _slot_payload(key: bytes, index: ProjectIndex) -> bytes:
+    """The marshalled (key, project name, file count, node columns, vocabulary rows).
+
+    The node columns are kind, name, file, line and parent; a node's id is
+    its position.  A row is a word, its pos as an int or None, its total
+    and its four counts in KINDS order.
+    """
+    vocabulary = index.vocabulary
+    _ids, kinds, names, files, lines, parents = zip(*index.nodes) if index.nodes else ((),) * 6
+    # One object per distinct kind and file, which marshal writes once.
+    same: dict[str, str] = {}
+    kinds, files = (tuple([same.setdefault(value, value) for value in column]) for column in (kinds, files))
+    rows = tuple(
+        (entry.word, None if entry.pos is None else int(entry.pos), entry.total,
+         *[entry.counts_by_kind[kind] for kind in KINDS])
+        for entry in vocabulary.entries.values()
+    )
+    return marshal.dumps(
+        (key, vocabulary.project_name, vocabulary.file_count, kinds, names, files, lines, parents, rows)
+    )
+
+
+def _index_from_slot(payload: memoryview, key: bytes) -> ProjectIndex | None:
+    """The index a slot payload holds under key, or None for another key or a bad shape."""
+    try:
+        stored = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if not (isinstance(stored, tuple) and len(stored) == 9 and stored[0] == key):
+        return None
+    _key, project_name, file_count, kinds, names, files, lines, parents, rows = stored
+    columns = (kinds, names, files, lines, parents)
+    if not (all(type(column) is tuple and len(column) == len(kinds) for column in columns)
+            and type(rows) is tuple):
+        return None
+    try:
+        entries = {
+            word: VocabularyEntry(word, pos is not None, _POS_OF_INT[pos], total,
+                                  dict(zip(KINDS, counts, strict=True)))
+            for word, pos, total, *counts in rows
+        }
+    except (TypeError, ValueError, KeyError):
+        return None
+    if len(entries) != len(rows):
+        return None
+    # tuple.__new__ over the zipped columns makes each node without a Python call.
+    nodes = list(map(tuple.__new__, repeat(SourceNode), zip(range(len(kinds)), *columns)))
+    return ProjectIndex(nodes, ProjectVocabulary(project_name, file_count, entries))

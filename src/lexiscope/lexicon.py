@@ -10,15 +10,16 @@ pointer type are parsed past and dropped.
 
 from __future__ import annotations
 
-import contextlib
 import enum
+import hashlib
 import marshal
-import os
 import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+
+from ._snapshot import cache_directory, read_checked, write_checked
 
 __all__ = [
     "PosTag",
@@ -199,7 +200,7 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
         # A file edited during the parse would file its tables under a key
         # they do not match.
         if snapshot is not None and _snapshot_path(root) == snapshot:
-            _write_snapshot(snapshot, payload)
+            write_checked(snapshot, payload)
         tables = _open_payload(memoryview(payload))
     return Lexicon(*tables)
 
@@ -527,16 +528,11 @@ def _snapshot_path(root: Path) -> Path | None:
     """The snapshot file for the dictionary content under root, or None for none.
 
     The key is a sha256 over the snapshot format, this Python's cache tag
-    (marshal's format is per Python version) and each file's sha256.  The
-    cache is $XDG_CACHE_HOME if that is absolute, else ~/.cache.
+    (marshal's format is per Python version) and each file's sha256.
     """
-    cache = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(cache):
-        cache = os.path.expanduser(os.path.join("~", ".cache"))
-        if not os.path.isabs(cache):
-            return None
-    import hashlib  # here, not at the top: stats and topwords never load a dictionary
-
+    cache = cache_directory()
+    if cache is None:
+        return None
     key = hashlib.sha256(_SNAPSHOT_FORMAT)
     key.update(str(sys.implementation.cache_tag).encode())
     try:
@@ -552,52 +548,18 @@ def _snapshot_path(root: Path) -> Path | None:
             key.update(digest.digest())
     except OSError:
         return None
-    return Path(cache) / "lexiscope" / f"{key.hexdigest()}.marshal"
+    return cache / f"{key.hexdigest()}.marshal"
 
 
 def _read_snapshot(path: Path):
     """The (entries, synsets, exceptions) stored at path, or None if there are none.
 
-    The file is the sha256 of its payload, then the payload (see
-    _snapshot_payload).  A missing, unreadable, truncated or altered file,
-    or a payload _open_payload rejects, gives None.  The whole file is
-    checked here, so the shards the tables unmarshal later are the ones
-    that were written.
+    The payload (see _snapshot_payload) is checked whole by read_checked,
+    so the shards the tables unmarshal later are the ones that were
+    written; a payload _open_payload rejects gives None.
     """
-    import hashlib
-
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return None
-    payload = memoryview(data)[32:]
-    if hashlib.sha256(payload).digest() != data[:32]:
-        return None
-    return _open_payload(payload)
-
-
-def _write_snapshot(path: Path, payload: bytes) -> None:
-    """Store a payload at path for _read_snapshot; a cache that cannot be written is skipped.
-
-    The file is written under a temporary name and renamed into place, so
-    a concurrent load never reads a partial snapshot.
-    """
-    import hashlib
-    import tempfile
-
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    except OSError:
-        return
-    try:
-        with os.fdopen(handle, "wb") as out:
-            out.write(hashlib.sha256(payload).digest())
-            out.write(payload)
-        os.replace(temp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
+    payload = read_checked(path)
+    return None if payload is None else _open_payload(payload)
 
 
 def lemmatize(lexicon: Lexicon, token: str) -> list[tuple[str, PosTag]]:

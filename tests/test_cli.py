@@ -72,6 +72,13 @@ class TestAnalyze:
         assert rc == 2
         assert not (cache / "lexiscope").exists()
 
+    def test_analyze_writes_no_index_slot(self, tmp_path, monkeypatch):
+        # Only a parse of the written bytes may fill an index's slot.
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(tmp_path / "o.json")]) == 0
+        assert [p for p in (cache / "lexiscope").iterdir() if p.name.startswith("index-")] == []
+
     def test_bad_dictionary_exits_3(self, tmp_path):
         rc = main(["analyze", str(MINICORPUS), "--dict", str(tmp_path),
                    "-o", str(tmp_path / "o.json")])
@@ -407,6 +414,25 @@ class TestLocate:
         ]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["stats", "--format", "json"], ["topwords", "-k", "5", "--format", "json"],
+     ["locate", "find word form", "--dict", str(MINIDICT)]],
+    ids=["stats", "topwords", "locate"],
+)
+def test_warm_index_load_prints_what_the_parse_printed(tmp_path, monkeypatch, capsys, command):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    index = tmp_path / "minicorpus.json"
+    shutil.copyfile(GOLDEN_INDEX, index)
+    printed = []
+    for _ in range(2):
+        assert main([command[0], str(index), *command[1:]]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    assert len(list((cache / "lexiscope").glob("index-*.marshal"))) == 1
+
+
 class TestParser:
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
@@ -428,6 +454,22 @@ class TestParser:
         assert result.returncode == 0
         assert result.stdout.startswith("usage: lexiscope")
         assert "analyze" in result.stdout and "locate" in result.stdout
+
+    @pytest.mark.parametrize("command", [["stats", "--format", "json"], ["topwords", "-k", "5"]])
+    def test_closed_stdout_exits_0_quietly(self, command):
+        # A reader that stops early, as `| head -1` does, is not a bad input.
+        src = str(Path(lexiscope.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "lexiscope", command[0], str(GOLDEN_INDEX), *command[1:]],
+                stdout=write_end, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (0, b"")
 
 
 DICTIONARY_COMMANDS = ("analyze", "locate", "domain-semantic")

@@ -1,15 +1,25 @@
+import hashlib
 import json
+import marshal
+import os
+import shutil
+import stat
+from contextlib import contextmanager
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexiscope.index as index_module
 from lexiscope.extractor import KINDS, SchemaError, SourceNode, extract_project, ingest_nodes
 from lexiscope.index import FORMAT_VERSION, InvalidIndexError, ProjectIndex, load_index, save_index
 from lexiscope.lexicon import PosTag
 from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry, build_vocabulary, default_stoplist
 
-from conftest import MINICORPUS
+from conftest import FIXTURES, MINICORPUS
+from test_locator import _node_trees
 
 
 @pytest.fixture
@@ -65,6 +75,40 @@ def _write_document(tmp_path, mutate):
     return path
 
 
+# One mutation of a valid document per rule that load_index enforces.
+_INVALID_DOCUMENTS = {
+    "bad-version": lambda d: d.update(formatVersion=2),
+    "missing-nodes": lambda d: d.pop("nodes"),
+    "non-dense-ids": lambda d: d["nodes"][0].update(id=5),
+    "bad-kind": lambda d: d["nodes"][0].update(kind="module"),
+    "bad-name": lambda d: d["nodes"][0].update(name="not valid!"),
+    "forward-parent": lambda d: d["nodes"][0].update(parent=0),
+    "total-mismatch": lambda d: d["vocabulary"][0].update(total=7),
+    "recognized-without-pos": lambda d: d["vocabulary"][0].update(pos=None),
+    "unknown-pos": lambda d: d["vocabulary"][0].update(pos="article"),
+    "missing-counts": lambda d: d["vocabulary"][0].pop("counts"),
+    "duplicate-word": lambda d: d["vocabulary"].append(dict(d["vocabulary"][0])),
+    "parentless-field": lambda d: d["nodes"][0].update(kind="field"),
+    "parameter-under-field": lambda d: d["nodes"].extend(
+        [_node(1, "field", "wheels", 0), _node(2, "parameter", "speed", 1)]
+    ),
+    "method-under-method": lambda d: d["nodes"].extend(
+        [_node(1, "method", "drive", 0), _node(2, "method", "steer", 1)]
+    ),
+    "empty-file": lambda d: d["nodes"][0].update(file=""),
+    "boolean-line": lambda d: d["nodes"][0].update(line=True),
+    "boolean-file-count": lambda d: d.update(fileCount=True),
+    "boolean-total": lambda d: d["vocabulary"][0].update(total=True),
+    "boolean-id": lambda d: d["nodes"].append(_node(True, "method", "drive", 0)),
+    "capitalized-pos": lambda d: d["vocabulary"][0].update(pos="Noun"),
+    "upper-case-pos": lambda d: d["vocabulary"][0].update(pos="NOUN"),
+    "int-pos": lambda d: d["vocabulary"][0].update(pos=1),
+    "list-pos": lambda d: d["vocabulary"][0].update(pos=["noun"]),
+    "bool-format-version": lambda d: d.update(formatVersion=True),
+    "float-format-version": lambda d: d.update(formatVersion=1.0),
+}
+
+
 class TestValidation:
     def test_valid_document_loads(self, tmp_path):
         path = _write_document(tmp_path, lambda d: None)
@@ -72,67 +116,7 @@ class TestValidation:
         assert index.nodes[0].name == "Car"
         assert list(index.vocabulary.entries) == ["car"]
 
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda d: d.update(formatVersion=2),
-            lambda d: d.pop("nodes"),
-            lambda d: d["nodes"][0].update(id=5),
-            lambda d: d["nodes"][0].update(kind="module"),
-            lambda d: d["nodes"][0].update(name="not valid!"),
-            lambda d: d["nodes"][0].update(parent=0),
-            lambda d: d["vocabulary"][0].update(total=7),
-            lambda d: d["vocabulary"][0].update(pos=None),
-            lambda d: d["vocabulary"][0].update(pos="article"),
-            lambda d: d["vocabulary"][0].pop("counts"),
-            lambda d: d["vocabulary"].append(dict(d["vocabulary"][0])),
-            lambda d: d["nodes"][0].update(kind="field"),
-            lambda d: d["nodes"].extend(
-                [_node(1, "field", "wheels", 0), _node(2, "parameter", "speed", 1)]
-            ),
-            lambda d: d["nodes"].extend(
-                [_node(1, "method", "drive", 0), _node(2, "method", "steer", 1)]
-            ),
-            lambda d: d["nodes"][0].update(file=""),
-            lambda d: d["nodes"][0].update(line=True),
-            lambda d: d.update(fileCount=True),
-            lambda d: d["vocabulary"][0].update(total=True),
-            lambda d: d["nodes"].append(_node(True, "method", "drive", 0)),
-            lambda d: d["vocabulary"][0].update(pos="Noun"),
-            lambda d: d["vocabulary"][0].update(pos="NOUN"),
-            lambda d: d["vocabulary"][0].update(pos=1),
-            lambda d: d["vocabulary"][0].update(pos=["noun"]),
-            lambda d: d.update(formatVersion=True),
-            lambda d: d.update(formatVersion=1.0),
-        ],
-        ids=[
-            "bad-version",
-            "missing-nodes",
-            "non-dense-ids",
-            "bad-kind",
-            "bad-name",
-            "forward-parent",
-            "total-mismatch",
-            "recognized-without-pos",
-            "unknown-pos",
-            "missing-counts",
-            "duplicate-word",
-            "parentless-field",
-            "parameter-under-field",
-            "method-under-method",
-            "empty-file",
-            "boolean-line",
-            "boolean-file-count",
-            "boolean-total",
-            "boolean-id",
-            "capitalized-pos",
-            "upper-case-pos",
-            "int-pos",
-            "list-pos",
-            "bool-format-version",
-            "float-format-version",
-        ],
-    )
+    @pytest.mark.parametrize("mutate", list(_INVALID_DOCUMENTS.values()), ids=list(_INVALID_DOCUMENTS))
     def test_invalid_documents_rejected(self, tmp_path, mutate):
         path = _write_document(tmp_path, mutate)
         with pytest.raises(InvalidIndexError):
@@ -273,3 +257,203 @@ def test_save_writes_the_json_encoders_bytes(tmp_path_factory, index):
     save_index(index, path)
     assert path.read_bytes() == _reference_bytes(index)
 
+
+
+# --- the index slot --------------------------------------------------------
+
+
+def _parsed(path):
+    """The unchanged parse of the file at path, as a load without a slot gives it."""
+    return index_module._index_from_document(json.loads(Path(path).read_text(encoding="utf-8")), path)
+
+
+@contextmanager
+def _no_parse():
+    with mock.patch.object(index_module, "_index_from_document", side_effect=AssertionError("parsed")):
+        yield
+
+
+def _assert_same_index(loaded, parsed):
+    assert loaded.nodes == parsed.nodes
+    assert all(type(node) is SourceNode for node in loaded.nodes)
+    assert loaded.vocabulary == parsed.vocabulary
+    entries, expected = loaded.vocabulary.entries.values(), parsed.vocabulary.entries.values()
+    assert [(e.word, list(e.counts_by_kind)) for e in entries] == [
+        (e.word, list(e.counts_by_kind)) for e in expected
+    ]
+    assert all(entry.pos is None or type(entry.pos) is PosTag for entry in entries)
+
+
+_entry_counts = st.lists(_counts, min_size=4, max_size=4).filter(any)
+
+
+@st.composite
+def _valid_indexes(draw):
+    vocabulary = ProjectVocabulary(draw(_awkward_text), draw(_counts))
+    for word in draw(st.lists(_awkward_text.filter(bool), max_size=6, unique=True)):
+        counts = dict(zip(KINDS, draw(_entry_counts)))
+        pos = draw(st.none() | st.sampled_from(list(PosTag)))
+        vocabulary.entries[word] = VocabularyEntry(word, pos is not None, pos, sum(counts.values()), counts)
+    return ProjectIndex(draw(_node_trees()), vocabulary)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_indexes())
+def test_warm_load_equals_the_parse(tmp_path_factory, index):
+    path = tmp_path_factory.getbasetemp() / "warm.json"
+    save_index(index, path)
+    index_module._slot_path(path).unlink(missing_ok=True)
+    parsed = _parsed(path)
+    cold = load_index(path)
+    with _no_parse():
+        warm = load_index(path)
+    _assert_same_index(cold, parsed)
+    _assert_same_index(warm, parsed)
+
+
+@pytest.fixture
+def slots(tmp_path, monkeypatch):
+    """An empty cache of this test's own; returns its lexiscope directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "lexiscope"
+
+
+@pytest.fixture
+def golden(tmp_path):
+    """A copy of the minicorpus index."""
+    path = tmp_path / "minicorpus.json"
+    shutil.copyfile(FIXTURES / "minicorpus_index.json", path)
+    return path
+
+
+def _signed(payload: bytes) -> bytes:
+    return hashlib.sha256(payload).digest() + payload
+
+
+def _reshaped(change):
+    """A slot with a valid digest over the stored tuple as change leaves it."""
+    return lambda data: _signed(marshal.dumps(change(marshal.loads(data[32:]))))
+
+
+def _with_rows(change):
+    return _reshaped(lambda stored: stored[:-1] + (change(stored[-1]),))
+
+
+class TestSlot:
+    def test_second_load_reads_the_slot(self, golden, slots, monkeypatch):
+        parsed = _parsed(golden)
+        _assert_same_index(load_index(golden), parsed)
+        [slot] = slots.iterdir()
+        assert slot == index_module._slot_path(golden)
+        assert slot.name == f"index-{hashlib.sha256(os.fsencode(golden)).hexdigest()}.marshal"
+        assert stat.S_IMODE(slot.stat().st_mode) == 0o600
+        data = slot.read_bytes()
+        assert data[:32] == hashlib.sha256(data[32:]).digest()
+        with _no_parse():
+            _assert_same_index(load_index(golden), parsed)
+            # A relative path to the same file finds the same slot.
+            monkeypatch.chdir(golden.parent)
+            _assert_same_index(load_index(golden.name), parsed)
+        assert list(slots.iterdir()) == [slot]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda data: data[: len(data) // 2], id="truncated"),
+            pytest.param(lambda data: data[:20], id="shorter-than-a-digest"),
+            pytest.param(lambda data: data[:-9] + bytes([data[-9] ^ 1]) + data[-8:], id="flipped-byte"),
+            pytest.param(lambda data: _signed(b"\xff"), id="not-marshal"),
+            pytest.param(_reshaped(list), id="list-for-the-tuple"),
+            pytest.param(_reshaped(lambda stored: stored[:-1]), id="too-few-fields"),
+            pytest.param(_reshaped(lambda stored: stored + ((),)), id="too-many-fields"),
+            pytest.param(_reshaped(lambda stored: stored[:4] + (stored[4][:-1],) + stored[5:]), id="short-column"),
+            pytest.param(_reshaped(lambda stored: stored[:3] + (list(stored[3]),) + stored[4:]), id="list-column"),
+            pytest.param(_reshaped(lambda stored: stored[:-1] + (list(stored[-1]),)), id="list-of-rows"),
+            pytest.param(_with_rows(lambda rows: (rows[0][:-1],) + rows[1:]), id="row-short-of-a-count"),
+            pytest.param(_with_rows(lambda rows: (rows[0] + (0,),) + rows[1:]), id="row-with-a-fifth-count"),
+            pytest.param(_with_rows(lambda rows: (rows[0][:1],) + rows[1:]), id="row-of-one-field"),
+            pytest.param(_with_rows(lambda rows: ((rows[0][0], 9) + rows[0][2:],) + rows[1:]), id="unknown-pos"),
+            pytest.param(_with_rows(lambda rows: ((rows[0][0], [1]) + rows[0][2:],) + rows[1:]), id="list-pos"),
+            pytest.param(_with_rows(lambda rows: rows + ((rows[0][0],) + rows[1][1:],)), id="repeated-word"),
+        ],
+    )
+    def test_damaged_slot_is_parsed_again(self, golden, slots, damage):
+        parsed = _parsed(golden)
+        load_index(golden)
+        [slot] = slots.iterdir()
+        slot.write_bytes(damage(slot.read_bytes()))
+        _assert_same_index(load_index(golden), parsed)
+        # The parse wrote the slot again.
+        with _no_parse():
+            _assert_same_index(load_index(golden), parsed)
+        assert list(slots.iterdir()) == [slot]
+
+    def test_slot_of_other_bytes_is_replaced(self, golden, slots, tmp_path):
+        other = _write_document(tmp_path, lambda d: None)
+        load_index(other)
+        [other_slot] = slots.iterdir()
+        slot = index_module._slot_path(golden)
+        shutil.copyfile(other_slot, slot)
+        parsed = _parsed(golden)
+        _assert_same_index(load_index(golden), parsed)
+        assert slot.read_bytes() != other_slot.read_bytes()
+        with _no_parse():
+            _assert_same_index(load_index(golden), parsed)
+
+    def test_one_slot_per_path(self, tmp_path, slots):
+        for name in ("first", "second", "third"):
+            path = _write_document(tmp_path, lambda d: d.update(projectName=name))
+            assert load_index(path).vocabulary.project_name == name
+            with _no_parse():
+                assert load_index(path).vocabulary.project_name == name
+        assert [p.name for p in slots.iterdir()] == [index_module._slot_path(path).name]
+
+    @pytest.mark.parametrize("mutate", list(_INVALID_DOCUMENTS.values()), ids=list(_INVALID_DOCUMENTS))
+    def test_primed_slot_does_not_let_an_invalid_document_load(self, tmp_path, slots, monkeypatch, mutate):
+        path = _write_document(tmp_path, lambda d: None)
+        load_index(path)
+        [slot] = slots.iterdir()
+        primed = slot.read_bytes()
+        _write_document(tmp_path, mutate)
+        with pytest.raises(InvalidIndexError) as with_slot:
+            load_index(path)
+        assert slot.read_bytes() == primed
+        monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+        monkeypatch.setenv("HOME", "home")
+        with pytest.raises(InvalidIndexError) as without:
+            load_index(path)
+        assert str(with_slot.value) == str(without.value)
+
+    def test_save_index_writes_no_slot(self, sample_index, tmp_path, slots):
+        save_index(sample_index, tmp_path / "index.json")
+        assert not slots.exists()
+
+    def test_relative_cache_home_writes_nothing(self, golden, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+        monkeypatch.setenv("HOME", "home")
+        parsed = _parsed(golden)
+        for _ in range(2):
+            _assert_same_index(load_index(golden), parsed)
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("blocked", ["read-only-directory", "file-for-a-directory"])
+    def test_unwritable_cache_still_loads(self, golden, slots, blocked):
+        slots.parent.mkdir()
+        if blocked == "file-for-a-directory":
+            slots.write_text("not a directory")
+        else:
+            slots.mkdir(mode=0o500)
+        parsed = _parsed(golden)
+        try:
+            for _ in range(2):
+                _assert_same_index(load_index(golden), parsed)
+            if blocked == "file-for-a-directory":
+                assert slots.read_text() == "not a directory"
+            elif os.geteuid() != 0:  # root writes through the mode
+                assert list(slots.iterdir()) == []
+        finally:
+            if slots.is_dir():
+                slots.chmod(0o700)
