@@ -1,9 +1,12 @@
-"""Checked snapshot files in the user's cache, shared by the dictionary and index loaders.
+"""One cache slot per source file, shared by the dictionary and index loaders.
 
-A snapshot file is the sha256 of its payload, then the payload.  A reader
-that finds the file missing, unreadable, truncated or altered gets None
-and parses its source again; a cache that cannot be written is skipped.
-A snapshot is only ever a cache of a parse.
+A slot is ``<cache>/lexiscope/<kind>-<sha256 of the source's absolute
+path>.marshal``.  It holds the sha256 of the rest, then the content key of
+the source it was written from, then the loader's payload.  A reader that
+finds the slot missing, unreadable, truncated, altered or written from
+other content gets None and parses its source again, and that parse
+replaces the slot; a cache that cannot be written is skipped.  A slot is
+only ever a cache of a parse.
 """
 
 from __future__ import annotations
@@ -11,13 +14,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import sys
 from pathlib import Path
 
 __all__: list[str] = []
 
 
-def cache_directory() -> Path | None:
-    """``<cache>/lexiscope``, or None when there is no cache.
+def slot_path(kind: str, source: str | os.PathLike) -> Path | None:
+    """The slot of kind for the source file or directory, or None when there is no cache.
 
     The cache is $XDG_CACHE_HOME if that is absolute, else ~/.cache if
     that is absolute, else there is none.
@@ -27,27 +31,40 @@ def cache_directory() -> Path | None:
         cache = os.path.expanduser(os.path.join("~", ".cache"))
         if not os.path.isabs(cache):
             return None
-    return Path(cache) / "lexiscope"
+    name = hashlib.sha256(os.fsencode(os.path.abspath(source))).hexdigest()
+    return Path(cache) / "lexiscope" / f"{kind}-{name}.marshal"
 
 
-def read_checked(path: Path) -> memoryview | None:
-    """The payload stored at path, or None for a missing, unreadable, truncated or altered file."""
+def content_key(format_tag: bytes, parts) -> bytes:
+    """A sha256 over a format tag, this Python's cache tag (marshal's format is per version) and parts."""
+    key = hashlib.sha256(format_tag)
+    key.update(str(sys.implementation.cache_tag).encode())
+    for part in parts:
+        key.update(part)
+    return key.digest()
+
+
+def read_slot(path: Path, key: bytes) -> memoryview | None:
+    """The payload stored at path under key, or None for a missing, damaged or other-keyed slot."""
     try:
         data = path.read_bytes()
     except OSError:
         return None
-    payload = memoryview(data)[32:]
-    if hashlib.sha256(payload).digest() != data[:32]:
+    rest = memoryview(data)[32:]
+    if hashlib.sha256(rest).digest() != data[:32] or rest[:32] != key:
         return None
-    return payload
+    return rest[32:]
 
 
-def write_checked(path: Path, payload: bytes) -> None:
-    """Store a payload at path for read_checked; a cache that cannot be written is skipped.
+def write_slot(path: Path, key: bytes, chunks: list[bytes]) -> None:
+    """Store the payload chunks at path under key for read_slot; a cache that cannot be written is skipped.
 
-    The file is written under a temporary name, which only its owner can
+    The payload is the chunks back to back; they are written one by one,
+    never joined.
+
+    The slot is written under a temporary name, which only its owner can
     read or write, and renamed into place, so a concurrent reader never
-    reads a partial file.
+    reads a partial slot.
     """
     import tempfile  # here, not at the top: only a parse writes
 
@@ -56,10 +73,14 @@ def write_checked(path: Path, payload: bytes) -> None:
         handle, temp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     except OSError:
         return
+    digest = hashlib.sha256(key)
+    for chunk in chunks:
+        digest.update(chunk)
     try:
         with os.fdopen(handle, "wb") as out:
-            out.write(hashlib.sha256(payload).digest())
-            out.write(payload)
+            out.write(digest.digest())
+            out.write(key)
+            out.writelines(chunks)
         os.replace(temp, path)
     except OSError:
         with contextlib.suppress(OSError):

@@ -10,18 +10,15 @@ load left in the cache instead.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import marshal
-import os
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
-from ._snapshot import cache_directory, read_checked, write_checked
+from ._snapshot import content_key, read_slot, slot_path, write_slot
 from .extractor import KINDS, SourceNode, _validate_node
 from .lexicon import PosTag
 from .vocabulary import ProjectVocabulary, VocabularyEntry
@@ -103,25 +100,22 @@ def load_index(path: str | Path) -> ProjectIndex:
     """Read and validate an index file.
 
     Raises InvalidIndexError if the file cannot be read or breaks any rule
-    of the format.  A successful parse is stored in the file's slot,
-    ``<cache>/lexiscope/index-<sha256 of its absolute path>.marshal``,
-    keyed by the content of the index file; a later load of the same bytes
-    from the same path builds the index from the slot without parsing.  A
-    slot that is missing, damaged, of another shape or of other bytes only
-    means a parse, so every InvalidIndexError comes from the parse.
+    of the format.  A successful parse is stored in the file's cache slot
+    (see _snapshot), keyed by the bytes of the index file; a later load of
+    the same bytes from the same path builds the index from the slot
+    without parsing.  A slot that is missing, damaged, of another shape or
+    of other bytes only means a parse, so every InvalidIndexError comes
+    from the parse.
     """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
-    slot = _slot_path(path)
+    slot = slot_path("index", path)
     if slot is not None:
-        key = hashlib.sha256(_SLOT_FORMAT)
-        key.update(str(sys.implementation.cache_tag).encode())
-        key.update(data)
-        key = key.digest()
-        payload = read_checked(slot)
-        index = None if payload is None else _index_from_slot(payload, key)
+        key = content_key(_SLOT_FORMAT, [data])
+        payload = read_slot(slot, key)
+        index = None if payload is None else _index_from_slot(payload)
         if index is not None:
             return index
     # The bytes, and then the text, are dropped as soon as they are used, so
@@ -136,7 +130,7 @@ def load_index(path: str | Path) -> ProjectIndex:
         raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
     index = _index_from_document(document, path)
     if slot is not None:
-        write_checked(slot, _slot_payload(key, index))
+        write_slot(slot, key, [_slot_payload(index)])
     return index
 
 
@@ -213,22 +207,14 @@ def _parse_entry(raw, path) -> VocabularyEntry:
 
 # Bump when the parse, the index format or the slot layout changes, so that
 # no slot of an older format is read.
-_SLOT_FORMAT = b"lexiscope-index-1"
+_SLOT_FORMAT = b"lexiscope-index-2"
 
 # A slot stores a pos as its int value, or None.
 _POS_OF_INT = {None: None, **{int(tag): tag for tag in PosTag}}
 
 
-def _slot_path(path) -> Path | None:
-    """The slot of the index file at path, or None when there is no cache."""
-    cache = cache_directory()
-    if cache is None:
-        return None
-    return cache / f"index-{hashlib.sha256(os.fsencode(os.path.abspath(path))).hexdigest()}.marshal"
-
-
-def _slot_payload(key: bytes, index: ProjectIndex) -> bytes:
-    """The marshalled (key, project name, file count, node columns, vocabulary rows).
+def _slot_payload(index: ProjectIndex) -> bytes:
+    """The marshalled (project name, file count, node columns, vocabulary rows).
 
     The node columns are kind, name, file, line and parent; a node's id is
     its position.  A row is a word, its pos as an int or None, its total
@@ -245,19 +231,19 @@ def _slot_payload(key: bytes, index: ProjectIndex) -> bytes:
         for entry in vocabulary.entries.values()
     )
     return marshal.dumps(
-        (key, vocabulary.project_name, vocabulary.file_count, kinds, names, files, lines, parents, rows)
+        (vocabulary.project_name, vocabulary.file_count, kinds, names, files, lines, parents, rows)
     )
 
 
-def _index_from_slot(payload: memoryview, key: bytes) -> ProjectIndex | None:
-    """The index a slot payload holds under key, or None for another key or a bad shape."""
+def _index_from_slot(payload: memoryview) -> ProjectIndex | None:
+    """The index a slot payload holds, or None for a bad shape."""
     try:
         stored = marshal.loads(payload)
     except (EOFError, ValueError, TypeError):
         return None
-    if not (isinstance(stored, tuple) and len(stored) == 9 and stored[0] == key):
+    if not (isinstance(stored, tuple) and len(stored) == 8):
         return None
-    _key, project_name, file_count, kinds, names, files, lines, parents, rows = stored
+    project_name, file_count, kinds, names, files, lines, parents, rows = stored
     columns = (kinds, names, files, lines, parents)
     if not (all(type(column) is tuple and len(column) == len(kinds) for column in columns)
             and type(rows) is tuple):

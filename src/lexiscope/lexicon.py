@@ -13,13 +13,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import marshal
-import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
-from ._snapshot import cache_directory, read_checked, write_checked
+from ._snapshot import content_key, read_slot, slot_path, write_slot
 
 __all__ = [
     "PosTag",
@@ -153,12 +153,13 @@ class Lexicon:
     int value of its PosTag, which hashes and compares equal to it.
 
     ``entries`` and ``synsets`` are read-only mappings (``get``, ``[]``,
-    ``in``, ``len`` and iteration, in no particular order) over the
-    dictionary snapshot; each unmarshals a shard of its table the first
-    time a key in that shard is looked up, so a command reads only the part
-    of the dictionary it asks for.  Nothing modifies a lexicon's content
-    after loading, so it is safe to share across threads for reading: two
-    threads may both load one shard, and either equal copy is kept.
+    ``in``, ``len`` and iteration, in no particular order).  After a parse
+    they are read-only proxies of its tables.  Read from the dictionary's
+    snapshot, each unmarshals a shard of its table the first time a key in
+    that shard is looked up, so a command reads only the part of the
+    dictionary it asks for.  Nothing modifies a lexicon's content after
+    loading, so it is safe to share across threads for reading: two threads
+    may both load one shard, and either equal copy is kept.
     """
 
     entries: Mapping[str, dict[int, tuple[int, tuple[SynsetKey, ...]]]]
@@ -179,13 +180,11 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     an indented line after the license header, or an exception line
     without a base form.
 
-    The first load of a dictionary parses it and writes a snapshot of the
-    result to ``<cache>/lexiscope/<key>.marshal``, where the key covers the
-    content of every dictionary file; later loads of the same content read
-    the snapshot.  A snapshot that is missing, damaged or cannot be written
-    only means a parse, so every error above comes from the parse.  Either
-    way the lexicon's tables are views of the snapshot's bytes, unmarshalled
-    a shard at a time as lookups reach them.
+    A parse writes a snapshot of its tables to the directory's cache slot
+    (see _snapshot), keyed by the content of every dictionary file; later
+    loads of the same content read it, a shard at a time as lookups reach
+    it.  A snapshot that is missing, damaged, of other content or cannot be
+    written only means a parse, so every error above comes from the parse.
     """
     root = Path(dictionary_directory)
     for tag, suffix in _POS_FILES.items():
@@ -193,16 +192,20 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
             if not (root / f"{prefix}.{suffix}").is_file():
                 raise MissingFileError(f"missing {prefix}.{suffix} in {root}")
 
-    snapshot = _snapshot_path(root)
-    tables = _read_snapshot(snapshot) if snapshot is not None else None
-    if tables is None:
-        payload = _snapshot_payload(_parse_lexicon(root))
-        # A file edited during the parse would file its tables under a key
-        # they do not match.
-        if snapshot is not None and _snapshot_path(root) == snapshot:
-            write_checked(snapshot, payload)
-        tables = _open_payload(memoryview(payload))
-    return Lexicon(*tables)
+    slot = slot_path("lexicon", root)
+    key = None if slot is None else _content_key(root)
+    if key is not None:
+        payload = read_slot(slot, key)
+        tables = None if payload is None else _open_payload(payload)
+        if tables is not None:
+            return Lexicon(*tables)
+    tables = _parse_lexicon(root)
+    # A file edited during the parse would file its tables under a key
+    # they do not match.
+    if key is not None and _content_key(root) == key:
+        write_slot(slot, key, _snapshot_payload(tables))
+    entries, synsets, exceptions = tables
+    return Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
 
 
 def _parse_lexicon(root: Path):
@@ -308,7 +311,9 @@ def _parse_index_line(fields: list[str], tag: PosTag, file_name: str, line_no: i
         synset_cnt = int(fields[2])
         p_cnt = int(fields[3])
         rest = fields[4 + p_cnt:]
-        _sense_cnt, tag_count = int(rest[0]), int(rest[1])
+        sense_cnt, tag_count = int(rest[0]), int(rest[1])
+        if min(p_cnt, sense_cnt, tag_count) < 0:
+            raise ValueError("negative count")
         offsets = [int(off) for off in rest[2 : 2 + synset_cnt]]
         if len(offsets) != synset_cnt or len(rest) != 2 + synset_cnt:
             raise ValueError("field count mismatch")
@@ -333,6 +338,8 @@ def _parse_data_line(fields: list[str], tag: PosTag, file_name: str, line_no: in
         )
         cursor = 4 + 2 * w_cnt
         p_cnt = int(fields[cursor])
+        if p_cnt < 0:
+            raise ValueError("negative pointer count")
         hypernyms: list[SynsetKey] = []
         hyponyms: list[SynsetKey] = []
         for i in range(p_cnt):
@@ -358,7 +365,7 @@ def _strip_marker(word: str) -> str:
 
 # Bump when the parse, the shape of its tables or the snapshot layout
 # changes, so that no snapshot of an older format is read.
-_SNAPSHOT_FORMAT = b"lexiscope-lexicon-3"
+_SNAPSHOT_FORMAT = b"lexiscope-lexicon-4"
 
 # Shards per table.
 _SHARDS = 1024
@@ -434,8 +441,8 @@ class _ShardedTable(Mapping):
         return f"<{type(self).__name__} of {self._count} keys>"
 
 
-def _snapshot_payload(tables) -> bytes:
-    """The snapshot payload of (entries, synsets, exceptions): a header, then the shards.
+def _snapshot_payload(tables) -> list[bytes]:
+    """The snapshot payload of (entries, synsets, exceptions) in chunks: a header, then the shards.
 
     The payload is the header's length (8 bytes, little-endian), the
     marshalled header ``(entry count, synset count, exceptions, entry
@@ -456,14 +463,14 @@ def _snapshot_payload(tables) -> bytes:
     bounds = [0]
     starts = []
     for table in (entries, synsets):
-        items = sorted(table.items())  # keys are unique, so values are never compared
-        cuts = [number * len(items) // _SHARDS for number in range(_SHARDS + 1)]
-        starts.append(tuple(items[cut][0] for cut in cuts[1:-1]) if items else ())
+        keys = sorted(table)
+        cuts = [number * len(keys) // _SHARDS for number in range(_SHARDS + 1)]
+        starts.append(tuple(keys[cut] for cut in cuts[1:-1]) if keys else ())
         for low, high in zip(cuts, cuts[1:]):
-            shards.append(marshal.dumps(dict(items[low:high])) if high > low else b"")
+            shards.append(marshal.dumps({key: table[key] for key in keys[low:high]}) if high > low else b"")
             bounds.append(bounds[-1] + len(shards[-1]))
     header = marshal.dumps((len(entries), len(synsets), exceptions, *starts, tuple(bounds)))
-    return b"".join([len(header).to_bytes(8, "little"), header, *shards])
+    return [len(header).to_bytes(8, "little"), header, *shards]
 
 
 def _in_order(values) -> bool:
@@ -524,42 +531,22 @@ def _open_payload(payload: memoryview):
     )
 
 
-def _snapshot_path(root: Path) -> Path | None:
-    """The snapshot file for the dictionary content under root, or None for none.
-
-    The key is a sha256 over the snapshot format, this Python's cache tag
-    (marshal's format is per Python version) and each file's sha256.
-    """
-    cache = cache_directory()
-    if cache is None:
-        return None
-    key = hashlib.sha256(_SNAPSHOT_FORMAT)
-    key.update(str(sys.implementation.cache_tag).encode())
+def _content_key(root: Path) -> bytes | None:
+    """The key of the dictionary files' sha256s, or None if a file cannot be read."""
     try:
-        for name in _DICT_FILES:
-            path = root / name
-            if not path.is_file():
-                key.update(_ABSENT)
-                continue
-            digest = hashlib.sha256()
-            with open(path, "rb") as handle:
-                while chunk := handle.read(_CHUNK):
-                    digest.update(chunk)
-            key.update(digest.digest())
+        return content_key(_SNAPSHOT_FORMAT, [_file_digest(root / name) for name in _DICT_FILES])
     except OSError:
         return None
-    return cache / f"{key.hexdigest()}.marshal"
 
 
-def _read_snapshot(path: Path):
-    """The (entries, synsets, exceptions) stored at path, or None if there are none.
-
-    The payload (see _snapshot_payload) is checked whole by read_checked,
-    so the shards the tables unmarshal later are the ones that were
-    written; a payload _open_payload rejects gives None.
-    """
-    payload = read_checked(path)
-    return None if payload is None else _open_payload(payload)
+def _file_digest(path: Path) -> bytes:
+    if not path.is_file():
+        return _ABSENT
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_CHUNK):
+            digest.update(chunk)
+    return digest.digest()
 
 
 def lemmatize(lexicon: Lexicon, token: str) -> list[tuple[str, PosTag]]:

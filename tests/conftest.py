@@ -17,6 +17,13 @@ def private_cache(tmp_path_factory):
         yield
 
 
+@pytest.fixture
+def slots(tmp_path, monkeypatch):
+    """An empty cache of this test's own; returns its lexiscope directory, where the slots go."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache" / "lexiscope"
+
+
 @pytest.fixture(scope="session")
 def lexicon():
     return load_lexicon(MINIDICT)

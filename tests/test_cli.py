@@ -79,6 +79,25 @@ class TestAnalyze:
         assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(tmp_path / "o.json")]) == 0
         assert [p for p in (cache / "lexiscope").iterdir() if p.name.startswith("index-")] == []
 
+    def test_cold_analyze_classifies_from_its_parse(self, tmp_path, monkeypatch):
+        # A cold load hands back the tables it parsed; it does not read
+        # the snapshot it has just written a shard at a time.
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        loads = []
+        load = lexicon_module._ShardedTable._load
+
+        def recording(table, index):
+            loads.append(index)
+            return load(table, index)
+
+        monkeypatch.setattr(lexicon_module._ShardedTable, "_load", recording)
+        out = tmp_path / "o.json"
+        assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_INDEX.read_bytes()
+        assert loads == []
+        assert [p.name.split("-")[0] for p in (cache / "lexiscope").iterdir()] == ["lexicon"]
+
     def test_bad_dictionary_exits_3(self, tmp_path):
         rc = main(["analyze", str(MINICORPUS), "--dict", str(tmp_path),
                    "-o", str(tmp_path / "o.json")])

@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexiscope.index as index_module
+from lexiscope._snapshot import content_key, slot_path
 from lexiscope.extractor import KINDS, SchemaError, SourceNode, extract_project, ingest_nodes
 from lexiscope.index import FORMAT_VERSION, InvalidIndexError, ProjectIndex, load_index, save_index
 from lexiscope.lexicon import PosTag
 from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry, build_vocabulary, default_stoplist
 
+from cache_rules import CacheRules
 from conftest import FIXTURES, MINICORPUS
 from test_locator import _node_trees
 
@@ -302,20 +304,13 @@ def _valid_indexes(draw):
 def test_warm_load_equals_the_parse(tmp_path_factory, index):
     path = tmp_path_factory.getbasetemp() / "warm.json"
     save_index(index, path)
-    index_module._slot_path(path).unlink(missing_ok=True)
+    slot_path("index", path).unlink(missing_ok=True)
     parsed = _parsed(path)
     cold = load_index(path)
     with _no_parse():
         warm = load_index(path)
     _assert_same_index(cold, parsed)
     _assert_same_index(warm, parsed)
-
-
-@pytest.fixture
-def slots(tmp_path, monkeypatch):
-    """An empty cache of this test's own; returns its lexiscope directory."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    return tmp_path / "cache" / "lexiscope"
 
 
 @pytest.fixture
@@ -326,29 +321,32 @@ def golden(tmp_path):
     return path
 
 
-def _signed(payload: bytes) -> bytes:
-    return hashlib.sha256(payload).digest() + payload
+def _signed(rest: bytes) -> bytes:
+    return hashlib.sha256(rest).digest() + rest
 
 
 def _reshaped(change):
-    """A slot with a valid digest over the stored tuple as change leaves it."""
-    return lambda data: _signed(marshal.dumps(change(marshal.loads(data[32:]))))
+    """The slot with its stored tuple as change leaves it, under its key, with a valid digest."""
+    return lambda data: _signed(data[32:64] + marshal.dumps(change(marshal.loads(data[64:]))))
 
 
 def _with_rows(change):
     return _reshaped(lambda stored: stored[:-1] + (change(stored[-1]),))
 
 
-class TestSlot:
+class TestSlot(CacheRules):
+    kind, load, source = "index", staticmethod(load_index), FIXTURES / "minicorpus_index.json"
+
     def test_second_load_reads_the_slot(self, golden, slots, monkeypatch):
         parsed = _parsed(golden)
         _assert_same_index(load_index(golden), parsed)
         [slot] = slots.iterdir()
-        assert slot == index_module._slot_path(golden)
+        assert slot == slot_path("index", golden)
         assert slot.name == f"index-{hashlib.sha256(os.fsencode(golden)).hexdigest()}.marshal"
         assert stat.S_IMODE(slot.stat().st_mode) == 0o600
         data = slot.read_bytes()
         assert data[:32] == hashlib.sha256(data[32:]).digest()
+        assert data[32:64] == content_key(index_module._SLOT_FORMAT, [golden.read_bytes()])
         with _no_parse():
             _assert_same_index(load_index(golden), parsed)
             # A relative path to the same file finds the same slot.
@@ -362,12 +360,12 @@ class TestSlot:
             pytest.param(lambda data: data[: len(data) // 2], id="truncated"),
             pytest.param(lambda data: data[:20], id="shorter-than-a-digest"),
             pytest.param(lambda data: data[:-9] + bytes([data[-9] ^ 1]) + data[-8:], id="flipped-byte"),
-            pytest.param(lambda data: _signed(b"\xff"), id="not-marshal"),
+            pytest.param(lambda data: _signed(data[32:64] + b"\xff"), id="not-marshal"),
             pytest.param(_reshaped(list), id="list-for-the-tuple"),
             pytest.param(_reshaped(lambda stored: stored[:-1]), id="too-few-fields"),
             pytest.param(_reshaped(lambda stored: stored + ((),)), id="too-many-fields"),
-            pytest.param(_reshaped(lambda stored: stored[:4] + (stored[4][:-1],) + stored[5:]), id="short-column"),
-            pytest.param(_reshaped(lambda stored: stored[:3] + (list(stored[3]),) + stored[4:]), id="list-column"),
+            pytest.param(_reshaped(lambda stored: stored[:3] + (stored[3][:-1],) + stored[4:]), id="short-column"),
+            pytest.param(_reshaped(lambda stored: stored[:2] + (list(stored[2]),) + stored[3:]), id="list-column"),
             pytest.param(_reshaped(lambda stored: stored[:-1] + (list(stored[-1]),)), id="list-of-rows"),
             pytest.param(_with_rows(lambda rows: (rows[0][:-1],) + rows[1:]), id="row-short-of-a-count"),
             pytest.param(_with_rows(lambda rows: (rows[0] + (0,),) + rows[1:]), id="row-with-a-fifth-count"),
@@ -375,6 +373,8 @@ class TestSlot:
             pytest.param(_with_rows(lambda rows: ((rows[0][0], 9) + rows[0][2:],) + rows[1:]), id="unknown-pos"),
             pytest.param(_with_rows(lambda rows: ((rows[0][0], [1]) + rows[0][2:],) + rows[1:]), id="list-pos"),
             pytest.param(_with_rows(lambda rows: rows + ((rows[0][0],) + rows[1][1:],)), id="repeated-word"),
+            pytest.param(lambda data: _signed(bytes(32) + data[64:]), id="other-key"),
+            pytest.param(lambda data: _signed(data[64:]), id="index-1"),  # the sha256, then the payload
         ],
     )
     def test_damaged_slot_is_parsed_again(self, golden, slots, damage):
@@ -392,7 +392,7 @@ class TestSlot:
         other = _write_document(tmp_path, lambda d: None)
         load_index(other)
         [other_slot] = slots.iterdir()
-        slot = index_module._slot_path(golden)
+        slot = slot_path("index", golden)
         shutil.copyfile(other_slot, slot)
         parsed = _parsed(golden)
         _assert_same_index(load_index(golden), parsed)
@@ -406,7 +406,7 @@ class TestSlot:
             assert load_index(path).vocabulary.project_name == name
             with _no_parse():
                 assert load_index(path).vocabulary.project_name == name
-        assert [p.name for p in slots.iterdir()] == [index_module._slot_path(path).name]
+        assert list(slots.iterdir()) == [slot_path("index", path)]
 
     @pytest.mark.parametrize("mutate", list(_INVALID_DOCUMENTS.values()), ids=list(_INVALID_DOCUMENTS))
     def test_primed_slot_does_not_let_an_invalid_document_load(self, tmp_path, slots, monkeypatch, mutate):
@@ -427,33 +427,3 @@ class TestSlot:
     def test_save_index_writes_no_slot(self, sample_index, tmp_path, slots):
         save_index(sample_index, tmp_path / "index.json")
         assert not slots.exists()
-
-    def test_relative_cache_home_writes_nothing(self, golden, tmp_path, monkeypatch):
-        work = tmp_path / "work"
-        work.mkdir()
-        monkeypatch.chdir(work)
-        monkeypatch.setenv("XDG_CACHE_HOME", "cache")
-        monkeypatch.setenv("HOME", "home")
-        parsed = _parsed(golden)
-        for _ in range(2):
-            _assert_same_index(load_index(golden), parsed)
-        assert list(work.iterdir()) == []
-
-    @pytest.mark.parametrize("blocked", ["read-only-directory", "file-for-a-directory"])
-    def test_unwritable_cache_still_loads(self, golden, slots, blocked):
-        slots.parent.mkdir()
-        if blocked == "file-for-a-directory":
-            slots.write_text("not a directory")
-        else:
-            slots.mkdir(mode=0o500)
-        parsed = _parsed(golden)
-        try:
-            for _ in range(2):
-                _assert_same_index(load_index(golden), parsed)
-            if blocked == "file-for-a-directory":
-                assert slots.read_text() == "not a directory"
-            elif os.geteuid() != 0:  # root writes through the mode
-                assert list(slots.iterdir()) == []
-        finally:
-            if slots.is_dir():
-                slots.chmod(0o700)

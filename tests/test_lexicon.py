@@ -1,8 +1,8 @@
 import hashlib
 import marshal
 import os
-import re
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexiscope.lexicon as lexicon_module
+from lexiscope._snapshot import read_slot, slot_path
 from lexiscope.lexicon import (
     HYPERNYM,
     HYPONYM,
@@ -25,7 +26,6 @@ from lexiscope.lexicon import (
     MissingFileError,
     PosTag,
     _parse_lexicon,
-    _read_snapshot,
     best_first,
     classify,
     lemmatize,
@@ -33,6 +33,7 @@ from lexiscope.lexicon import (
     related_words,
 )
 
+from cache_rules import CacheRules
 from conftest import MINIDICT, write_dict
 
 
@@ -63,6 +64,13 @@ _APPENDED_LINES = [
     pytest.param("index.noun", " zap n 1 0 1 0 00000001", None, id="indented-line-after-header"),
     pytest.param("verb.exc", " sped speed", None, id="indented-exception-line"),
     pytest.param("index.noun", "motorcar n 1 1 @ X 2 00000003", None, id="sense-count-not-a-number"),
+    pytest.param("index.noun", "zebra n 1 -1 5 00000003", None, id="negative-index-pointer-count"),
+    pytest.param("index.noun", "zebra n 1 0 -1 5 00000003", None, id="negative-sense-count"),
+    pytest.param("index.noun", "zebra n 1 0 1 -5 00000003", None, id="negative-tag-sense-count"),
+    pytest.param(
+        "data.noun", "00000099 03 n 01 gnu 0 -2 @ 00000001 n 0000 | a pointer past its count", None,
+        id="negative-data-pointer-count",
+    ),
     pytest.param(
         "data.noun", "00000099 03 n 01 zap 0 001 @ 00000077 n 0000 | points nowhere", None,
         id="unresolved-pointer",
@@ -190,16 +198,22 @@ _ENTRY_COUNT, _SYNSET_COUNT, _EXCEPTIONS, _ENTRY_STARTS, _SYNSET_STARTS, _BOUNDS
 
 
 def _split(data):
-    """A snapshot file's (header, shard bytes), read by the documented layout."""
-    size = int.from_bytes(data[32:40], "little")
-    return marshal.loads(data[40 : 40 + size]), data[40 + size :]
+    """A slot's (header, shard bytes), read by the documented layout: digest, key, header size."""
+    size = int.from_bytes(data[64:72], "little")
+    return marshal.loads(data[72 : 72 + size]), data[72 + size :]
 
 
-def _join(header, shards, header_bytes=None):
-    """A snapshot file holding header and shards, with a valid digest."""
+def _join(data, header, header_bytes=None):
+    """The slot data with its header replaced by header (or header_bytes), the digest made valid."""
     if header_bytes is None:
         header_bytes = marshal.dumps(header)
-    return _with_digest(len(header_bytes).to_bytes(8, "little") + header_bytes + shards)
+    return _with_digest(data[32:64] + len(header_bytes).to_bytes(8, "little") + header_bytes + _split(data)[1])
+
+
+def _stored(path, root=MINIDICT):
+    """The tables the slot at path holds for the dictionary under root, or None."""
+    payload = read_slot(path, lexicon_module._content_key(root))
+    return None if payload is None else lexicon_module._open_payload(payload)
 
 
 def _shard_tables(data):
@@ -216,10 +230,9 @@ def _shard_tables(data):
 
 def _with_field(data, field, change):
     """data with one header field replaced by change(its value), the digest made valid."""
-    header, shards = _split(data)
-    header = list(header)
+    header = list(_split(data)[0])
     header[field] = change(header[field])
-    return _join(tuple(header), shards)
+    return _join(data, tuple(header))
 
 
 def assert_same_mapping(table, expected, missing):
@@ -241,21 +254,19 @@ def assert_same_mapping(table, expected, missing):
     assert table == expected
 
 
-@pytest.fixture
-def snapshots(tmp_path, monkeypatch):
-    """An empty cache of this test's own; returns its snapshot directory."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    return tmp_path / "cache" / "lexiscope"
+class TestSnapshot(CacheRules):
+    kind, load, source = "lexicon", staticmethod(load_lexicon), MINIDICT
 
-
-class TestSnapshot:
-    def test_second_load_reads_the_snapshot(self, tmp_path, snapshots, monkeypatch):
+    def test_second_load_reads_the_snapshot(self, tmp_path, slots, monkeypatch):
         parsed = _parse_lexicon(MINIDICT)
         cold = load_lexicon(MINIDICT)
-        [path] = snapshots.iterdir()
-        assert re.fullmatch(r"[0-9a-f]{64}\.marshal", path.name)
+        [path] = slots.iterdir()
+        assert path == slot_path("lexicon", MINIDICT)
+        assert path.name == f"lexicon-{hashlib.sha256(os.fsencode(os.path.abspath(MINIDICT))).hexdigest()}.marshal"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
         data = path.read_bytes()
         assert data[:32] == hashlib.sha256(data[32:]).digest()
+        assert data[32:64] == lexicon_module._content_key(MINIDICT)
         (entry_count, synset_count, exceptions, entry_starts, synset_starts, bounds), shards = _split(data)
         assert (entry_count, synset_count) == (len(parsed[0]), len(parsed[1]))
         assert exceptions == parsed[2]
@@ -270,13 +281,17 @@ class TestSnapshot:
                 assert keys == sorted(keys)
                 assert all(number == 0 or starts[number - 1] <= key for key in keys)
                 assert all(number == _SHARDS - 1 or key < starts[number] for key in keys)
-        # The key is the content, not the directory: a copy reads the same snapshot.
+        # A copy is another directory, so it has a slot of its own; the key
+        # is the content alone, so both slots hold the same bytes.
         copy = tmp_path / "copy"
         shutil.copytree(MINIDICT, copy)
+        load_lexicon(copy)
+        copy_slot = slot_path("lexicon", copy)
+        assert sorted(slots.iterdir()) == sorted([path, copy_slot])
+        assert copy_slot.read_bytes() == data
         monkeypatch.setattr(lexicon_module, "_parse_lexicon", _no_parse)
-        warm = load_lexicon(copy)
-        assert _tables(cold) == _tables(warm) == parsed
-        assert list(snapshots.iterdir()) == [path]
+        warm, warm_copy = load_lexicon(MINIDICT), load_lexicon(copy)
+        assert _tables(cold) == _tables(warm) == _tables(warm_copy) == parsed
 
     @pytest.mark.parametrize(
         "damage",
@@ -287,13 +302,13 @@ class TestSnapshot:
                 lambda data: data[:32] + data[32:].replace(b"vehicle", b"vehicla", 1),
                 id="flipped-payload-byte",
             ),
-            pytest.param(lambda data: _join(list(_split(data)[0]), _split(data)[1]), id="marshalled-list"),
+            pytest.param(lambda data: _join(data, list(_split(data)[0])), id="marshalled-list"),
             pytest.param(lambda data: _with_field(data, _EXCEPTIONS, lambda _: []), id="list-for-a-table"),
             pytest.param(  # a header cut short, its length field to match
-                lambda data: _join(None, _split(data)[1], marshal.dumps(_split(data)[0])[:-1]),
+                lambda data: _join(data, None, marshal.dumps(_split(data)[0])[:-1]),
                 id="marshal-eof",
             ),
-            pytest.param(lambda data: _join(None, _split(data)[1], b"\xff"), id="marshal-bad-type-code"),
+            pytest.param(lambda data: _join(data, None, b"\xff"), id="marshal-bad-type-code"),
             pytest.param(
                 lambda data: _with_field(data, _BOUNDS, lambda bounds: bounds[:-1] + (bounds[-1] + 1,)),
                 id="offsets-past-the-end",
@@ -318,43 +333,34 @@ class TestSnapshot:
             pytest.param(lambda data: _with_field(data, _ENTRY_COUNT, lambda _: 0), id="zero-count-over-shards"),
             pytest.param(lambda data: _with_field(data, _SYNSET_COUNT, lambda _: -1), id="negative-count"),
             pytest.param(lambda data: _with_field(data, _ENTRY_COUNT, str), id="count-not-an-int"),
-            pytest.param(  # the format-1 layout: the sha256, then the marshalled tables
+            pytest.param(  # the format-1 file: the sha256, then the marshalled tables
                 lambda data: _with_digest(marshal.dumps(_parse_lexicon(MINIDICT))), id="format-1",
             ),
+            pytest.param(lambda data: _with_digest(data[64:]), id="format-3"),  # the sha256, then the payload
+            pytest.param(lambda data: _with_digest(bytes(32) + data[64:]), id="other-key"),
         ],
     )
-    def test_damaged_snapshot_is_parsed_again(self, snapshots, damage):
+    def test_damaged_snapshot_is_parsed_again(self, slots, damage):
         parsed = _parse_lexicon(MINIDICT)
         load_lexicon(MINIDICT)
-        [path] = snapshots.iterdir()
+        [path] = slots.iterdir()
         path.write_bytes(damage(path.read_bytes()))
         assert _tables(load_lexicon(MINIDICT)) == parsed
-        assert _read_snapshot(path) == parsed
-        assert list(snapshots.iterdir()) == [path]
+        assert _stored(path) == parsed
+        assert list(slots.iterdir()) == [path]
 
-    @pytest.mark.parametrize("blocked", ["cache", "cache/lexiscope"])
-    def test_cache_path_that_is_a_file_is_skipped(self, tmp_path, monkeypatch, blocked):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        (tmp_path / blocked).parent.mkdir(exist_ok=True)
-        (tmp_path / blocked).write_text("not a directory")
-        assert _tables(load_lexicon(MINIDICT)) == _parse_lexicon(MINIDICT)
-        assert (tmp_path / blocked).read_text() == "not a directory"
-        assert [p.name for p in (tmp_path / blocked).parent.iterdir()] == [Path(blocked).name]
-
-    @pytest.mark.parametrize("home", ["absolute", "relative"])
-    def test_relative_cache_home_is_not_used(self, tmp_path, monkeypatch, home):
+    def test_no_cache_builds_no_payload(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("XDG_CACHE_HOME", "cache")
-        monkeypatch.setenv("HOME", str(tmp_path / "home") if home == "absolute" else "home")
-        assert _tables(load_lexicon(MINIDICT)) == _parse_lexicon(MINIDICT)
-        written = [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()]
-        if home == "absolute":
-            [name] = written
-            assert re.fullmatch(r"home/\.cache/lexiscope/[0-9a-f]{64}\.marshal", name)
-        else:
-            assert written == []
+        monkeypatch.setenv("HOME", "home")
 
-    def test_edited_file_is_parsed_again(self, tmp_path, snapshots):
+        def no_payload(tables):
+            raise AssertionError("built a snapshot payload with no cache")
+
+        monkeypatch.setattr(lexicon_module, "_snapshot_payload", no_payload)
+        assert _tables(load_lexicon(MINIDICT)) == _parse_lexicon(MINIDICT)
+
+    def test_edited_file_is_parsed_again(self, tmp_path, slots):
         # Same length and the same mtime: only the content tells the edit.
         root = tmp_path / "dict"
         shutil.copytree(MINIDICT, root)
@@ -368,28 +374,30 @@ class TestSnapshot:
         reloaded = load_lexicon(root)
         assert reloaded.entries["car"][PosTag.NOUN][0] == 13
         assert _tables(reloaded) == _parse_lexicon(root)
-        assert len(list(snapshots.iterdir())) == 2
+        # The edit replaced the directory's one slot.
+        [path] = slots.iterdir()
+        assert _stored(path, root) == _parse_lexicon(root)
 
     @pytest.mark.parametrize(
         "file_name, line, accepted_id",
         [case for case in _APPENDED_LINES if case.values[2] is None],
     )
     def test_malformed_dictionary_is_rejected_past_a_snapshot(
-        self, tmp_path, snapshots, file_name, line, accepted_id
+        self, tmp_path, slots, file_name, line, accepted_id
     ):
         root = tmp_path / "dict"
         shutil.copytree(MINIDICT, root)
         load_lexicon(root)
-        before = list(snapshots.iterdir())
+        before = list(slots.iterdir())
         with open(root / file_name, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
         with pytest.raises(MalformedLineError) as err:
             load_lexicon(root)
         assert err.value.file_name == file_name
         assert err.value.line_number == len((root / file_name).read_text().splitlines())
-        assert list(snapshots.iterdir()) == before
+        assert list(slots.iterdir()) == before
 
-    def test_missing_file_is_reported_past_a_snapshot(self, tmp_path, snapshots):
+    def test_missing_file_is_reported_past_a_snapshot(self, tmp_path, slots):
         root = tmp_path / "dict"
         shutil.copytree(MINIDICT, root)
         load_lexicon(root)
@@ -397,16 +405,7 @@ class TestSnapshot:
         with pytest.raises(MissingFileError, match="data.adv"):
             load_lexicon(root)
 
-    def test_concurrent_first_loads_leave_one_snapshot(self, snapshots):
-        parsed = _parse_lexicon(MINIDICT)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(load_lexicon, MINIDICT) for _ in range(8)]
-            loaded = [future.result(timeout=60) for future in futures]
-        assert all(_tables(lexicon) == parsed for lexicon in loaded)
-        [path] = snapshots.iterdir()
-        assert path.suffix == ".marshal" and _read_snapshot(path) == parsed
-
-    def test_tables_answer_as_the_parse(self, snapshots):
+    def test_tables_answer_as_the_parse(self, slots):
         entries, synsets, exceptions = _parse_lexicon(MINIDICT)
         cold = load_lexicon(MINIDICT)
         warm = load_lexicon(MINIDICT)
@@ -439,7 +438,7 @@ class TestSnapshot:
             written.append((path.name, path.read_bytes()))
         assert written[0] == written[1]
 
-    def test_threads_reading_one_fresh_lexicon_agree(self, snapshots):
+    def test_threads_reading_one_fresh_lexicon_agree(self, slots):
         entries, synsets, _exceptions = _parse_lexicon(MINIDICT)
         load_lexicon(MINIDICT)
         fresh = load_lexicon(MINIDICT)  # read from the snapshot, no shard loaded yet
