@@ -5,7 +5,8 @@ extracted nodes, and the vocabulary entries (sorted by word).  Writing is
 byte-deterministic for identical inputs, and loading re-validates every
 structural invariant, so round-trips are exact.  A load of bytes that an
 earlier load from the same path validated reads the marshalled slot that
-load left in the cache instead.
+load left in the cache instead, and builds each part of the index on its
+first access.
 """
 
 from __future__ import annotations
@@ -13,14 +14,18 @@ from __future__ import annotations
 import io
 import json
 import marshal
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
+from typing import ClassVar
 
-from ._snapshot import content_key, read_slot, slot_path, write_slot
+from ._snapshot import Slot
 from .extractor import KINDS, SourceNode, _validate_node
 from .lexicon import PosTag
+from .tokenizer import split_identifier
 from .vocabulary import ProjectVocabulary, VocabularyEntry
 
 __all__ = ["FORMAT_VERSION", "InvalidIndexError", "ProjectIndex", "load_index", "save_index"]
@@ -35,10 +40,23 @@ class InvalidIndexError(Exception):
     """The index file is unreadable or violates the schema."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ProjectIndex:
+    """A project's nodes and vocabulary.
+
+    name_tokens maps node names to their split_identifier tokens when the
+    index was read from its cache slot, and is None otherwise.  Two
+    indexes are equal when their nodes and vocabularies are.
+    """
+
     nodes: list[SourceNode]
     vocabulary: ProjectVocabulary
+    name_tokens: ClassVar[Mapping[str, tuple[str, ...]] | None] = None
+
+    def __eq__(self, other):
+        if not isinstance(other, ProjectIndex):
+            return NotImplemented
+        return self.nodes == other.nodes and self.vocabulary == other.vocabulary
 
 
 # The layout json.dumps(document, indent=2) gives one node and one
@@ -102,22 +120,21 @@ def load_index(path: str | Path) -> ProjectIndex:
     Raises InvalidIndexError if the file cannot be read or breaks any rule
     of the format.  A successful parse is stored in the file's cache slot
     (see _snapshot), keyed by the bytes of the index file; a later load of
-    the same bytes from the same path builds the index from the slot
-    without parsing.  A slot that is missing, damaged, of another shape or
-    of other bytes only means a parse, so every InvalidIndexError comes
-    from the parse.
+    the same bytes from the same path reads the slot without parsing, and
+    without hashing the file while the slot's stamp holds.  Its nodes, its
+    vocabulary and its name_tokens table are each built on first access.
+    A slot that is missing, damaged, of another shape or of other bytes
+    only means a parse, so every InvalidIndexError comes from the parse.
     """
+    slot = Slot.of("index", path, _SLOT_FORMAT, [Path(path)])
+    payload = None if slot is None else slot.read()
+    index = None if payload is None else _index_from_slot(payload)
+    if index is not None:
+        return index
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
-    slot = slot_path("index", path)
-    if slot is not None:
-        key = content_key(_SLOT_FORMAT, [data])
-        payload = read_slot(slot, key)
-        index = None if payload is None else _index_from_slot(payload)
-        if index is not None:
-            return index
     # The bytes, and then the text, are dropped as soon as they are used, so
     # neither sits beside the parsed document.
     try:
@@ -130,7 +147,7 @@ def load_index(path: str | Path) -> ProjectIndex:
         raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
     index = _index_from_document(document, path)
     if slot is not None:
-        write_slot(slot, key, [_slot_payload(index)])
+        slot.write([_slot_payload(index)])
     return index
 
 
@@ -207,57 +224,90 @@ def _parse_entry(raw, path) -> VocabularyEntry:
 
 # Bump when the parse, the index format or the slot layout changes, so that
 # no slot of an older format is read.
-_SLOT_FORMAT = b"lexiscope-index-2"
+_SLOT_FORMAT = b"lexiscope-index-3"
 
 # A slot stores a pos as its int value, or None.
 _POS_OF_INT = {None: None, **{int(tag): tag for tag in PosTag}}
 
+_ROW_LENGTH = 3 + len(KINDS)
+
 
 def _slot_payload(index: ProjectIndex) -> bytes:
-    """The marshalled (project name, file count, node columns, vocabulary rows).
+    """The marshalled (project name, file count, node columns, token table, vocabulary rows).
 
     The node columns are kind, name, file, line and parent; a node's id is
-    its position.  A row is a word, its pos as an int or None, its total
-    and its four counts in KINDS order.
+    its position.  The token table maps each distinct name to its
+    split_identifier tokens, marshalled on its own so that only a read of
+    name_tokens unmarshals it.  A row is a word, its pos as an int or None,
+    its total and its four counts in KINDS order.
     """
     vocabulary = index.vocabulary
     _ids, kinds, names, files, lines, parents = zip(*index.nodes) if index.nodes else ((),) * 6
     # One object per distinct kind and file, which marshal writes once.
     same: dict[str, str] = {}
     kinds, files = (tuple([same.setdefault(value, value) for value in column]) for column in (kinds, files))
+    tokens = marshal.dumps({name: tuple(split_identifier(name)) for name in dict.fromkeys(names)})
     rows = tuple(
         (entry.word, None if entry.pos is None else int(entry.pos), entry.total,
          *[entry.counts_by_kind[kind] for kind in KINDS])
         for entry in vocabulary.entries.values()
     )
     return marshal.dumps(
-        (vocabulary.project_name, vocabulary.file_count, kinds, names, files, lines, parents, rows)
+        (vocabulary.project_name, vocabulary.file_count, kinds, names, files, lines, parents, tokens, rows)
     )
 
 
 def _index_from_slot(payload: memoryview) -> ProjectIndex | None:
-    """The index a slot payload holds, or None for a bad shape."""
+    """The index a slot payload holds, or None for a bad shape.
+
+    The columns and rows are checked here; the nodes and entries are built
+    from them on first access.
+    """
     try:
         stored = marshal.loads(payload)
     except (EOFError, ValueError, TypeError):
         return None
-    if not (isinstance(stored, tuple) and len(stored) == 8):
+    if not (isinstance(stored, tuple) and len(stored) == 9):
         return None
-    project_name, file_count, kinds, names, files, lines, parents, rows = stored
+    project_name, file_count, kinds, names, files, lines, parents, tokens, rows = stored
     columns = (kinds, names, files, lines, parents)
     if not (all(type(column) is tuple and len(column) == len(kinds) for column in columns)
-            and type(rows) is tuple):
+            and type(tokens) is bytes and type(rows) is tuple):
         return None
     try:
+        if not (all(type(row) is tuple and len(row) == _ROW_LENGTH and row[1] in _POS_OF_INT for row in rows)
+                and len({row[0] for row in rows}) == len(rows)):
+            return None
+    except TypeError:  # an unhashable pos or word
+        return None
+    return _SlotIndex(project_name, file_count, columns, tokens, rows)
+
+
+class _SlotIndex(ProjectIndex):
+    """An index read from its cache slot: each part is built on its first access."""
+
+    def __init__(self, project_name, file_count, columns, tokens, rows):
+        self._stored = project_name, file_count, columns, tokens, rows
+
+    @cached_property
+    def nodes(self) -> list[SourceNode]:
+        columns = self._stored[2]
+        # tuple.__new__ over the zipped columns makes each node without a Python call.
+        return list(map(tuple.__new__, repeat(SourceNode), zip(range(len(columns[0])), *columns)))
+
+    @cached_property
+    def vocabulary(self) -> ProjectVocabulary:
+        project_name, file_count, _columns, _tokens, rows = self._stored
         entries = {
-            word: VocabularyEntry(word, pos is not None, _POS_OF_INT[pos], total,
-                                  dict(zip(KINDS, counts, strict=True)))
+            word: VocabularyEntry(word, pos is not None, _POS_OF_INT[pos], total, dict(zip(KINDS, counts)))
             for word, pos, total, *counts in rows
         }
-    except (TypeError, ValueError, KeyError):
-        return None
-    if len(entries) != len(rows):
-        return None
-    # tuple.__new__ over the zipped columns makes each node without a Python call.
-    nodes = list(map(tuple.__new__, repeat(SourceNode), zip(range(len(kinds)), *columns)))
-    return ProjectIndex(nodes, ProjectVocabulary(project_name, file_count, entries))
+        return ProjectVocabulary(project_name, file_count, entries)
+
+    @cached_property
+    def name_tokens(self) -> dict[str, tuple[str, ...]] | None:
+        try:
+            table = marshal.loads(self._stored[3])
+        except (EOFError, ValueError, TypeError):
+            return None
+        return table if type(table) is dict else None

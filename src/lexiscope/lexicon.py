@@ -11,7 +11,6 @@ pointer type are parsed past and dropped.
 from __future__ import annotations
 
 import enum
-import hashlib
 import marshal
 from bisect import bisect_right
 from collections.abc import Mapping
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from ._snapshot import content_key, read_slot, slot_path, write_slot
+from ._snapshot import Slot, content_key, file_digest
 
 __all__ = [
     "PosTag",
@@ -181,10 +180,12 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     without a base form.
 
     A parse writes a snapshot of its tables to the directory's cache slot
-    (see _snapshot), keyed by the content of every dictionary file; later
-    loads of the same content read it, a shard at a time as lookups reach
-    it.  A snapshot that is missing, damaged, of other content or cannot be
-    written only means a parse, so every error above comes from the parse.
+    (see _snapshot), keyed by the content of every dictionary file and
+    stamped with each file's stat signature; later loads of the same
+    content read it, a shard at a time as lookups reach it, and hash no
+    dictionary file while the stamp holds.  A snapshot that is missing,
+    damaged, of other content or cannot be written only means a parse, so
+    every error above comes from the parse.
     """
     root = Path(dictionary_directory)
     for tag, suffix in _POS_FILES.items():
@@ -192,18 +193,14 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
             if not (root / f"{prefix}.{suffix}").is_file():
                 raise MissingFileError(f"missing {prefix}.{suffix} in {root}")
 
-    slot = slot_path("lexicon", root)
-    key = None if slot is None else _content_key(root)
-    if key is not None:
-        payload = read_slot(slot, key)
-        tables = None if payload is None else _open_payload(payload)
-        if tables is not None:
-            return Lexicon(*tables)
+    slot = Slot.of("lexicon", root, _SNAPSHOT_FORMAT, [root / name for name in _DICT_FILES])
+    payload = None if slot is None else slot.read()
+    tables = None if payload is None else _open_payload(payload)
+    if tables is not None:
+        return Lexicon(*tables)
     tables = _parse_lexicon(root)
-    # A file edited during the parse would file its tables under a key
-    # they do not match.
-    if key is not None and _content_key(root) == key:
-        write_slot(slot, key, _snapshot_payload(tables))
+    if slot is not None:
+        slot.write(_snapshot_payload(tables))
     entries, synsets, exceptions = tables
     return Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
 
@@ -365,20 +362,18 @@ def _strip_marker(word: str) -> str:
 
 # Bump when the parse, the shape of its tables or the snapshot layout
 # changes, so that no snapshot of an older format is read.
-_SNAPSHOT_FORMAT = b"lexiscope-lexicon-4"
+_SNAPSHOT_FORMAT = b"lexiscope-lexicon-5"
 
 # Shards per table.
 _SHARDS = 1024
 
 # Every file a load reads, in a fixed order; an optional file that is
-# absent hashes as _ABSENT in place of its digest.
+# absent hashes as _snapshot.ABSENT in place of its digest.
 _DICT_FILES = tuple(
     name
     for suffix in _POS_FILES.values()
     for name in (f"index.{suffix}", f"data.{suffix}", f"{suffix}.exc")
 )
-_ABSENT = bytes(32)
-_CHUNK = 1 << 20
 
 
 class _ShardedTable(Mapping):
@@ -534,19 +529,9 @@ def _open_payload(payload: memoryview):
 def _content_key(root: Path) -> bytes | None:
     """The key of the dictionary files' sha256s, or None if a file cannot be read."""
     try:
-        return content_key(_SNAPSHOT_FORMAT, [_file_digest(root / name) for name in _DICT_FILES])
+        return content_key(_SNAPSHOT_FORMAT, [file_digest(root / name) for name in _DICT_FILES])
     except OSError:
         return None
-
-
-def _file_digest(path: Path) -> bytes:
-    if not path.is_file():
-        return _ABSENT
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while chunk := handle.read(_CHUNK):
-            digest.update(chunk)
-    return digest.digest()
 
 
 def lemmatize(lexicon: Lexicon, token: str) -> list[tuple[str, PosTag]]:

@@ -11,8 +11,11 @@ is-a relative, and longer pointer chains count for less.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .extractor import SourceNode
 from .lexicon import (
@@ -135,6 +138,7 @@ def locate_concept(
     query: ConceptQuery,
     lexicon: Lexicon,
     limit: int = 10,
+    name_tokens: Mapping[str, tuple[str, ...]] | None = None,
 ) -> list[ConceptMatch]:
     """Rank candidates where every keyword matches the identifier scope.
 
@@ -145,6 +149,8 @@ def locate_concept(
     words are itself if it is one and the words it is a form of.  A
     keyword's match is the scope word that comes first in its best-first
     order; the pass reads a candidate's scope words, not the expansion.
+    name_tokens, such as ProjectIndex.name_tokens, gives the
+    split_identifier tokens of node names; a name it lacks is split.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -175,7 +181,8 @@ def locate_concept(
             words = name_words.get(name)
             if words is None:
                 words = name_words[name] = set()
-                for token in split_identifier(name):
+                tokens = None if name_tokens is None else name_tokens.get(name)
+                for token in split_identifier(name) if tokens is None else tokens:
                     if token in wanted:
                         words.add(token)
                     words.update(forms.get(token, ()))
@@ -201,5 +208,5 @@ def locate_concept(
             )
         )
 
-    matches.sort(key=lambda pair: pair[0])
-    return [match for _, match in matches[:limit]]
+    # The keys are unique (the node id comes last), so this is the head of a full sort.
+    return [match for _, match in heapq.nsmallest(limit, matches, key=itemgetter(0))]

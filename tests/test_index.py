@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 
 import lexiscope.index as index_module
 from lexiscope._snapshot import content_key, slot_path
+from lexiscope.cli import main
 from lexiscope.extractor import KINDS, SchemaError, SourceNode, extract_project, ingest_nodes
 from lexiscope.index import FORMAT_VERSION, InvalidIndexError, ProjectIndex, load_index, save_index
 from lexiscope.lexicon import PosTag
+from lexiscope.tokenizer import split_identifier
 from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry, build_vocabulary, default_stoplist
 
 from cache_rules import CacheRules
-from conftest import FIXTURES, MINICORPUS
+from conftest import FIXTURES, MINICORPUS, MINIDICT
 from test_locator import _node_trees
 
 
@@ -313,6 +315,18 @@ def test_warm_load_equals_the_parse(tmp_path_factory, index):
     _assert_same_index(warm, parsed)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_valid_indexes())
+def test_warm_token_table_is_the_split_of_every_name(tmp_path_factory, index):
+    path = tmp_path_factory.getbasetemp() / "tokens.json"
+    save_index(index, path)
+    slot_path("index", path).unlink(missing_ok=True)
+    assert load_index(path).name_tokens is None  # a parse has no table
+    with _no_parse():
+        warm = load_index(path)
+    assert warm.name_tokens == {node.name: tuple(split_identifier(node.name)) for node in index.nodes}
+
+
 @pytest.fixture
 def golden(tmp_path):
     """A copy of the minicorpus index."""
@@ -336,6 +350,7 @@ def _with_rows(change):
 
 class TestSlot(CacheRules):
     kind, load, source = "index", staticmethod(load_index), FIXTURES / "minicorpus_index.json"
+    edit = "", b'"projectName": "minicorpus"', b'"projectName": "minicorpuz"'
 
     def test_second_load_reads_the_slot(self, golden, slots, monkeypatch):
         parsed = _parsed(golden)
@@ -346,7 +361,7 @@ class TestSlot(CacheRules):
         assert stat.S_IMODE(slot.stat().st_mode) == 0o600
         data = slot.read_bytes()
         assert data[:32] == hashlib.sha256(data[32:]).digest()
-        assert data[32:64] == content_key(index_module._SLOT_FORMAT, [golden.read_bytes()])
+        assert data[32:64] == content_key(index_module._SLOT_FORMAT, [hashlib.sha256(golden.read_bytes()).digest()])
         with _no_parse():
             _assert_same_index(load_index(golden), parsed)
             # A relative path to the same file finds the same slot.
@@ -427,3 +442,17 @@ class TestSlot(CacheRules):
     def test_save_index_writes_no_slot(self, sample_index, tmp_path, slots):
         save_index(sample_index, tmp_path / "index.json")
         assert not slots.exists()
+
+    def test_warm_commands_build_only_the_part_they_read(self, golden, tmp_path, slots, capsys):
+        other = tmp_path / "other.json"
+        other.write_bytes(golden.read_bytes().replace(*self.edit[1:]))
+        for path in (golden, other):
+            load_index(path)
+        built = mock.Mock(side_effect=AssertionError("built"))
+        with _no_parse():
+            with mock.patch.object(index_module, "SourceNode", built):
+                for argv in (["stats", str(golden)], ["topwords", str(golden)], ["domain", str(golden), str(other)]):
+                    assert main(argv) == 0
+            with mock.patch.object(index_module, "VocabularyEntry", built):
+                assert main(["locate", str(golden), "find word form", "--dict", str(MINIDICT)]) == 0
+        assert "WordTools.java:2 method getType 5" in capsys.readouterr().out

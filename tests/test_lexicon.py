@@ -210,6 +210,17 @@ def _join(data, header, header_bytes=None):
     return _with_digest(data[32:64] + len(header_bytes).to_bytes(8, "little") + header_bytes + _split(data)[1])
 
 
+def _stamp(data):
+    """A slot's stamp and the stamp's length with its 8-byte length field."""
+    size = int.from_bytes(data[-8:], "little")
+    return marshal.loads(data[-8 - size : -8]), 8 + size
+
+
+def _unstamped(data):
+    """A slot's key and payload: the slot without its sha256 and its stamp."""
+    return data[32 : len(data) - _stamp(data)[1]]
+
+
 def _stored(path, root=MINIDICT):
     """The tables the slot at path holds for the dictionary under root, or None."""
     payload = read_slot(path, lexicon_module._content_key(root))
@@ -256,6 +267,7 @@ def assert_same_mapping(table, expected, missing):
 
 class TestSnapshot(CacheRules):
     kind, load, source = "lexicon", staticmethod(load_lexicon), MINIDICT
+    edit = "index.noun", b"car n 1 1 @ 1 12 ", b"car n 1 1 @ 1 13 "
 
     def test_second_load_reads_the_snapshot(self, tmp_path, slots, monkeypatch):
         parsed = _parse_lexicon(MINIDICT)
@@ -270,7 +282,16 @@ class TestSnapshot(CacheRules):
         (entry_count, synset_count, exceptions, entry_starts, synset_starts, bounds), shards = _split(data)
         assert (entry_count, synset_count) == (len(parsed[0]), len(parsed[1]))
         assert exceptions == parsed[2]
-        assert len(bounds) == 2 * _SHARDS + 1 and bounds[0] == 0 and bounds[-1] == len(shards)
+        stamp, stamp_length = _stamp(data)
+        assert len(bounds) == 2 * _SHARDS + 1 and bounds[0] == 0 and bounds[-1] == len(shards) - stamp_length
+        source, _time_ns, signatures, digests = stamp
+        files = [MINIDICT / name for name in lexicon_module._DICT_FILES]
+        assert source == os.path.abspath(MINIDICT)
+        assert signatures == tuple(
+            (s.st_size, s.st_mtime_ns, s.st_ino, s.st_dev) if path.exists() else None
+            for path, s in ((path, path.exists() and path.stat()) for path in files)
+        )
+        assert digests == tuple(hashlib.sha256(path.read_bytes()).digest() if path.exists() else bytes(32) for path in files)
         assert _shard_tables(data) == parsed[:2]
         # Each shard holds one range of sorted keys, which its start opens.
         for starts, first in ((entry_starts, 0), (synset_starts, _SHARDS)):
@@ -282,13 +303,14 @@ class TestSnapshot(CacheRules):
                 assert all(number == 0 or starts[number - 1] <= key for key in keys)
                 assert all(number == _SHARDS - 1 or key < starts[number] for key in keys)
         # A copy is another directory, so it has a slot of its own; the key
-        # is the content alone, so both slots hold the same bytes.
+        # is the content alone, so both slots hold the same key and payload
+        # under stamps of their own files.
         copy = tmp_path / "copy"
         shutil.copytree(MINIDICT, copy)
         load_lexicon(copy)
         copy_slot = slot_path("lexicon", copy)
         assert sorted(slots.iterdir()) == sorted([path, copy_slot])
-        assert copy_slot.read_bytes() == data
+        assert _unstamped(copy_slot.read_bytes()) == _unstamped(data)
         monkeypatch.setattr(lexicon_module, "_parse_lexicon", _no_parse)
         warm, warm_copy = load_lexicon(MINIDICT), load_lexicon(copy)
         assert _tables(cold) == _tables(warm) == _tables(warm_copy) == parsed
@@ -435,7 +457,7 @@ class TestSnapshot(CacheRules):
                 env=env, check=True,
             )
             [path] = (cache / "lexiscope").iterdir()
-            written.append((path.name, path.read_bytes()))
+            written.append((path.name, _unstamped(path.read_bytes())))
         assert written[0] == written[1]
 
     def test_threads_reading_one_fresh_lexicon_agree(self, slots):

@@ -457,6 +457,26 @@ def test_locate_agrees_with_per_candidate_reference(lexicon, nodes, keywords, re
     assert [m.per_keyword for m in located] == [m.per_keyword for m in expected]
 
 
+@given(
+    nodes=_node_trees(st.sampled_from(("car", "cars", "auto", "find", "get", "value"))),
+    keywords=st.lists(st.sampled_from(("car", "find", "value")), min_size=1, max_size=2),
+    depth=st.integers(0, 2),
+    limit=st.integers(1, 20),
+)
+@settings(max_examples=200, deadline=None)
+def test_top_matches_are_the_head_of_the_full_ranking(lexicon, nodes, keywords, depth, limit):
+    query = ConceptQuery(tuple(keywords), depth=depth)
+    ranked = locate_concept(nodes, query, lexicon, limit=len(nodes) + 1)
+    assert ranked == sorted(ranked, key=lambda m: (
+        -m.score, _KIND_RANK[m.kind], nodes[m.node_id].file_path, nodes[m.node_id].line, m.node_id))
+    located = locate_concept(nodes, query, lexicon, limit)
+    assert located == ranked[:limit]
+    assert [m.per_keyword for m in located] == [m.per_keyword for m in ranked[:limit]]
+    # A table of the names' tokens gives the same, also when it lacks a name.
+    table = {node.name: tuple(split_identifier(node.name)) for node in nodes[1:]}
+    assert locate_concept(nodes, query, lexicon, limit, name_tokens=table) == located
+
+
 # The model's words as keywords, and the forms its exception lists map.
 _MODEL_KEYWORDS = sorted(word.lower() for word in _MODEL_WORDS if word.isalpha()) + ["geese", "ran", "went"]
 

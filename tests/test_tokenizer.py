@@ -9,6 +9,20 @@ from lexiscope.tokenizer import split_identifier
 identifiers = st.from_regex(r"[A-Za-z_$][A-Za-z0-9_$]{0,30}", fullmatch=True)
 
 
+def _reference_split(name):
+    """The split as written first: cut at separators and digit runs, then into camel-case pieces."""
+    return [
+        match.group(0).lower()
+        for piece in re.split(r"[_$0-9]+", name)
+        for match in re.finditer(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+", piece)
+    ]
+
+
+@given(identifiers | st.text() | st.text(alphabet="aZbY_$09 -\u00e9\u212a"))
+def test_split_agrees_with_reference(name):
+    assert split_identifier(name) == _reference_split(name)
+
+
 @pytest.mark.parametrize(
     "name, expected",
     [
