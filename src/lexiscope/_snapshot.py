@@ -16,10 +16,12 @@ is the files'.  A hashed read that finds the slot good and every file
 settled writes the slot again under a new stamp, so the next read trusts
 the stat.  A reader that finds the slot missing, unreadable, damaged or
 written from other content gets None and parses its source again; the
-write after the parse is skipped when a file changed during it.  Every
-write removes the slots of its kind whose source is gone, and the
-content-named snapshots of earlier versions.  A cache that cannot be
-written is skipped.  A slot is only ever a cache of a parse.
+write after the parse is skipped when a file changed during it.  A source
+with a file that is there but is not a regular file, such as a pipe, is
+never read from or written to a slot: no key stands for bytes a read
+consumes.  Every write removes the slots of its kind whose source is
+gone, and the content-named snapshots of earlier versions.  A cache that
+cannot be written is skipped.  A slot is only ever a cache of a parse.
 """
 
 from __future__ import annotations
@@ -75,8 +77,12 @@ def content_key(format_tag: bytes, parts) -> bytes:
 
 
 def file_digest(path: Path) -> bytes:
-    """The sha256 of a regular file, or ABSENT when there is none; OSError if it cannot be read."""
-    if not path.is_file():
+    """The sha256 of a regular file, or ABSENT when there is no file.
+
+    OSError for a file that cannot be read or is not a regular file: a
+    pipe's bytes are gone once read, so no key can stand for them.
+    """
+    if _state(path)[0] is None:
         return ABSENT
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -86,13 +92,16 @@ def file_digest(path: Path) -> bytes:
 
 
 def _state(path: Path):
-    """(stat signature, last mtime or ctime in ns) of a regular file, or (None, None)."""
+    """(stat signature, last mtime or ctime in ns) of a regular file, or (None, None) when there is no file.
+
+    OSError for anything else at path, and when it cannot be stat'd.
+    """
     try:
         status = os.stat(path)
-    except OSError:
+    except (FileNotFoundError, NotADirectoryError):
         return None, None
     if not stat.S_ISREG(status.st_mode):
-        return None, None
+        raise OSError(f"not a regular file: {path}")
     signature = (status.st_size, status.st_mtime_ns, status.st_ino, status.st_dev)
     return signature, max(status.st_mtime_ns, status.st_ctime_ns)
 
@@ -114,12 +123,6 @@ def _open_slot(path: Path):
     except (EOFError, ValueError, TypeError):
         return None
     return data[32:64], view[64:end], stamp
-
-
-def read_slot(path: Path, key: bytes) -> memoryview | None:
-    """The payload stored at path under key, or None for a missing, damaged or other-keyed slot."""
-    opened = _open_slot(path)
-    return None if opened is None or opened[0] != key else opened[1]
 
 
 def write_slot(path: Path, key: bytes, chunks: list[bytes]) -> None:
@@ -152,6 +155,14 @@ def write_slot(path: Path, key: bytes, chunks: list[bytes]) -> None:
             os.unlink(temp)
 
 
+def _states(files: list[Path]):
+    """Each file's _state, or None when one is not a regular file or cannot be stat'd."""
+    try:
+        return [_state(path) for path in files]
+    except OSError:
+        return None
+
+
 class Slot:
     """The cache slot of one source: read before its parse, written after it.
 
@@ -178,7 +189,9 @@ class Slot:
         Stamps the files first, for write.
         """
         self.time_ns = time.time_ns()
-        self.states = [_state(path) for path in self.files]
+        self.states = _states(self.files)
+        if self.states is None:
+            return None
         opened = _open_slot(self.path)
         digests = None if opened is None else self._trusted(opened[2])
         trusted = digests is not None
@@ -219,7 +232,7 @@ class Slot:
 
     def write(self, chunks: list[bytes]) -> None:
         """Store the payload chunks under the stamp read took, unless a file changed since."""
-        if self.key is None or [_state(path) for path in self.files] != self.states:
+        if self.key is None or _states(self.files) != self.states:
             return
         signatures = tuple(signature for signature, _ in self.states)
         stamp = marshal.dumps((self.source, self.time_ns, signatures, self.digests))

@@ -307,7 +307,7 @@ def cmd_locate(args) -> int:
     index = load_index(args.index)
     lexicon = load_lexicon(_dictionary_dir(args))
     query = ConceptQuery(tuple(keywords), relations=_parse_relations(args.relations), depth=args.depth)
-    matches = locate_concept(index.nodes, query, lexicon, limit=args.limit, name_tokens=index.name_tokens)
+    matches = locate_concept(index.nodes, query, lexicon, limit=args.limit)
     if not matches:
         print("no matches")
         return 0

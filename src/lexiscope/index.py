@@ -14,18 +14,15 @@ from __future__ import annotations
 import io
 import json
 import marshal
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
-from typing import ClassVar
 
 from ._snapshot import Slot
 from .extractor import KINDS, SourceNode, _validate_node
 from .lexicon import PosTag
-from .tokenizer import split_identifier
 from .vocabulary import ProjectVocabulary, VocabularyEntry
 
 __all__ = ["FORMAT_VERSION", "InvalidIndexError", "ProjectIndex", "load_index", "save_index"]
@@ -40,23 +37,10 @@ class InvalidIndexError(Exception):
     """The index file is unreadable or violates the schema."""
 
 
-@dataclass(eq=False)
+@dataclass
 class ProjectIndex:
-    """A project's nodes and vocabulary.
-
-    name_tokens maps node names to their split_identifier tokens when the
-    index was read from its cache slot, and is None otherwise.  Two
-    indexes are equal when their nodes and vocabularies are.
-    """
-
     nodes: list[SourceNode]
     vocabulary: ProjectVocabulary
-    name_tokens: ClassVar[Mapping[str, tuple[str, ...]] | None] = None
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectIndex):
-            return NotImplemented
-        return self.nodes == other.nodes and self.vocabulary == other.vocabulary
 
 
 # The layout json.dumps(document, indent=2) gives one node and one
@@ -121,8 +105,8 @@ def load_index(path: str | Path) -> ProjectIndex:
     of the format.  A successful parse is stored in the file's cache slot
     (see _snapshot), keyed by the bytes of the index file; a later load of
     the same bytes from the same path reads the slot without parsing, and
-    without hashing the file while the slot's stamp holds.  Its nodes, its
-    vocabulary and its name_tokens table are each built on first access.
+    without hashing the file while the slot's stamp holds.  Its nodes and
+    its vocabulary are each built on first access.
     A slot that is missing, damaged, of another shape or of other bytes
     only means a parse, so every InvalidIndexError comes from the parse.
     """
@@ -233,27 +217,24 @@ _ROW_LENGTH = 3 + len(KINDS)
 
 
 def _slot_payload(index: ProjectIndex) -> bytes:
-    """The marshalled (project name, file count, node columns, token table, vocabulary rows).
+    """The marshalled (project name, file count, node columns, vocabulary rows).
 
     The node columns are kind, name, file, line and parent; a node's id is
-    its position.  The token table maps each distinct name to its
-    split_identifier tokens, marshalled on its own so that only a read of
-    name_tokens unmarshals it.  A row is a word, its pos as an int or None,
-    its total and its four counts in KINDS order.
+    its position.  A row is a word, its pos as an int or None, its total
+    and its four counts in KINDS order.
     """
     vocabulary = index.vocabulary
     _ids, kinds, names, files, lines, parents = zip(*index.nodes) if index.nodes else ((),) * 6
     # One object per distinct kind and file, which marshal writes once.
     same: dict[str, str] = {}
     kinds, files = (tuple([same.setdefault(value, value) for value in column]) for column in (kinds, files))
-    tokens = marshal.dumps({name: tuple(split_identifier(name)) for name in dict.fromkeys(names)})
     rows = tuple(
         (entry.word, None if entry.pos is None else int(entry.pos), entry.total,
          *[entry.counts_by_kind[kind] for kind in KINDS])
         for entry in vocabulary.entries.values()
     )
     return marshal.dumps(
-        (vocabulary.project_name, vocabulary.file_count, kinds, names, files, lines, parents, tokens, rows)
+        (vocabulary.project_name, vocabulary.file_count, kinds, names, files, lines, parents, rows)
     )
 
 
@@ -267,12 +248,12 @@ def _index_from_slot(payload: memoryview) -> ProjectIndex | None:
         stored = marshal.loads(payload)
     except (EOFError, ValueError, TypeError):
         return None
-    if not (isinstance(stored, tuple) and len(stored) == 9):
+    if not (isinstance(stored, tuple) and len(stored) == 8):
         return None
-    project_name, file_count, kinds, names, files, lines, parents, tokens, rows = stored
+    project_name, file_count, kinds, names, files, lines, parents, rows = stored
     columns = (kinds, names, files, lines, parents)
     if not (all(type(column) is tuple and len(column) == len(kinds) for column in columns)
-            and type(tokens) is bytes and type(rows) is tuple):
+            and type(rows) is tuple):
         return None
     try:
         if not (all(type(row) is tuple and len(row) == _ROW_LENGTH and row[1] in _POS_OF_INT for row in rows)
@@ -280,14 +261,26 @@ def _index_from_slot(payload: memoryview) -> ProjectIndex | None:
             return None
     except TypeError:  # an unhashable pos or word
         return None
-    return _SlotIndex(project_name, file_count, columns, tokens, rows)
+    return _SlotIndex(stored=(project_name, file_count, columns, rows))
 
 
 class _SlotIndex(ProjectIndex):
-    """An index read from its cache slot: each part is built on its first access."""
+    """An index read from its cache slot, whose nodes and vocabulary are each built on first access.
 
-    def __init__(self, project_name, file_count, columns, tokens, rows):
-        self._stored = project_name, file_count, columns, tokens, rows
+    It takes ProjectIndex's fields too, so dataclasses.replace gives a copy
+    of the fields it is handed, and it equals a ProjectIndex of the same
+    nodes and vocabulary, as the parse of its file does.
+    """
+
+    def __init__(self, nodes=None, vocabulary=None, *, stored=None):
+        self._stored = stored
+        if stored is None:
+            super().__init__(nodes, vocabulary)
+
+    def __eq__(self, other):
+        if not isinstance(other, ProjectIndex):
+            return NotImplemented
+        return (self.nodes, self.vocabulary) == (other.nodes, other.vocabulary)
 
     @cached_property
     def nodes(self) -> list[SourceNode]:
@@ -297,17 +290,9 @@ class _SlotIndex(ProjectIndex):
 
     @cached_property
     def vocabulary(self) -> ProjectVocabulary:
-        project_name, file_count, _columns, _tokens, rows = self._stored
+        project_name, file_count, _columns, rows = self._stored
         entries = {
             word: VocabularyEntry(word, pos is not None, _POS_OF_INT[pos], total, dict(zip(KINDS, counts)))
             for word, pos, total, *counts in rows
         }
         return ProjectVocabulary(project_name, file_count, entries)
-
-    @cached_property
-    def name_tokens(self) -> dict[str, tuple[str, ...]] | None:
-        try:
-            table = marshal.loads(self._stored[3])
-        except (EOFError, ValueError, TypeError):
-            return None
-        return table if type(table) is dict else None

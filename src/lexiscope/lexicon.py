@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
-from ._snapshot import Slot, content_key, file_digest
+from ._snapshot import Slot
 
 __all__ = [
     "PosTag",
@@ -524,14 +524,6 @@ def _open_payload(payload: memoryview):
         _ShardedTable(shards, bounds[_SHARDS:], *tables[1]),
         exceptions,
     )
-
-
-def _content_key(root: Path) -> bytes | None:
-    """The key of the dictionary files' sha256s, or None if a file cannot be read."""
-    try:
-        return content_key(_SNAPSHOT_FORMAT, [file_digest(root / name) for name in _DICT_FILES])
-    except OSError:
-        return None
 
 
 def lemmatize(lexicon: Lexicon, token: str) -> list[tuple[str, PosTag]]:

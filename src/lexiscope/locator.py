@@ -12,7 +12,6 @@ is-a relative, and longer pointer chains count for less.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -138,7 +137,6 @@ def locate_concept(
     query: ConceptQuery,
     lexicon: Lexicon,
     limit: int = 10,
-    name_tokens: Mapping[str, tuple[str, ...]] | None = None,
 ) -> list[ConceptMatch]:
     """Rank candidates where every keyword matches the identifier scope.
 
@@ -149,8 +147,6 @@ def locate_concept(
     words are itself if it is one and the words it is a form of.  A
     keyword's match is the scope word that comes first in its best-first
     order; the pass reads a candidate's scope words, not the expansion.
-    name_tokens, such as ProjectIndex.name_tokens, gives the
-    split_identifier tokens of node names; a name it lacks is split.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -181,8 +177,7 @@ def locate_concept(
             words = name_words.get(name)
             if words is None:
                 words = name_words[name] = set()
-                tokens = None if name_tokens is None else name_tokens.get(name)
-                for token in split_identifier(name) if tokens is None else tokens:
+                for token in split_identifier(name):
                     if token in wanted:
                         words.add(token)
                     words.update(forms.get(token, ()))

@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import marshal
 import os
 import shutil
 import stat
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -13,12 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexiscope.index as index_module
-from lexiscope._snapshot import content_key, slot_path
+from lexiscope._snapshot import _open_slot, content_key, slot_path
 from lexiscope.cli import main
 from lexiscope.extractor import KINDS, SchemaError, SourceNode, extract_project, ingest_nodes
 from lexiscope.index import FORMAT_VERSION, InvalidIndexError, ProjectIndex, load_index, save_index
 from lexiscope.lexicon import PosTag
-from lexiscope.tokenizer import split_identifier
 from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry, build_vocabulary, default_stoplist
 
 from cache_rules import CacheRules
@@ -315,18 +316,6 @@ def test_warm_load_equals_the_parse(tmp_path_factory, index):
     _assert_same_index(warm, parsed)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_valid_indexes())
-def test_warm_token_table_is_the_split_of_every_name(tmp_path_factory, index):
-    path = tmp_path_factory.getbasetemp() / "tokens.json"
-    save_index(index, path)
-    slot_path("index", path).unlink(missing_ok=True)
-    assert load_index(path).name_tokens is None  # a parse has no table
-    with _no_parse():
-        warm = load_index(path)
-    assert warm.name_tokens == {node.name: tuple(split_identifier(node.name)) for node in index.nodes}
-
-
 @pytest.fixture
 def golden(tmp_path):
     """A copy of the minicorpus index."""
@@ -339,9 +328,24 @@ def _signed(rest: bytes) -> bytes:
     return hashlib.sha256(rest).digest() + rest
 
 
+def _stamp_tail(data: bytes) -> bytes:
+    """A slot's stamp and the stamp's 8-byte length, which end it."""
+    return data[len(data) - 8 - int.from_bytes(data[-8:], "little") :]
+
+
 def _reshaped(change):
-    """The slot with its stored tuple as change leaves it, under its key, with a valid digest."""
-    return lambda data: _signed(data[32:64] + marshal.dumps(change(marshal.loads(data[64:]))))
+    """The slot with its stored tuple as change leaves it, under its key and stamp, with a valid digest."""
+
+    def damage(data):
+        tail = _stamp_tail(data)
+        stored = marshal.loads(data[64 : -len(tail)])
+        return _signed(data[32:64] + marshal.dumps(change(stored)) + tail)
+
+    return damage
+
+
+def _flipped(data: bytes, offset: int) -> bytes:
+    return data[:offset] + bytes([data[offset] ^ 1]) + data[offset + 1 :]
 
 
 def _with_rows(change):
@@ -370,33 +374,43 @@ class TestSlot(CacheRules):
         assert list(slots.iterdir()) == [slot]
 
     @pytest.mark.parametrize(
-        "damage",
+        "damage, reaches_payload",
         [
-            pytest.param(lambda data: data[: len(data) // 2], id="truncated"),
-            pytest.param(lambda data: data[:20], id="shorter-than-a-digest"),
-            pytest.param(lambda data: data[:-9] + bytes([data[-9] ^ 1]) + data[-8:], id="flipped-byte"),
-            pytest.param(lambda data: _signed(data[32:64] + b"\xff"), id="not-marshal"),
-            pytest.param(_reshaped(list), id="list-for-the-tuple"),
-            pytest.param(_reshaped(lambda stored: stored[:-1]), id="too-few-fields"),
-            pytest.param(_reshaped(lambda stored: stored + ((),)), id="too-many-fields"),
-            pytest.param(_reshaped(lambda stored: stored[:3] + (stored[3][:-1],) + stored[4:]), id="short-column"),
-            pytest.param(_reshaped(lambda stored: stored[:2] + (list(stored[2]),) + stored[3:]), id="list-column"),
-            pytest.param(_reshaped(lambda stored: stored[:-1] + (list(stored[-1]),)), id="list-of-rows"),
-            pytest.param(_with_rows(lambda rows: (rows[0][:-1],) + rows[1:]), id="row-short-of-a-count"),
-            pytest.param(_with_rows(lambda rows: (rows[0] + (0,),) + rows[1:]), id="row-with-a-fifth-count"),
-            pytest.param(_with_rows(lambda rows: (rows[0][:1],) + rows[1:]), id="row-of-one-field"),
-            pytest.param(_with_rows(lambda rows: ((rows[0][0], 9) + rows[0][2:],) + rows[1:]), id="unknown-pos"),
-            pytest.param(_with_rows(lambda rows: ((rows[0][0], [1]) + rows[0][2:],) + rows[1:]), id="list-pos"),
-            pytest.param(_with_rows(lambda rows: rows + ((rows[0][0],) + rows[1][1:],)), id="repeated-word"),
-            pytest.param(lambda data: _signed(bytes(32) + data[64:]), id="other-key"),
-            pytest.param(lambda data: _signed(data[64:]), id="index-1"),  # the sha256, then the payload
+            pytest.param(lambda data: data[: len(data) // 2], False, id="truncated"),
+            pytest.param(lambda data: data[:20], False, id="shorter-than-a-digest"),
+            pytest.param(  # the payload's last byte, the digest left as it was
+                lambda data: _flipped(data, len(data) - len(_stamp_tail(data)) - 1), False, id="flipped-byte"
+            ),
+            pytest.param(lambda data: _signed(data[32:64] + b"\xff" + _stamp_tail(data)), True, id="not-marshal"),
+            pytest.param(_reshaped(list), True, id="list-for-the-tuple"),
+            pytest.param(_reshaped(lambda stored: stored[:-1]), True, id="too-few-fields"),
+            pytest.param(_reshaped(lambda stored: stored + ((),)), True, id="too-many-fields"),
+            pytest.param(_reshaped(lambda stored: stored[:3] + (stored[3][:-1],) + stored[4:]), True, id="short-column"),
+            pytest.param(_reshaped(lambda stored: stored[:2] + (list(stored[2]),) + stored[3:]), True, id="list-column"),
+            pytest.param(_reshaped(lambda stored: stored[:-1] + (list(stored[-1]),)), True, id="list-of-rows"),
+            pytest.param(_with_rows(lambda rows: (rows[0][:-1],) + rows[1:]), True, id="row-short-of-a-count"),
+            pytest.param(_with_rows(lambda rows: (rows[0] + (0,),) + rows[1:]), True, id="row-with-a-fifth-count"),
+            pytest.param(_with_rows(lambda rows: (rows[0][:1],) + rows[1:]), True, id="row-of-one-field"),
+            pytest.param(_with_rows(lambda rows: ((rows[0][0], 9) + rows[0][2:],) + rows[1:]), True, id="unknown-pos"),
+            pytest.param(_with_rows(lambda rows: ((rows[0][0], [1]) + rows[0][2:],) + rows[1:]), True, id="list-pos"),
+            pytest.param(_with_rows(lambda rows: rows + ((rows[0][0],) + rows[1][1:],)), True, id="repeated-word"),
+            pytest.param(lambda data: _signed(bytes(32) + data[64:]), False, id="other-key"),
+            pytest.param(  # the sha256, then the payload
+                lambda data: _signed(data[64 : -len(_stamp_tail(data))]), False, id="index-1"
+            ),
         ],
     )
-    def test_damaged_slot_is_parsed_again(self, golden, slots, damage):
+    def test_damaged_slot_is_parsed_again(self, golden, slots, damage, reaches_payload):
         parsed = _parsed(golden)
         load_index(golden)
         [slot] = slots.iterdir()
+        key, _payload, stamp = _open_slot(slot)
         slot.write_bytes(damage(slot.read_bytes()))
+        if reaches_payload:
+            # The slot itself is sound; the payload's checks are what turn it away.
+            opened = _open_slot(slot)
+            assert opened is not None and opened[0] == key and opened[2] == stamp
+            assert index_module._index_from_slot(opened[1]) is None
         _assert_same_index(load_index(golden), parsed)
         # The parse wrote the slot again.
         with _no_parse():
@@ -423,6 +437,33 @@ class TestSlot(CacheRules):
                 assert load_index(path).vocabulary.project_name == name
         assert list(slots.iterdir()) == [slot_path("index", path)]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("through", ["pipe", "symlink-to-a-pipe"])
+    def test_documents_read_through_one_pipe_are_never_cached(self, golden, tmp_path, slots, through):
+        # As `lexiscope stats <(cat a.json)` then `<(cat b.json)` do: one path, other bytes.
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        path = pipe if through == "pipe" else tmp_path / "link"
+        if path != pipe:
+            path.symlink_to(pipe)
+
+        def feed(data):
+            with open(pipe, "wb") as out:
+                out.write(data)
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for name in ("first", "second"):
+                document = golden.read_bytes().replace(self.edit[1], f'"projectName": "{name}"'.encode())
+                fed = pool.submit(feed, document)
+                try:
+                    assert load_index(path).vocabulary.project_name == name
+                finally:
+                    if not fed.done():  # a load that never read the pipe: open it, so the feeder ends
+                        os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+                        fed.exception(timeout=60)
+                fed.result(timeout=60)
+        assert not slots.exists() or list(slots.iterdir()) == []
+
     @pytest.mark.parametrize("mutate", list(_INVALID_DOCUMENTS.values()), ids=list(_INVALID_DOCUMENTS))
     def test_primed_slot_does_not_let_an_invalid_document_load(self, tmp_path, slots, monkeypatch, mutate):
         path = _write_document(tmp_path, lambda d: None)
@@ -442,6 +483,19 @@ class TestSlot(CacheRules):
     def test_save_index_writes_no_slot(self, sample_index, tmp_path, slots):
         save_index(sample_index, tmp_path / "index.json")
         assert not slots.exists()
+
+    def test_warm_index_is_a_project_index_like_a_parsed_one(self, golden, slots):
+        cold = load_index(golden)
+        with _no_parse():
+            warm = load_index(golden)
+        assert warm == cold and cold == warm
+        assert [field.name for field in dataclasses.fields(warm)] == ["nodes", "vocabulary"]
+        assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
+        for index in (cold, warm):
+            trimmed = dataclasses.replace(index, nodes=index.nodes[:1])
+            assert (trimmed.nodes, trimmed.vocabulary) == (cold.nodes[:1], cold.vocabulary)
+            assert trimmed != cold and cold != trimmed
+            assert dataclasses.replace(index) == cold
 
     def test_warm_commands_build_only_the_part_they_read(self, golden, tmp_path, slots, capsys):
         other = tmp_path / "other.json"

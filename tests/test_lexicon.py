@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexiscope.lexicon as lexicon_module
-from lexiscope._snapshot import read_slot, slot_path
+from lexiscope._snapshot import _open_slot, content_key, slot_path
 from lexiscope.lexicon import (
     HYPERNYM,
     HYPONYM,
@@ -216,15 +216,27 @@ def _stamp(data):
     return marshal.loads(data[-8 - size : -8]), 8 + size
 
 
+def _flipped(data, offset, bits):
+    """data with the byte at offset xored with bits."""
+    return data[:offset] + bytes([data[offset] ^ bits]) + data[offset + 1 :]
+
+
 def _unstamped(data):
     """A slot's key and payload: the slot without its sha256 and its stamp."""
     return data[32 : len(data) - _stamp(data)[1]]
 
 
+def _key(root=MINIDICT):
+    """The content key of the dictionary under root: its files' sha256s, 32 zero bytes for one that is absent."""
+    files = [root / name for name in lexicon_module._DICT_FILES]
+    digests = [hashlib.sha256(path.read_bytes()).digest() if path.exists() else bytes(32) for path in files]
+    return content_key(lexicon_module._SNAPSHOT_FORMAT, digests)
+
+
 def _stored(path, root=MINIDICT):
     """The tables the slot at path holds for the dictionary under root, or None."""
-    payload = read_slot(path, lexicon_module._content_key(root))
-    return None if payload is None else lexicon_module._open_payload(payload)
+    opened = _open_slot(path)
+    return None if opened is None or opened[0] != _key(root) else lexicon_module._open_payload(opened[1])
 
 
 def _shard_tables(data):
@@ -278,7 +290,7 @@ class TestSnapshot(CacheRules):
         assert stat.S_IMODE(path.stat().st_mode) == 0o600
         data = path.read_bytes()
         assert data[:32] == hashlib.sha256(data[32:]).digest()
-        assert data[32:64] == lexicon_module._content_key(MINIDICT)
+        assert data[32:64] == _key()
         (entry_count, synset_count, exceptions, entry_starts, synset_starts, bounds), shards = _split(data)
         assert (entry_count, synset_count) == (len(parsed[0]), len(parsed[1]))
         assert exceptions == parsed[2]
@@ -348,8 +360,8 @@ class TestSnapshot(CacheRules):
                 lambda data: _with_field(data, _SYNSET_STARTS, lambda starts: starts[:-1] + ("car",)),
                 id="starts-of-two-types",
             ),
-            pytest.param(  # a byte of the last shard, the digest left as it was
-                lambda data: data[:-3] + bytes([data[-3] ^ 0x20]) + data[-2:],
+            pytest.param(  # a byte of the last shard, before the stamp; the digest left as it was
+                lambda data: _flipped(data, len(data) - _stamp(data)[1] - 3, 0x20),
                 id="damaged-shard",
             ),
             pytest.param(lambda data: _with_field(data, _ENTRY_COUNT, lambda _: 0), id="zero-count-over-shards"),

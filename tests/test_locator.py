@@ -472,9 +472,6 @@ def test_top_matches_are_the_head_of_the_full_ranking(lexicon, nodes, keywords, 
     located = locate_concept(nodes, query, lexicon, limit)
     assert located == ranked[:limit]
     assert [m.per_keyword for m in located] == [m.per_keyword for m in ranked[:limit]]
-    # A table of the names' tokens gives the same, also when it lacks a name.
-    table = {node.name: tuple(split_identifier(node.name)) for node in nodes[1:]}
-    assert locate_concept(nodes, query, lexicon, limit, name_tokens=table) == located
 
 
 # The model's words as keywords, and the forms its exception lists map.
