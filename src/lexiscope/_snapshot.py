@@ -1,4 +1,4 @@
-"""One cache slot per source, shared by the dictionary and index loaders.
+"""One cache slot per source, shared by the dictionary and index loaders and the tree scan.
 
 A slot is ``<cache>/lexiscope/<kind>-<sha256 of the source's absolute
 path>.marshal``.  It holds the sha256 of the rest, then the content key of

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .domain import DOMAIN, POTENTIAL, build_domain_vocabulary
-from .extractor import SchemaError, extract_project, ingest_nodes
+from .extractor import ScanDiagnostics, SchemaError, extract_project, ingest_nodes
 from .index import InvalidIndexError, ProjectIndex, load_index, save_index
 from .lexicon import RELATIONS, LexiconError, load_lexicon
 from .locator import ConceptQuery, locate_concept
@@ -166,8 +166,13 @@ def cmd_analyze(args) -> int:
     if not project:
         raise ValueError(f"cannot name a project after {args.src!r}; pass --project NAME")
 
-    # Bad input exits 2 before the dictionary parse, which may take seconds.
+    # Bad input exits 2 before the scan and the dictionary parse, which may
+    # take seconds.
     dictionary = _dictionary_dir(args)
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(f"cannot write index {args.out}: it is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise FileNotFoundError(f"cannot write index {args.out}: no such directory")
     if args.stoplist:
         with _text_input(args.stoplist):
             stoplist = load_stoplist(args.stoplist)
@@ -182,7 +187,13 @@ def cmd_analyze(args) -> int:
                 raise SchemaError(exc.line_number, exc.reason, args.src) from exc
         file_count = len({node.file_path for node in nodes})
     else:
-        nodes, file_count = extract_project(args.src)
+        diagnostics = ScanDiagnostics()
+        nodes, file_count = extract_project(args.src, diagnostics)
+        print(
+            f"{project}: skipped {diagnostics.skipped_declarations} declarations and "
+            f"{diagnostics.skipped_blocks} blocks, {diagnostics.unreadable_files} files unreadable",
+            file=sys.stderr,
+        )
 
     lexicon = load_lexicon(dictionary)
     vocabulary = build_vocabulary(

@@ -12,10 +12,15 @@ from __future__ import annotations
 
 import bisect
 import json
+import marshal
+import os
 import re
 from dataclasses import dataclass
+from itertools import count, repeat
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
+
+from ._snapshot import Slot
 
 __all__ = [
     "SourceNode",
@@ -383,25 +388,89 @@ def extract_project(
     root_directory: str | Path,
     diagnostics: ScanDiagnostics | None = None,
 ) -> tuple[list[SourceNode], int]:
-    """Scan all *.java under a directory, in sorted relative-path order."""
+    """Scan all *.java under a directory, in sorted relative-path order.
+
+    The scan is kept in the tree's cache slot (see _snapshot), keyed by
+    the relative paths, the bytes of every file and this scanner's own
+    source; a later scan of the same files from the same directory reads
+    the slot, and adds the counters it stored to `diagnostics`.  A tree
+    with a file that cannot be read gets no slot.
+    """
     root = Path(root_directory)
     if not root.is_dir():
         raise NotADirectoryError(f"not a readable directory: {root}")
     diagnostics = diagnostics if diagnostics is not None else ScanDiagnostics()
+    # Each file under its relative path's parts, which is how Paths sort; a
+    # directory named like a source file is no source.
+    prefix = len(str(root / "x")) - 1
+    files = sorted((str(path)[prefix:].split(os.sep), path) for path in root.rglob("*.java") if not path.is_dir())
+    paths = [path for _parts, path in files]
+    relative = ["/".join(parts) for parts, _path in files]
+    tag = b"\0".join([_SLOT_FORMAT, *map(os.fsencode, relative)])
+    slot = Slot.of("scan", root, tag, [*paths, _SCANNER])
+    payload = None if slot is None else slot.read()
+    scan = None if payload is None else _scan_from_slot(payload, relative)
+    if scan is None:
+        scan = _scan(paths, relative)
+        if slot is not None and not scan[2].unreadable_files:
+            slot.write([_slot_payload(scan, relative)])
+    nodes, file_count, counts = scan
+    diagnostics.skipped_declarations += counts.skipped_declarations
+    diagnostics.skipped_blocks += counts.skipped_blocks
+    diagnostics.unreadable_files += counts.unreadable_files
+    return nodes, file_count
+
+
+def _scan(paths: list[Path], relative: list[str]) -> tuple[list[SourceNode], int, ScanDiagnostics]:
+    """The nodes, the number of files read and the counters of a scan of the files."""
+    counts = ScanDiagnostics()
     nodes: list[SourceNode] = []
     file_count = 0
-    for path in sorted(root.rglob("*.java")):
+    for path, name in zip(paths, relative):
         try:
             text = path.read_text(encoding="utf-8", errors="replace")
-        except IsADirectoryError:  # a directory named like a source file
-            continue
         except OSError:
-            diagnostics.unreadable_files += 1
+            counts.unreadable_files += 1
             continue
-        relative = path.relative_to(root).as_posix()
-        nodes.extend(extract_java(text, relative, start_id=len(nodes), diagnostics=diagnostics))
+        nodes.extend(extract_java(text, name, start_id=len(nodes), diagnostics=counts))
         file_count += 1
-    return nodes, file_count
+    return nodes, file_count, counts
+
+
+# The scanner's source is in every scan slot's key, so a change to the
+# scanner misses every slot; bump the tag when only the payload changes.
+_SCANNER = Path(__file__)
+_SLOT_FORMAT = b"lexiscope-scan-1"
+
+
+def _slot_payload(scan, relative: list[str]) -> bytes:
+    """The marshalled (file count, counters, node columns) of a scan of the files at the relative paths.
+
+    The node columns are the position of the node's file among the
+    relative paths, kind, name, line and parent; a node's id is its
+    position.
+    """
+    nodes, file_count, counts = scan
+    position = {name: index for index, name in enumerate(relative)}
+    _ids, kinds, names, files, lines, parents = zip(*nodes) if nodes else ((),) * 6
+    return marshal.dumps((
+        file_count,
+        (counts.skipped_declarations, counts.skipped_blocks, counts.unreadable_files),
+        tuple(map(position.__getitem__, files)), kinds, names, lines, parents,
+    ))
+
+
+def _scan_from_slot(payload: memoryview, relative: list[str]):
+    """The (nodes, file count, counters) a slot payload holds, or None for a bad shape."""
+    try:
+        file_count, counters, files, kinds, names, lines, parents = marshal.loads(payload)
+        files = list(map(relative.__getitem__, files))
+        counts = ScanDiagnostics(*counters)
+    except (EOFError, ValueError, TypeError, IndexError):
+        return None
+    # tuple.__new__ over the zipped columns makes each node without a Python call.
+    nodes = list(map(tuple.__new__, repeat(SourceNode), zip(count(), kinds, names, files, lines, parents)))
+    return nodes, file_count, counts
 
 
 def _validate_node(record, nodes: list[SourceNode]) -> SourceNode:

@@ -11,9 +11,11 @@ first access.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import marshal
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -95,7 +97,20 @@ def save_index(index: ProjectIndex, path: str | Path) -> None:
         _json_list(nodes),
         _json_list(entries),
     )
-    Path(path).write_text(document, encoding="utf-8")
+    # Written beside the target and renamed over it, so a failed or
+    # interrupted write leaves the previous index as it was.  The temporary
+    # file is made with the mode write_text gives a new file.
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    handle = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(handle, "w", encoding="utf-8") as out:
+            out.write(document)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def load_index(path: str | Path) -> ProjectIndex:

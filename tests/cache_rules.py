@@ -1,8 +1,9 @@
-"""The cache rules both loaders share, written once.
+"""The cache rules every slot shares, written once.
 
-TestSnapshot (tests/test_lexicon.py) and TestSlot (tests/test_index.py)
-each run them for their loader: where a slot is, when none is written,
-when a stat signature is trusted, and which slots a write sweeps away.
+TestSnapshot (tests/test_lexicon.py), TestSlot (tests/test_index.py) and
+TestScanSlot (tests/test_extractor.py) each run them for their slot: where
+a slot is, when none is written, when a stat signature is trusted, and
+which slots a write sweeps away.
 """
 
 import os

@@ -72,6 +72,18 @@ class TestAnalyze:
         assert rc == 2
         assert not (cache / "lexiscope").exists()
 
+    @pytest.mark.parametrize("out", ["directory", "missing-parent"])
+    def test_unwritable_out_exits_2_before_the_scan_and_the_dictionary_load(self, tmp_path, monkeypatch,
+                                                                            capsys, out):
+        def no_call(*args):
+            raise AssertionError(f"called with {args}")
+
+        monkeypatch.setattr("lexiscope.cli.extract_project", no_call)
+        monkeypatch.setattr("lexiscope.cli.load_lexicon", no_call)
+        target = tmp_path if out == "directory" else tmp_path / "missing" / "o.json"
+        assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"lexiscope: cannot write index {target}: ")
+
     def test_analyze_writes_no_index_slot(self, tmp_path, monkeypatch):
         # Only a parse of the written bytes may fill an index's slot.
         cache = tmp_path / "cache"
@@ -96,7 +108,7 @@ class TestAnalyze:
         assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_INDEX.read_bytes()
         assert loads == []
-        assert [p.name.split("-")[0] for p in (cache / "lexiscope").iterdir()] == ["lexicon"]
+        assert sorted(p.name.split("-")[0] for p in (cache / "lexiscope").iterdir()) == ["lexicon", "scan"]
 
     def test_bad_dictionary_exits_3(self, tmp_path):
         rc = main(["analyze", str(MINICORPUS), "--dict", str(tmp_path),

@@ -1,13 +1,19 @@
 import bisect
 import io
 import json
+import os
 import re
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexiscope.extractor as extractor_module
+from lexiscope._snapshot import slot_path
+from lexiscope.cli import main
 from lexiscope.extractor import (
     _CLASS_KEYWORDS,
     _NOISE_RE,
@@ -24,7 +30,8 @@ from lexiscope.extractor import (
     ingest_nodes,
 )
 
-from conftest import FIXTURES, MINICORPUS
+from cache_rules import CacheRules, _parsed
+from conftest import FIXTURES, MINICORPUS, MINIDICT
 
 
 def shapes(nodes):
@@ -599,6 +606,97 @@ class TestExtractProject:
         for node in nodes:
             if node.parent_id is not None:
                 assert node.parent_id < node.id
+
+
+def _scan(root):
+    """extract_project's nodes and file count, and the counters it adds to a fresh ScanDiagnostics."""
+    diagnostics = ScanDiagnostics()
+    return (*extract_project(root, diagnostics), diagnostics)
+
+
+@pytest.fixture
+def tokenized(monkeypatch):
+    """The texts _tokenize is called on from here on."""
+    texts = []
+    tokenize = extractor_module._tokenize
+
+    def recording(text, line_ends):
+        texts.append(text)
+        return tokenize(text, line_ends)
+
+    monkeypatch.setattr(extractor_module, "_tokenize", recording)
+    return texts
+
+
+class TestScanSlot(CacheRules):
+    kind, load, source = "scan", staticmethod(_scan), MINICORPUS
+    edit = "Car.java", b"wheelCount", b"wheelCounf"
+
+    def test_warm_scan_is_the_scan(self, tmp_path, slots, tokenized):
+        tree = tmp_path / "tree"
+        (tree / "sub").mkdir(parents=True)
+        # A name that is not UTF-8 reaches the nodes with surrogate escapes.
+        (tree / os.fsdecode(b"Caf\xe9.java")).write_text("class Caf { int x = 1 } class B { int y; }")
+        (tree / "sub" / "Block.java").write_text("{ } class C { void f(int p) {} { } }")
+        expected = _parsed(_scan, tree)
+        assert expected[2] == ScanDiagnostics(skipped_declarations=1, skipped_blocks=2)
+        assert expected[0][0].file_path == os.fsdecode(b"Caf\xe9.java")
+        del tokenized[:]
+        assert _scan(tree) == expected
+        assert len(tokenized) == 2
+        del tokenized[:]
+        assert _scan(tree) == expected
+        assert tokenized == []
+        assert list(slots.iterdir()) == [slot_path("scan", tree)]
+
+    @pytest.mark.parametrize("change", ["added", "removed", "renamed", "scanner"])
+    def test_changed_file_list_or_scanner_is_scanned_again(self, tmp_path, slots, tokenized, monkeypatch, change):
+        tree = tmp_path / "tree"
+        shutil.copytree(MINICORPUS, tree)
+        scanner = tmp_path / "extractor.py"
+        shutil.copyfile(extractor_module._SCANNER, scanner)
+        monkeypatch.setattr(extractor_module, "_SCANNER", scanner)
+        before = _scan(tree)
+        if change == "added":
+            (tree / "model" / "Extra.java").write_text("class Extra { }")
+        elif change == "removed":
+            (tree / "Car.java").unlink()
+        elif change == "renamed":
+            # Cab.java sorts where Car.java did, so only the name tells them apart.
+            (tree / "Car.java").rename(tree / "Cab.java")
+        else:
+            with open(scanner, "a") as handle:
+                handle.write("# changed\n")
+        del tokenized[:]
+        after = _scan(tree)
+        assert len(tokenized) == after[1]
+        assert after == _parsed(_scan, tree)
+        assert (after == before) == (change == "scanner")
+        assert list(slots.iterdir()) == [slot_path("scan", tree)]
+
+    def test_scanner_is_this_module(self):
+        assert extractor_module._SCANNER == Path(extractor_module.__file__)
+
+    def test_tree_with_an_unreadable_file_gets_no_slot(self, tmp_path, slots):
+        tree = tmp_path / "tree"
+        shutil.copytree(MINICORPUS, tree)
+        (tree / "Gone.java").symlink_to(tree / "nowhere.java")
+        expected = _parsed(_scan, tree)
+        assert expected[2].unreadable_files == 1
+        for _ in range(2):
+            assert _scan(tree) == expected
+        assert not slots.exists()
+
+    def test_warm_analyze_scans_nothing(self, tmp_path, slots, tokenized, capsys):
+        printed = []
+        for run in ("cold", "warm"):
+            del tokenized[:]
+            out = tmp_path / f"{run}.json"
+            assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(out)]) == 0
+            assert out.read_bytes() == (FIXTURES / "minicorpus_index.json").read_bytes()
+            printed.append(capsys.readouterr().err)
+        assert tokenized == []
+        assert printed == ["minicorpus: skipped 1 declarations and 2 blocks, 0 files unreadable\n"] * 2
 
 
 class TestGoldenMiniCorpus:

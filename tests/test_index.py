@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import marshal
@@ -50,6 +51,45 @@ class TestRoundTrip:
         save_index(sample_index, first)
         save_index(sample_index, second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+                             ids=["disk-full", "interrupted"])
+    def test_failed_write_leaves_the_previous_index(self, sample_index, tmp_path, monkeypatch, failure):
+        path = tmp_path / "index.json"
+        path.write_text("previous")
+
+        class HalfWritten:
+            """A text file whose write stores half its text, then raises."""
+
+            def __init__(self, *args, **kwargs):
+                self.file = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.file.close()
+
+            def write(self, text):
+                self.file.write(text[: len(text) // 2])
+                self.file.flush()
+                raise failure
+
+        monkeypatch.setattr(index_module, "open", HalfWritten, raising=False)
+        with pytest.raises(type(failure)):
+            save_index(sample_index, path)
+        assert path.read_text() == "previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+
+    def test_saved_file_has_the_mode_of_a_new_file(self, sample_index, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            (tmp_path / "plain.txt").write_text("")
+            save_index(sample_index, tmp_path / "index.json")
+        finally:
+            os.umask(umask)
+        modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("plain.txt", "index.json")}
+        assert modes == {0o640}
 
 
 def _node(node_id, kind, name, parent):
