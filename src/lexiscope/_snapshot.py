@@ -16,10 +16,12 @@ is the files'.  A hashed read that finds the slot good and every file
 settled writes the slot again under a new stamp, so the next read trusts
 the stat.  A reader that finds the slot missing, unreadable, damaged or
 written from other content gets None and parses its source again; the
-write after the parse is skipped when a file changed during it.  A source
-with a file that is there but is not a regular file, such as a pipe, is
-never read from or written to a slot: no key stands for bytes a read
-consumes.  Every write removes the slots of its kind whose source is
+write after the parse is skipped when a file changed during it.  A loader
+that hashes the bytes it parses (the tree scan) has them make the key, so
+its read hashes no file when there is no slot, and a file is read once.
+A source with a file that is there but is not a regular file, such as a
+pipe, is never read from or written to a slot: no key stands for bytes a
+read consumes.  Every write removes the slots of its kind whose source is
 gone, and the content-named snapshots of earlier versions.  A cache that
 cannot be written is skipped.  A slot is only ever a cache of a parse.
 """
@@ -176,6 +178,7 @@ class Slot:
         self.format_tag = format_tag
         self.files = files
         self.key: bytes | None = None
+        self.states = None
 
     @classmethod
     def of(cls, kind: str, source, format_tag: bytes, files: list[Path]) -> Slot | None:
@@ -183,16 +186,20 @@ class Slot:
         path = slot_path(kind, source)
         return None if path is None else cls(path, source, format_tag, files)
 
-    def read(self) -> memoryview | None:
+    def read(self, parse_hashes: bool = False) -> memoryview | None:
         """The payload, when the slot was written from the files as they are now; else None.
 
-        Stamps the files first, for write.
+        Stamps the files first, for write.  A loader whose parse hashes the
+        bytes it reads passes parse_hashes, and their sha256s to write: a
+        read that finds no slot then hashes no file.
         """
         self.time_ns = time.time_ns()
         self.states = _states(self.files)
         if self.states is None:
             return None
         opened = _open_slot(self.path)
+        if opened is None and parse_hashes:
+            return None
         digests = None if opened is None else self._trusted(opened[2])
         trusted = digests is not None
         if not trusted:
@@ -230,8 +237,17 @@ class Slot:
             return None
         return digests
 
-    def write(self, chunks: list[bytes]) -> None:
-        """Store the payload chunks under the stamp read took, unless a file changed since."""
+    def write(self, chunks: list[bytes], digests: list[bytes] | None = None) -> None:
+        """Store the payload chunks under the stamp read took, unless a file changed since.
+
+        digests, when given, are the sha256s of the bytes the payload was
+        parsed from, one per file, and make the key.
+        """
+        if self.states is None:
+            return
+        if digests is not None:
+            self.digests = tuple(digests)
+            self.key = content_key(self.format_tag, self.digests)
         if self.key is None or _states(self.files) != self.states:
             return
         signatures = tuple(signature for signature, _ in self.states)

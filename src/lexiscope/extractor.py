@@ -11,16 +11,19 @@ dropped and counted in the diagnostics.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import hashlib
 import json
 import marshal
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
-from ._snapshot import Slot
+from ._snapshot import Slot, file_digest
 
 __all__ = [
     "SourceNode",
@@ -400,20 +403,26 @@ def extract_project(
     if not root.is_dir():
         raise NotADirectoryError(f"not a readable directory: {root}")
     diagnostics = diagnostics if diagnostics is not None else ScanDiagnostics()
-    # Each file under its relative path's parts, which is how Paths sort; a
-    # directory named like a source file is no source.
-    prefix = len(str(root / "x")) - 1
-    files = sorted((str(path)[prefix:].split(os.sep), path) for path in root.rglob("*.java") if not path.is_dir())
+    # Each file under its relative path's parts, which is how Paths sort.
+    # os.walk tells a directory named like a source file, which is no
+    # source, from a file without a stat, and enters no linked directory.
+    prefix = len(os.path.join(root, "x")) - 1
+    files = sorted(
+        (path[prefix:].split(os.sep), path)
+        for directory, _directories, names in os.walk(root)
+        for path in (os.path.join(directory, name) for name in names if name.endswith(".java"))
+    )
     paths = [path for _parts, path in files]
     relative = ["/".join(parts) for parts, _path in files]
     tag = b"\0".join([_SLOT_FORMAT, *map(os.fsencode, relative)])
     slot = Slot.of("scan", root, tag, [*paths, _SCANNER])
-    payload = None if slot is None else slot.read()
+    payload = None if slot is None else slot.read(parse_hashes=True)
     scan = None if payload is None else _scan_from_slot(payload, relative)
     if scan is None:
-        scan = _scan(paths, relative)
+        scan, digests = _scan(paths, relative)
         if slot is not None and not scan[2].unreadable_files:
-            slot.write([_slot_payload(scan, relative)])
+            with contextlib.suppress(OSError):  # a scanner that cannot be read keys no slot
+                slot.write([_slot_payload(scan, relative)], [*digests, file_digest(_SCANNER)])
     nodes, file_count, counts = scan
     diagnostics.skipped_declarations += counts.skipped_declarations
     diagnostics.skipped_blocks += counts.skipped_blocks
@@ -421,20 +430,31 @@ def extract_project(
     return nodes, file_count
 
 
-def _scan(paths: list[Path], relative: list[str]) -> tuple[list[SourceNode], int, ScanDiagnostics]:
-    """The nodes, the number of files read and the counters of a scan of the files."""
+def _scan(paths: list[str], relative: list[str]):
+    """((nodes, number of files read, counters), sha256 of each file read) of a scan of the files.
+
+    Each file is read once: the sha256s are of the bytes the scan decoded.
+    """
     counts = ScanDiagnostics()
     nodes: list[SourceNode] = []
-    file_count = 0
+    digests: list[bytes] = []
     for path, name in zip(paths, relative):
         try:
-            text = path.read_text(encoding="utf-8", errors="replace")
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError:
             counts.unreadable_files += 1
             continue
-        nodes.extend(extract_java(text, name, start_id=len(nodes), diagnostics=counts))
-        file_count += 1
-    return nodes, file_count, counts
+        digests.append(hashlib.sha256(data).digest())
+        nodes.extend(extract_java(_decoded(data), name, start_id=len(nodes), diagnostics=counts))
+    return (nodes, len(digests), counts), digests
+
+
+def _decoded(data: bytes) -> str:
+    """The text read_text(encoding="utf-8", errors="replace") reads from a file of these bytes."""
+    text = data.decode("utf-8", "replace")
+    # Universal newlines: "\r\n" and a lone "\r" end a line as "\n" does.
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 # The scanner's source is in every scan slot's key, so a change to the
@@ -446,27 +466,29 @@ _SLOT_FORMAT = b"lexiscope-scan-1"
 def _slot_payload(scan, relative: list[str]) -> bytes:
     """The marshalled (file count, counters, node columns) of a scan of the files at the relative paths.
 
-    The node columns are the position of the node's file among the
-    relative paths, kind, name, line and parent; a node's id is its
-    position.
+    The nodes are in file order, so the file column is the number of
+    nodes of each file; the others are kind, name, line and parent.  A
+    node's id is its position.
     """
     nodes, file_count, counts = scan
-    position = {name: index for index, name in enumerate(relative)}
     _ids, kinds, names, files, lines, parents = zip(*nodes) if nodes else ((),) * 6
+    per_file = Counter(files)
     return marshal.dumps((
         file_count,
         (counts.skipped_declarations, counts.skipped_blocks, counts.unreadable_files),
-        tuple(map(position.__getitem__, files)), kinds, names, lines, parents,
+        tuple(map(per_file.__getitem__, relative)), kinds, names, lines, parents,
     ))
 
 
 def _scan_from_slot(payload: memoryview, relative: list[str]):
     """The (nodes, file count, counters) a slot payload holds, or None for a bad shape."""
     try:
-        file_count, counters, files, kinds, names, lines, parents = marshal.loads(payload)
-        files = list(map(relative.__getitem__, files))
+        file_count, counters, per_file, kinds, names, lines, parents = marshal.loads(payload)
+        files = list(chain.from_iterable(map(repeat, relative, per_file)))
         counts = ScanDiagnostics(*counters)
-    except (EOFError, ValueError, TypeError, IndexError):
+        if len(per_file) != len(relative) or len(files) != len(kinds):
+            return None
+    except (EOFError, ValueError, TypeError):
         return None
     # tuple.__new__ over the zipped columns makes each node without a Python call.
     nodes = list(map(tuple.__new__, repeat(SourceNode), zip(count(), kinds, names, files, lines, parents)))

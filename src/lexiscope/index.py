@@ -16,6 +16,7 @@ import io
 import json
 import marshal
 import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -97,12 +98,44 @@ def save_index(index: ProjectIndex, path: str | Path) -> None:
         _json_list(nodes),
         _json_list(entries),
     )
-    # Written beside the target and renamed over it, so a failed or
-    # interrupted write leaves the previous index as it was.  The temporary
-    # file is made with the mode write_text gives a new file.
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    handle = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    _write_index_file(Path(path), document)
+
+
+def _write_index_file(path: Path, document: str) -> None:
+    """Write the document at path, in a new file renamed over it where that keeps what path is.
+
+    A missing path, or a regular file with no other name, gets a temporary
+    file beside it that is renamed into place, so a failed or interrupted
+    write leaves the previous index as it was.  The new file has the mode
+    write_text would give it: the umask's for a new file, the old file's
+    mode and owner for an existing one.  Anything else at path (a link, a
+    device, a pipe, a file with other names), an owner the writer cannot
+    give, and a directory where no file can be made are written in place,
+    as write_text writes them.
+    """
+    try:
+        status = os.lstat(path)
+    except FileNotFoundError:
+        status = None
+    handle = None
+    if status is None or (stat.S_ISREG(status.st_mode) and status.st_nlink == 1):
+        temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        with contextlib.suppress(OSError):
+            handle = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    if handle is not None and status is not None:
+        try:
+            os.fchmod(handle, stat.S_IMODE(status.st_mode))
+            made = os.fstat(handle)
+            if (made.st_uid, made.st_gid) != (status.st_uid, status.st_gid):
+                os.fchown(handle, status.st_uid, status.st_gid)
+        except OSError:
+            os.close(handle)
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+            handle = None
+    if handle is None:
+        path.write_text(document, encoding="utf-8")
+        return
     try:
         with open(handle, "w", encoding="utf-8") as out:
             out.write(document)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexiscope.extractor as extractor_module
+from lexiscope import _snapshot
 from lexiscope._snapshot import slot_path
 from lexiscope.cli import main
 from lexiscope.extractor import (
@@ -30,7 +31,7 @@ from lexiscope.extractor import (
     ingest_nodes,
 )
 
-from cache_rules import CacheRules, _parsed
+from cache_rules import CacheRules, _no_hash, _parsed
 from conftest import FIXTURES, MINICORPUS, MINIDICT
 
 
@@ -608,6 +609,15 @@ class TestExtractProject:
                 assert node.parent_id < node.id
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([b"class A", b" ", b"\r", b"\n", b"\r\n", b"\xc3\xa9", b"\xc3", b"\xf0\x9f\x98", b"\xff"]))
+       .map(b"".join))
+def test_decoded_is_what_read_text_reads(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("decoded") / "F.java"
+    path.write_bytes(data)
+    assert extractor_module._decoded(data) == path.read_text(encoding="utf-8", errors="replace")
+
+
 def _scan(root):
     """extract_project's nodes and file count, and the counters it adds to a fresh ScanDiagnostics."""
     diagnostics = ScanDiagnostics()
@@ -674,6 +684,23 @@ class TestScanSlot(CacheRules):
         assert (after == before) == (change == "scanner")
         assert list(slots.iterdir()) == [slot_path("scan", tree)]
 
+    def test_cold_scan_reads_each_file_once(self, tmp_path, slots, monkeypatch, tokenized):
+        tree = self._copy(tmp_path)
+        expected = _parsed(_scan, tree)
+        hashed = []
+        digest = extractor_module.file_digest
+        with monkeypatch.context() as patch:
+            # The slot hashes no source file; the key is the sha256s of the
+            # bytes the scan read, and of the scanner.
+            patch.setattr(_snapshot, "file_digest", _no_hash)
+            patch.setattr(extractor_module, "file_digest", lambda path: hashed.append(path) or digest(path))
+            assert _scan(tree) == expected
+        assert hashed == [extractor_module._SCANNER]
+        assert list(slots.iterdir()) == [slot_path("scan", tree)]
+        del tokenized[:]
+        assert _scan(tree) == expected
+        assert tokenized == []
+
     def test_scanner_is_this_module(self):
         assert extractor_module._SCANNER == Path(extractor_module.__file__)
 
@@ -699,6 +726,7 @@ class TestScanSlot(CacheRules):
         assert printed == ["minicorpus: skipped 1 declarations and 2 blocks, 0 files unreadable\n"] * 2
 
 
+@pytest.mark.usefixtures("slots")  # an empty cache: the golden figures come from a scan
 class TestGoldenMiniCorpus:
     def test_node_list_matches_committed_golden(self):
         golden = json.loads((FIXTURES / "minicorpus_nodes.json").read_text())

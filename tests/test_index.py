@@ -91,6 +91,83 @@ class TestRoundTrip:
         modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("plain.txt", "index.json")}
         assert modes == {0o640}
 
+    def test_replaced_file_keeps_its_mode_and_owner(self, sample_index, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text("previous")
+        path.chmod(0o600)
+        owner = (12345, 12345) if os.geteuid() == 0 else (os.getuid(), os.getgid())
+        if os.geteuid() == 0:
+            os.chown(path, *owner)
+        save_index(sample_index, path)
+        status = path.stat()
+        assert stat.S_IMODE(status.st_mode) == 0o600
+        assert (status.st_uid, status.st_gid) == owner
+        assert load_index(path) == sample_index
+        assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+
+    def test_pipe_at_the_target_is_written_through(self, sample_index, tmp_path):
+        path = tmp_path / "index.json"
+        os.mkfifo(path)
+        # Both ends are open before the save, so neither waits for the
+        # other, and the reader sees the end once the save and hold close.
+        hold = os.open(path, os.O_RDWR)
+        read_end = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        os.set_blocking(read_end, True)
+
+        def drain():
+            with open(read_end, "rb") as handle:
+                return handle.read()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            received = pool.submit(drain)
+            try:
+                save_index(sample_index, path)
+            finally:
+                os.close(hold)
+            document = received.result(timeout=60)
+        assert stat.S_ISFIFO(os.lstat(path).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+        copy = tmp_path / "copy.json"
+        save_index(sample_index, copy)
+        assert document == copy.read_bytes()
+
+    @pytest.mark.parametrize("other_name", ["symlink", "hard-link"])
+    def test_file_with_another_name_is_written_through(self, sample_index, tmp_path, other_name):
+        target = tmp_path / "target.json"
+        target.write_text("previous")
+        path = tmp_path / "index.json"
+        if other_name == "symlink":
+            path.symlink_to(target)
+        else:
+            os.link(target, path)
+        save_index(sample_index, path)
+        assert path.is_symlink() == (other_name == "symlink")
+        assert os.path.samefile(path, target)
+        assert load_index(target) == sample_index
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "target.json"]
+
+    def test_file_in_a_read_only_directory_is_written_in_place(self, sample_index, tmp_path, monkeypatch):
+        directory = tmp_path / "read-only"
+        directory.mkdir()
+        path = directory / "index.json"
+        path.write_text("previous")
+        directory.chmod(0o500)
+        if os.geteuid() == 0:  # root makes files through the mode; refuse as the mode would
+            make = os.open
+
+            def refused(name, flags, *args):
+                if flags & os.O_CREAT and Path(name).parent == directory:
+                    raise PermissionError(errno.EACCES, "Permission denied", str(name))
+                return make(name, flags, *args)
+
+            monkeypatch.setattr(os, "open", refused)
+        try:
+            save_index(sample_index, path)
+        finally:
+            directory.chmod(0o700)
+        assert load_index(path) == sample_index
+        assert [p.name for p in directory.iterdir()] == ["index.json"]
+
 
 def _node(node_id, kind, name, parent):
     return {"id": node_id, "kind": kind, "name": name, "file": "a.java", "line": 2, "parent": parent}
