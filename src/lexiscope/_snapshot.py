@@ -7,16 +7,17 @@ and the stamp's length (8 bytes, little-endian).  The stamp is the
 marshalled (source's absolute path, wall time in ns taken before the files
 were read, each file's stat signature, each file's sha256).
 
-A read stats the files.  When each file's signature is the stamp's and
-each file's mtime and ctime are older than the stamp's time by more than
-RACY_WINDOW_NS, no file has changed since it was read, and the stamp's
-sha256s make the key; otherwise every file is hashed (git's "racily
-clean" rule).  The slot is used when its own sha256 checks out and its key
-is the files'.  A hashed read that finds the slot good and every file
-settled writes the slot again under a new stamp, so the next read trusts
-the stat.  A reader that finds the slot missing, unreadable, damaged or
-written from other content gets None and parses its source again; the
-write after the parse is skipped when a file changed during it.  A loader
+A read stats the files.  A file whose signature is the stamp's and whose
+mtime and ctime are older than the stamp's time by more than
+RACY_WINDOW_NS has not changed since it was read, and its sha256 in the
+stamp goes into the key; any other file is hashed (git's "racily clean"
+rule, file by file).  The slot is used when its own sha256 checks out and
+its key is the files'.  A read that hashed a file and finds the slot good
+and every file settled writes the slot again under a new stamp, so the
+next read trusts the stat.  A reader that finds the slot missing,
+unreadable, damaged or written from other content gets None and parses
+its source again; the write after the parse is skipped when a file
+changed during it.  A loader
 that hashes the bytes it parses (the tree scan) has them make the key, so
 its read hashes no file when there is no slot, and a file is read once.
 A source with a file that is there but is not a regular file, such as a
@@ -200,42 +201,45 @@ class Slot:
         opened = _open_slot(self.path)
         if opened is None and parse_hashes:
             return None
-        digests = None if opened is None else self._trusted(opened[2])
-        trusted = digests is not None
-        if not trusted:
-            try:
-                digests = tuple(file_digest(path) for path in self.files)
-            except OSError:
-                return None
+        stamped = self._stamped(None if opened is None else opened[2])
+        try:
+            digests = tuple(
+                file_digest(path) if digest is None else digest for path, digest in zip(self.files, stamped)
+            )
+        except OSError:
+            return None
         self.digests = digests
         self.key = content_key(self.format_tag, digests)
         if opened is None or opened[0] != self.key:
             return None
         limit = self.time_ns - RACY_WINDOW_NS
-        if not trusted and all(changed is None or changed < limit for _, changed in self.states):
+        if None in stamped and all(changed is None or changed < limit for _, changed in self.states):
             self.write([opened[1]])
         return opened[1]
 
-    def _trusted(self, stamp) -> tuple[bytes, ...] | None:
-        """The stamp's sha256s, when every file is as the stamp saw it and settled before it; else None."""
+    def _stamped(self, stamp) -> list[bytes | None]:
+        """Per file, the stamp's sha256 when the file is as the stamp saw it and settled before it; else None."""
+        untrusted = [None] * len(self.files)
         try:
             source, time_ns, signatures, digests = stamp
         except (TypeError, ValueError):
-            return None
+            return untrusted
         if not (
             source == self.source
             and type(time_ns) is int
             and time_ns <= self.time_ns
-            and signatures == tuple(signature for signature, _ in self.states)
+            and type(signatures) is tuple
+            and len(signatures) == len(self.files)
             and type(digests) is tuple
             and len(digests) == len(self.files)
             and all(type(digest) is bytes for digest in digests)
         ):
-            return None
+            return untrusted
         limit = time_ns - RACY_WINDOW_NS
-        if any(changed is not None and changed >= limit for _, changed in self.states):
-            return None
-        return digests
+        return [
+            digest if signature == stamped_signature and (changed is None or changed < limit) else None
+            for (signature, changed), stamped_signature, digest in zip(self.states, signatures, digests)
+        ]
 
     def write(self, chunks: list[bytes], digests: list[bytes] | None = None) -> None:
         """Store the payload chunks under the stamp read took, unless a file changed since.

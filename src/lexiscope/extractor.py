@@ -17,6 +17,7 @@ import json
 import marshal
 import os
 import re
+import stat
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count, repeat
@@ -434,20 +435,31 @@ def _scan(paths: list[str], relative: list[str]):
     """((nodes, number of files read, counters), sha256 of each file read) of a scan of the files.
 
     Each file is read once: the sha256s are of the bytes the scan decoded.
+    A file is opened without blocking, so a pipe with no writer does not
+    stall the scan; anything that is not a regular file once open is an
+    unreadable file, as is a file that cannot be opened or read.
     """
     counts = ScanDiagnostics()
     nodes: list[SourceNode] = []
     digests: list[bytes] = []
     for path, name in zip(paths, relative):
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
+            data = _read_regular(path)
         except OSError:
             counts.unreadable_files += 1
             continue
         digests.append(hashlib.sha256(data).digest())
         nodes.extend(extract_java(_decoded(data), name, start_id=len(nodes), diagnostics=counts))
     return (nodes, len(digests), counts), digests
+
+
+def _read_regular(path: str) -> bytes:
+    """The bytes of the regular file at path; OSError for anything else, found without blocking."""
+    handle = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    with open(handle, "rb") as stream:
+        if not stat.S_ISREG(os.fstat(handle).st_mode):
+            raise OSError(f"not a regular file: {path}")
+        return stream.read()
 
 
 def _decoded(data: bytes) -> str:

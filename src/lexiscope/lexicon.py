@@ -119,6 +119,25 @@ _VOWELS = set("aeiou")
 # costs an enum iterator on every lemmatize call.
 _POS_ORDER = tuple(PosTag)
 
+
+def _detachments_by_last_letter() -> dict[str, tuple[tuple[PosTag, str, str, bool], ...]]:
+    """The detachments under the last letter of their suffix, in candidate order.
+
+    Each is (pos, suffix, replacement, whether a doubled final consonant
+    is undone too), by part of speech and then as _DETACHMENTS lists
+    them.  Only a rule whose suffix ends in a token's last letter can
+    detach from it, and dropping the others keeps the order of the rest.
+    """
+    table: dict[str, list] = {}
+    for pos in _POS_ORDER:
+        for suffix, replacement in _DETACHMENTS[pos]:
+            undouble = suffix in ("ing", "ed") and not replacement
+            table.setdefault(suffix[-1], []).append((pos, suffix, replacement, undouble))
+    return {letter: tuple(rules) for letter, rules in table.items()}
+
+
+_DETACHMENTS_BY_LAST = _detachments_by_last_letter()
+
 # (offset, pos): a synset key.
 SynsetKey = tuple[int, int]
 
@@ -552,14 +571,13 @@ def lemmatize(lexicon: Lexicon, token: str) -> list[tuple[str, PosTag]]:
         for lemma in lexicon.exceptions.get(pos, {}).get(token, ()):
             push(lemma, pos)
 
-    for pos in _POS_ORDER:
-        for suffix, replacement in _DETACHMENTS[pos]:
-            if not token.endswith(suffix) or len(token) <= len(suffix):
-                continue
-            stem = token[: -len(suffix)] + replacement
-            push(stem, pos)
-            if suffix in ("ing", "ed") and not replacement and _ends_doubled(stem):
-                push(stem[:-1], pos)
+    for pos, suffix, replacement, undouble in _DETACHMENTS_BY_LAST.get(token[-1:], ()):
+        if not token.endswith(suffix) or len(token) <= len(suffix):
+            continue
+        stem = token[: -len(suffix)] + replacement
+        push(stem, pos)
+        if undouble and _ends_doubled(stem):
+            push(stem[:-1], pos)
 
     return candidates
 
@@ -611,18 +629,75 @@ def surface_forms(lexicon: Lexicon, words) -> dict[str, set[str]]:
 def classify(lexicon: Lexicon, word: str) -> tuple[str, PosTag] | None:
     """Best (lemma, pos) reading of a word, or None if unrecognized.
 
-    The winning part of speech is the one whose best candidate has the
-    highest tag count; ties go to the lower PosTag (noun first).
+    The readings are lemmatize's.  The winning part of speech is the one
+    whose best candidate has the highest tag count; ties go to the lower
+    PosTag (noun first).  Within a part of speech, the first candidate of
+    the highest count wins.
     """
-    best: dict[PosTag, tuple[int, str]] = {}
-    for lemma, pos in lemmatize(lexicon, word.lower()):
-        count = lexicon.entries[lemma][pos][0]
-        if pos not in best or count > best[pos][0]:
-            best[pos] = (count, lemma)
-    if not best:
-        return None
-    pos = max(best, key=lambda tag: (best[tag][0], -tag))
-    return best[pos][1], pos
+    return _classify_all(lexicon, (word,))[word]
+
+
+class _Entries(dict):
+    """lexicon.entries.get for one batch: each lemma is looked up once, then read from this dict."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Mapping):
+        super().__init__()
+        self.entries = entries
+
+    def __missing__(self, lemma: str):
+        entry = self[lemma] = self.entries.get(lemma)
+        return entry
+
+
+def _classify_all(lexicon: Lexicon, words) -> dict[str, tuple[str, PosTag] | None]:
+    """classify of each of the words, as a dict from each word to its reading.
+
+    The candidates are lemmatize's, in its order, taken as they come: a
+    part of speech keeps its first candidate of the highest tag count, so
+    a repeated candidate can never replace it, and no candidate list or
+    seen-set is needed.  Each candidate lemma is looked up once per call,
+    however many words reach it.
+    """
+    entries = _Entries(lexicon.entries)
+    exceptions = [(pos, table) for pos in _POS_ORDER if (table := lexicon.exceptions.get(pos))]
+    detachments = _DETACHMENTS_BY_LAST.get
+    readings: dict[str, tuple[str, PosTag] | None] = {}
+    for word in words:
+        token = word.lower()
+        # pos -> (tag count, lemma) of its best candidate so far; an exact
+        # match is the first candidate of each of its parts of speech.
+        best = {}
+        entry = entries[token]
+        if entry is not None:
+            for pos, found in entry.items():
+                best[pos] = (found[0], token)
+        for pos, table in exceptions:
+            for lemma in table.get(token, ()):
+                _reading(best, entries[lemma], lemma, pos)
+        for pos, suffix, replacement, undouble in detachments(token[-1:], ()):
+            if not token.endswith(suffix) or len(token) <= len(suffix):
+                continue
+            stem = token[: -len(suffix)] + replacement
+            _reading(best, entries[stem], stem, pos)
+            if undouble and _ends_doubled(stem):
+                _reading(best, entries[stem[:-1]], stem[:-1], pos)
+        reading = None
+        top = -1
+        for pos in _POS_ORDER:  # ties go to the lower tag
+            found = best.get(pos)
+            if found is not None and found[0] > top:
+                top, reading = found[0], (found[1], pos)
+        readings[word] = reading
+    return readings
+
+
+def _reading(best: dict, entry, lemma: str, pos: PosTag) -> None:
+    """Keep (lemma, pos) as pos's best reading when lemma has pos and a higher tag count than the best so far."""
+    found = None if entry is None else entry.get(pos)
+    if found is not None and (pos not in best or found[0] > best[pos][0]):
+        best[pos] = (found[0], lemma)
 
 
 def related_words(

@@ -9,12 +9,16 @@ nodes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 from .extractor import KINDS, SourceNode
-from .lexicon import Lexicon, PosTag, classify
+# build_vocabulary classifies through _classify_all; classify stays a name of
+# this module, where perfbench/layers.py wraps it.
+from .lexicon import Lexicon, PosTag, _classify_all, classify  # noqa: F401
 from .tokenizer import split_identifier
 
 __all__ = [
@@ -85,35 +89,38 @@ def build_vocabulary(
     """Count every token occurrence from the given nodes.
 
     Tokens in `stoplist` and tokens shorter than two characters are dropped.
+    The entries are in the order their words first occur, in node order,
+    and an entry takes the part of speech of the first token, in node
+    order, that reads as its word: with `neck` a noun and a verb,
+    `necking` before `neck` makes the entry `neck` a verb.
     """
     vocabulary = ProjectVocabulary(project_name, file_count)
-    # Token classification is pure per token; memoize across occurrences.
-    classified: dict[str, tuple[str, PosTag] | None] = {}
-
+    names_of: dict[str, list[str]] = {kind: [] for kind in KINDS}
     for node in nodes:
-        for token in split_identifier(node.name):
-            if len(token) < 2 or token in stoplist:
-                continue
-            if token not in classified:
-                classified[token] = classify(lexicon, token)
-            found = classified[token]
-            if found is None:
-                word, pos = token, None
-            else:
-                word, pos = found
-            entry = vocabulary.entries.get(word)
-            if entry is None:
-                entry = VocabularyEntry(
-                    word=word,
-                    recognized=pos is not None,
-                    pos=pos,
-                    total=0,
-                    counts_by_kind={kind: 0 for kind in KINDS},
-                )
-                vocabulary.entries[word] = entry
-            entry.total += 1
-            entry.counts_by_kind[node.kind] += 1
-
+        names_of[node.kind].append(node.name)
+    # Each token at its first occurrence.  A name first occurs no later
+    # than its tokens do, so the distinct names give the tokens' order.
+    tokens = [
+        token
+        for token in dict.fromkeys(split_identifier(" ".join(dict.fromkeys(map(attrgetter("name"), nodes)))))
+        if len(token) >= 2 and token not in stoplist
+    ]
+    entries = vocabulary.entries
+    entry_of: dict[str, VocabularyEntry] = {}
+    for token, found in _classify_all(lexicon, tokens).items():
+        word, pos = (token, None) if found is None else found
+        entry = entries.get(word)
+        if entry is None:
+            entry = entries[word] = VocabularyEntry(word, pos is not None, pos, 0, dict.fromkeys(KINDS, 0))
+        entry_of[token] = entry
+    # The names of one kind split in one call: the pieces are letter runs,
+    # so those of the names joined by a space are each name's in turn.
+    for kind, names in names_of.items():
+        for token, count in Counter(split_identifier(" ".join(names))).items():
+            entry = entry_of.get(token)
+            if entry is not None:
+                entry.counts_by_kind[kind] += count
+                entry.total += count
     return vocabulary
 
 

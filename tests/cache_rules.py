@@ -136,6 +136,29 @@ class CacheRules:
         edited.write_bytes(edited.read_bytes().replace(old, new, 1))
         assert self.load(source) == _parsed(self.load, source) != expected
 
+    def test_only_a_file_whose_stamp_no_longer_holds_is_hashed(self, tmp_path, slots, monkeypatch):
+        source = self._copy(tmp_path)
+        clock = SimpleNamespace(time_ns=lambda: time.time_ns() + 3600 * 10**9)
+        monkeypatch.setattr(_snapshot, "time", clock)
+        expected = self.load(source)  # an hour on: every file of the copy is settled
+        name, old, new = self.edit
+        edited = source / name
+        edited.write_bytes(edited.read_bytes().replace(old, new, 1))
+        hashed = []
+        digest = _snapshot.file_digest
+
+        def counted(path):
+            hashed.append(Path(path))
+            return digest(path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_snapshot, "file_digest", counted)
+            reloaded = self.load(source)
+        assert reloaded == _parsed(self.load, source) != expected
+        # The edited file is hashed; every other file of the source keeps its stamped sha256.
+        inside = [path for path in hashed if path == source or source in path.parents]
+        assert inside == [edited]
+
     def test_slot_of_a_deleted_source_is_swept_by_the_next_write(self, tmp_path, slots):
         first, second, third = (self._copy(tmp_path, name) for name in ("first", "second", "third"))
         for source in (first, second):

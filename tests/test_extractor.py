@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -599,6 +601,28 @@ class TestExtractProject:
         assert file_count == 1
         assert [n.file_path for n in nodes] == ["pkg.java/a.java"]
         assert diagnostics.unreadable_files == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_is_unreadable_and_never_blocks(self, tmp_path):
+        # In a child with a timeout: a scan that blocks on the pipe fails the
+        # test instead of hanging it.
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        shutil.copy(MINICORPUS / "Car.java", tree)
+        os.mkfifo(tree / "P.java")
+        script = (
+            "import sys\n"
+            "from lexiscope.extractor import ScanDiagnostics, extract_project\n"
+            "diagnostics = ScanDiagnostics()\n"
+            "nodes, file_count = extract_project(sys.argv[1], diagnostics)\n"
+            "print(file_count, diagnostics.unreadable_files, [n.name for n in nodes])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "XDG_CACHE_HOME": str(tmp_path / "cache")}
+        for _ in range(2):  # the second scan finds no slot either: a tree with a pipe gets none
+            done = subprocess.run([sys.executable, "-c", script, str(tree)], env=env,
+                                  capture_output=True, text=True, timeout=30, check=True)
+            assert done.stdout == "1 1 ['Car', 'wheelCount', 'setValue', 'newValue']\n"
+        assert not (tmp_path / "cache" / "lexiscope").exists()
 
     def test_parent_ids_reference_earlier_nodes(self, tmp_path):
         (tmp_path / "a.java").write_text("class A { void f(int p) {} }")

@@ -642,6 +642,12 @@ class TestPrimaryPos:
         lex = load_lexicon(root)
         assert classify(lex, "light")[1] == PosTag.NOUN
 
+    def test_first_candidate_of_the_top_count_wins(self, tmp_path):
+        # axes detaches to axe (-s, then -es + e) before ax (-es); one tag count each.
+        lex = load_lexicon(write_dict(tmp_path / "dict", verbs=["ax", "axe"]))
+        assert lemmatize(lex, "axes") == [("axe", PosTag.VERB), ("ax", PosTag.VERB)]
+        assert classify(lex, "axes") == ("axe", PosTag.VERB)
+
     def test_classify_picks_best_lemma(self, lexicon):
         assert classify(lexicon, "values") == ("value", PosTag.NOUN)
         assert classify(lexicon, "running") == ("run", PosTag.VERB)
@@ -809,6 +815,56 @@ def test_load_returns_the_modelled_dictionary(case):
         assert lexicon.exceptions == exceptions
         assert _tables(lexicon) == parsed
     assert_marshals(parsed)
+
+
+def _reference_lemmatize(lexicon, token):
+    """lemmatize as first written: every rule of every part of speech, a closure and a seen-set."""
+    candidates = []
+    seen = set()
+
+    def push(lemma, pos):
+        entry = lexicon.entries.get(lemma)
+        if entry is None or pos not in entry:
+            return
+        if (lemma, pos) not in seen:
+            seen.add((lemma, pos))
+            candidates.append((lemma, pos))
+
+    for pos in PosTag:
+        push(token, pos)
+    for pos in PosTag:
+        for lemma in lexicon.exceptions.get(pos, {}).get(token, ()):
+            push(lemma, pos)
+    for pos in PosTag:
+        for suffix, replacement in lexicon_module._DETACHMENTS[pos]:
+            if not token.endswith(suffix) or len(token) <= len(suffix):
+                continue
+            stem = token[: -len(suffix)] + replacement
+            push(stem, pos)
+            if suffix in ("ing", "ed") and not replacement and lexicon_module._ends_doubled(stem):
+                push(stem[:-1], pos)
+    return candidates
+
+
+def _reference_classify(lexicon, word):
+    """classify as first written, over the candidate list of _reference_lemmatize."""
+    best = {}
+    for lemma, pos in _reference_lemmatize(lexicon, word.lower()):
+        count = lexicon.entries[lemma][pos][0]
+        if pos not in best or count > best[pos][0]:
+            best[pos] = (count, lemma)
+    if not best:
+        return None
+    pos = max(best, key=lambda tag: (best[tag][0], -tag))
+    return best[pos][1], pos
+
+
+def test_classify_and_lemmatize_match_their_references_on_minidict(lexicon):
+    words = [*lexicon.entries, "values", "running", "found", "ran", "Cars", "CAR", "goods", "shaped",
+             "setting", "sets", "", "s", "ing", "qqzx", "runned"]
+    for word in words:
+        assert lemmatize(lexicon, word) == _reference_lemmatize(lexicon, word), word
+        assert classify(lexicon, word) == _reference_classify(lexicon, word), word
 
 
 def assert_marshals(tables):

@@ -1,9 +1,24 @@
 import random
+import tempfile
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexiscope.extractor import SourceNode
-from lexiscope.lexicon import PosTag
+from lexiscope.extractor import KINDS, SourceNode
+from lexiscope.lexicon import (
+    Lexicon,
+    PosTag,
+    _open_payload,
+    _parse_lexicon,
+    _snapshot_payload,
+    classify,
+    lemmatize,
+    load_lexicon,
+)
+from lexiscope.tokenizer import split_identifier
 from lexiscope.vocabulary import (
     ProjectVocabulary,
     VocabularyEntry,
@@ -14,6 +29,9 @@ from lexiscope.vocabulary import (
     percent,
     top_k,
 )
+
+from conftest import write_dict
+from test_lexicon import _WORDS, _dictionaries, _reference_classify, _reference_lemmatize
 
 
 def node(node_id, kind, name, parent=None):
@@ -114,6 +132,101 @@ class TestBuildVocabulary:
         )
         vocab = build_vocabulary(nodes, lexicon, stoplist)
         assert sum(e.total for e in vocab.entries.values()) == surviving
+
+
+    def test_an_entry_takes_the_pos_of_its_first_reading(self, tmp_path):
+        # neck is a noun and a verb of one tag count each: neck reads as the
+        # noun (ties go to the noun), necking only as the verb.
+        neck = load_lexicon(write_dict(tmp_path / "dict", nouns=["neck"], verbs=["neck"]))
+        assert classify(neck, "neck") == ("neck", PosTag.NOUN)
+        assert classify(neck, "necking") == ("neck", PosTag.VERB)
+        nodes = [node(0, "method", "necking"), node(1, "field", "neck")]
+        swapped = [node(0, "field", "neck"), node(1, "method", "necking")]
+        counts = {"class": 0, "method": 1, "parameter": 0, "field": 1}
+        assert build_vocabulary(nodes, neck).entries == {
+            "neck": VocabularyEntry("neck", True, PosTag.VERB, 2, counts)
+        }
+        assert build_vocabulary(swapped, neck).entries == {
+            "neck": VocabularyEntry("neck", True, PosTag.NOUN, 2, counts)
+        }
+
+    def test_entries_are_in_first_occurrence_order(self, lexicon):
+        nodes = [node(0, "class", "WheelCar"), node(1, "field", "zzzValue"), node(2, "method", "setCars")]
+        vocab = build_vocabulary(nodes, lexicon)
+        assert list(vocab.entries) == ["wheel", "car", "zzz", "value", "set"]
+
+
+def _reference_build_vocabulary(nodes, lexicon, stoplist=frozenset(), *, project_name="", file_count=0):
+    """build_vocabulary as first written: a split per node and an entry update per occurrence."""
+    vocabulary = ProjectVocabulary(project_name, file_count)
+    classified = {}
+    for n in nodes:
+        for token in split_identifier(n.name):
+            if len(token) < 2 or token in stoplist:
+                continue
+            if token not in classified:
+                classified[token] = _reference_classify(lexicon, token)
+            found = classified[token]
+            word, pos = (token, None) if found is None else found
+            entry = vocabulary.entries.get(word)
+            if entry is None:
+                entry = vocabulary.entries[word] = VocabularyEntry(
+                    word, pos is not None, pos, 0, {kind: 0 for kind in KINDS}
+                )
+            entry.total += 1
+            entry.counts_by_kind[n.kind] += 1
+    return vocabulary
+
+
+# Stems that inflect into readings of the drawn dictionaries, and some that do not.
+_STEMS = (*(word.lower() for word in _WORDS), "ran", "went", "geese", "xml", "wheel", "city")
+_ENDINGS = ("", "s", "es", "ies", "ed", "ing", "er", "est", "d")
+
+
+@st.composite
+def _pieces(draw):
+    """One piece of a name: an inflected stem in one of three cases, a separator, digits or a stray letter run."""
+    choice = draw(st.integers(0, 5))
+    if choice == 0:
+        return draw(st.sampled_from(("_", "$", "7", "42")))
+    if choice == 1:
+        return draw(st.text("abcXYZ", min_size=1, max_size=3))
+    stem = draw(st.sampled_from(_STEMS))
+    # The stem as is, less its last letter (shaping) or with it doubled (running).
+    stem = draw(st.sampled_from((stem, stem[:-1] or stem, stem + stem[-1])))
+    word = stem + draw(st.sampled_from(_ENDINGS))
+    return draw(st.sampled_from((word, word.capitalize(), word.upper())))
+
+
+_NAMES = st.lists(_pieces(), min_size=1, max_size=4).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _dictionaries(),
+    st.lists(st.tuples(st.sampled_from(KINDS), _NAMES), max_size=12),
+    st.frozensets(st.sampled_from((*_STEMS, "runs", "cars", "ing", "xy", "ab"))),
+)
+def test_build_vocabulary_matches_its_reference(case, named, stoplist):
+    files = case[0]
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        for name, text in files.items():
+            (root / name).write_text(text, encoding="utf-8")
+        tables = _parse_lexicon(root)
+    entries, synsets, exceptions = tables
+    parsed = Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
+    sharded = Lexicon(*_open_payload(memoryview(b"".join(_snapshot_payload(tables)))))
+    nodes = [SourceNode(i, kind, name, "F.java", i + 1, None) for i, (kind, name) in enumerate(named)]
+    expected = _reference_build_vocabulary(nodes, parsed, stoplist, project_name="p", file_count=3)
+    tokens = {token for _kind, name in named for token in split_identifier(name)}
+    for lexicon in (parsed, sharded):
+        vocabulary = build_vocabulary(nodes, lexicon, stoplist, project_name="p", file_count=3)
+        assert (vocabulary.project_name, vocabulary.file_count) == ("p", 3)
+        assert list(vocabulary.entries.items()) == list(expected.entries.items())
+        for token in (*tokens, *(token.upper() for token in tokens), ""):
+            assert classify(lexicon, token) == _reference_classify(parsed, token), token
+            assert lemmatize(lexicon, token) == _reference_lemmatize(parsed, token), token
 
 
 class TestComputeStats:
