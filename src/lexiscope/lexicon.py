@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import marshal
 from bisect import bisect_right
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -548,38 +548,43 @@ def _open_payload(payload: memoryview):
 def lemmatize(lexicon: Lexicon, token: str) -> list[tuple[str, PosTag]]:
     """All (lemma, pos) readings of a token, exact matches first.
 
-    Candidates come from the exact index entry, the exception lists, and
-    the suffix-detachment rules; for bare -ing/-ed detachment a doubled
-    final consonant is also undone (running -> runn -> run).  An empty
-    list means the token is unrecognized.
+    The exact index entry's parts of speech come first, then the
+    _inflections candidates whose lemma has that part of speech, each
+    reading once.  An empty list means the token is unrecognized.
     """
-    candidates: list[tuple[str, PosTag]] = []
-    seen: set[tuple[str, PosTag]] = set()
+    entries = lexicon.entries
+    exact = entries.get(token, ())
+    readings = [(token, pos) for pos in _POS_ORDER if pos in exact]
+    for lemma, pos in _inflections(token, _exception_tables(lexicon)):
+        if pos in entries.get(lemma, ()) and (lemma, pos) not in readings:
+            readings.append((lemma, pos))
+    return readings
 
-    def push(lemma: str, pos: PosTag) -> None:
-        entry = lexicon.entries.get(lemma)
-        if entry is None or pos not in entry:
-            return
-        if (lemma, pos) not in seen:
-            seen.add((lemma, pos))
-            candidates.append((lemma, pos))
 
-    for pos in _POS_ORDER:
-        push(token, pos)
+def _exception_tables(lexicon: Lexicon) -> list[tuple[PosTag, dict[str, tuple[str, ...]]]]:
+    return [(pos, table) for pos in _POS_ORDER if (table := lexicon.exceptions.get(pos))]
 
-    for pos in _POS_ORDER:
-        for lemma in lexicon.exceptions.get(pos, {}).get(token, ()):
-            push(lemma, pos)
 
+def _inflections(token: str, exceptions) -> Iterator[tuple[str, PosTag]]:
+    """The (lemma, pos) candidates of a token other than its exact entry, in lemmatize's order.
+
+    ``exceptions`` is _exception_tables of the lexicon.  The candidates
+    are the token's base forms in each exception table, then the stem of
+    each suffix detachment that fits the token; after a bare -ing/-ed
+    detachment a doubled final consonant is also undone (running -> runn
+    -> run).  Nothing is looked up: a candidate may name no entry, or one
+    without its part of speech, and may repeat.
+    """
+    for pos, table in exceptions:
+        for lemma in table.get(token, ()):
+            yield lemma, pos
     for pos, suffix, replacement, undouble in _DETACHMENTS_BY_LAST.get(token[-1:], ()):
         if not token.endswith(suffix) or len(token) <= len(suffix):
             continue
         stem = token[: -len(suffix)] + replacement
-        push(stem, pos)
+        yield stem, pos
         if undouble and _ends_doubled(stem):
-            push(stem[:-1], pos)
-
-    return candidates
+            yield stem[:-1], pos
 
 
 def _ends_doubled(stem: str) -> bool:
@@ -661,8 +666,7 @@ def _classify_all(lexicon: Lexicon, words) -> dict[str, tuple[str, PosTag] | Non
     however many words reach it.
     """
     entries = _Entries(lexicon.entries)
-    exceptions = [(pos, table) for pos in _POS_ORDER if (table := lexicon.exceptions.get(pos))]
-    detachments = _DETACHMENTS_BY_LAST.get
+    exceptions = _exception_tables(lexicon)
     readings: dict[str, tuple[str, PosTag] | None] = {}
     for word in words:
         token = word.lower()
@@ -673,16 +677,11 @@ def _classify_all(lexicon: Lexicon, words) -> dict[str, tuple[str, PosTag] | Non
         if entry is not None:
             for pos, found in entry.items():
                 best[pos] = (found[0], token)
-        for pos, table in exceptions:
-            for lemma in table.get(token, ()):
-                _reading(best, entries[lemma], lemma, pos)
-        for pos, suffix, replacement, undouble in detachments(token[-1:], ()):
-            if not token.endswith(suffix) or len(token) <= len(suffix):
-                continue
-            stem = token[: -len(suffix)] + replacement
-            _reading(best, entries[stem], stem, pos)
-            if undouble and _ends_doubled(stem):
-                _reading(best, entries[stem[:-1]], stem[:-1], pos)
+        for lemma, pos in _inflections(token, exceptions):
+            entry = entries[lemma]
+            found = None if entry is None else entry.get(pos)
+            if found is not None and (pos not in best or found[0] > best[pos][0]):
+                best[pos] = (found[0], lemma)
         reading = None
         top = -1
         for pos in _POS_ORDER:  # ties go to the lower tag
@@ -691,13 +690,6 @@ def _classify_all(lexicon: Lexicon, words) -> dict[str, tuple[str, PosTag] | Non
                 top, reading = found[0], (found[1], pos)
         readings[word] = reading
     return readings
-
-
-def _reading(best: dict, entry, lemma: str, pos: PosTag) -> None:
-    """Keep (lemma, pos) as pos's best reading when lemma has pos and a higher tag count than the best so far."""
-    found = None if entry is None else entry.get(pos)
-    if found is not None and (pos not in best or found[0] > best[pos][0]):
-        best[pos] = (found[0], lemma)
 
 
 def related_words(

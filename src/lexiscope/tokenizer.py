@@ -19,12 +19,13 @@ import re
 
 __all__ = ["split_identifier"]
 
-# One alternation per camel-case piece: an all-caps run not followed by
-# lowercase (acronym), a capitalized word, or a lowercase run.  A piece is
-# made of letters and looks ahead only for a lowercase letter, so a
-# separator or a digit ends a piece as the end of the name does, and the
-# pieces of the whole name are those of its separated parts.
-_CAMEL = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+")
+# Two alternatives per camel-case piece: a word of lowercase letters,
+# capitalized or not, or else an all-caps run not followed by lowercase
+# (an acronym).  A piece is made of letters and looks ahead only for a
+# lowercase letter, so a separator or a digit ends a piece as the end of
+# the name does, and the pieces of the whole name are those of its
+# separated parts.
+_CAMEL = re.compile(r"[A-Z]?[a-z]+|[A-Z]+(?![a-z])")
 
 
 def split_identifier(name: str) -> list[str]:

@@ -31,6 +31,7 @@ from lexiscope.lexicon import (
     lemmatize,
     load_lexicon,
     related_words,
+    surface_forms,
 )
 
 from cache_rules import CacheRules
@@ -862,6 +863,9 @@ def _reference_classify(lexicon, word):
 def test_classify_and_lemmatize_match_their_references_on_minidict(lexicon):
     words = [*lexicon.entries, "values", "running", "found", "ran", "Cars", "CAR", "goods", "shaped",
              "setting", "sets", "", "s", "ing", "qqzx", "runned"]
+    # Every exception, detachment and undoubling form of each part of speech, in three cases.
+    words += [case(form) for form in sorted(surface_forms(lexicon, lexicon.entries))
+              for case in (str, str.upper, str.capitalize)]
     for word in words:
         assert lemmatize(lexicon, word) == _reference_lemmatize(lexicon, word), word
         assert classify(lexicon, word) == _reference_classify(lexicon, word), word
