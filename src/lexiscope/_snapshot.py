@@ -24,7 +24,12 @@ A source with a file that is there but is not a regular file, such as a
 pipe, is never read from or written to a slot: no key stands for bytes a
 read consumes.  Every write removes the slots of its kind whose source is
 gone, and the content-named snapshots of earlier versions.  A cache that
-cannot be written is skipped.  A slot is only ever a cache of a parse.
+cannot be written is skipped.  A slot is only ever a cache of a parse:
+what a parse gave, or what a save writes right after its file (see
+index.save_index) when the parse's rules accept its values and would give
+each back as it is.  Such a save reads the slot first, as a load does,
+and writes it only when the sha256 the read took of the file is that of
+the bytes it wrote.
 """
 
 from __future__ import annotations
@@ -179,6 +184,7 @@ class Slot:
         self.format_tag = format_tag
         self.files = files
         self.key: bytes | None = None
+        self.digests: tuple[bytes, ...] | None = None
         self.states = None
 
     @classmethod

@@ -507,42 +507,47 @@ def _scan_from_slot(payload: memoryview, relative: list[str]):
     return nodes, file_count, counts
 
 
-def _validate_node(record, nodes: list[SourceNode]) -> SourceNode:
-    """The node-record rules shared by JSONL ingest and index load.
+def _validate_node(kind, name, file_path, line, parent, nodes: list[SourceNode], position: int) -> None:
+    """The node rules shared by JSONL ingest, index load and save_index.
 
-    `record` is one decoded JSON value; `nodes` are the records accepted
-    so far, and the new node's id is their count.  Raises ValueError with
-    the reason on any violation.
+    The first five arguments are one node's field values; `nodes[:position]`
+    are the nodes before it.  Raises ValueError with the reason on any
+    violation.
     """
-    if not isinstance(record, dict):
-        raise ValueError("record is not an object")
-    kind = record.get("kind")
     if kind not in KINDS:
         raise ValueError(f"bad kind {kind!r}")
-    name = record.get("name")
-    if not isinstance(name, str) or not IDENTIFIER_RE.fullmatch(name):
+    # IDENTIFIER_RE.fullmatch(name), without the regex engine's cost per call.
+    if not isinstance(name, str) or not (name.isascii() and name.replace("$", "_").isidentifier()):
         raise ValueError(f"bad name {name!r}")
-    file_path = record.get("file")
     if not isinstance(file_path, str) or not file_path:
         raise ValueError("missing file")
-    line = record.get("line")
     if type(line) is not int or line < 1:
         raise ValueError(f"bad line {line!r}")
 
-    parent = record.get("parent")
     if parent is None:
         if kind != "class":
             raise ValueError(f"{kind} requires a parent")
     else:
         if type(parent) is not int:
             raise ValueError(f"bad parent {parent!r}")
-        if not 0 <= parent < len(nodes):
+        if not 0 <= parent < position:
             raise ValueError(f"parent {parent} does not reference an earlier node")
         parent_kind = nodes[parent].kind
         required = "method" if kind == "parameter" else "class"
         if parent_kind != required:
             raise ValueError(f"{kind} parent must be a {required}, got {parent_kind}")
-    return SourceNode(len(nodes), kind, name, file_path, line, parent)
+
+
+def _node_from_record(record, nodes: list[SourceNode]) -> SourceNode:
+    """The node after `nodes` that one decoded JSON record gives, by _validate_node's rules.
+
+    Raises ValueError with the reason on any violation.
+    """
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    fields = tuple(map(record.get, ("kind", "name", "file", "line", "parent")))
+    _validate_node(*fields, nodes, len(nodes))
+    return SourceNode(len(nodes), *fields)
 
 
 def ingest_nodes(stream: IO[str] | Iterable[str]) -> list[SourceNode]:
@@ -561,7 +566,7 @@ def ingest_nodes(stream: IO[str] | Iterable[str]) -> list[SourceNode]:
         except json.JSONDecodeError as exc:
             raise SchemaError(line_number, f"invalid JSON ({exc.msg})") from exc
         try:
-            nodes.append(_validate_node(record, nodes))
+            nodes.append(_node_from_record(record, nodes))
         except ValueError as exc:
             raise SchemaError(line_number, str(exc)) from exc
     return nodes

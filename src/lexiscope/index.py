@@ -4,27 +4,31 @@ The index is a single human-readable document: project metadata, the
 extracted nodes, and the vocabulary entries (sorted by word).  Writing is
 byte-deterministic for identical inputs, and loading re-validates every
 structural invariant, so round-trips are exact.  A load of bytes that an
-earlier load from the same path validated reads the marshalled slot that
-load left in the cache instead, and builds each part of the index on its
-first access.
+earlier load or save of the same path validated reads the marshalled slot
+that load or save left in the cache instead, and builds each part of the
+index on its first access.  A save writes the slot only for values that
+pass the parse's rules and that the parse gives back as they are, so a
+slot is only ever what a parse of its file gives.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import marshal
 import os
+import re
 import stat
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import count, repeat
 from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
-from ._snapshot import Slot
-from .extractor import KINDS, SourceNode, _validate_node
+from ._snapshot import _CHUNK, Slot
+from .extractor import KINDS, SourceNode, _node_from_record, _validate_node
 from .lexicon import PosTag
 from .vocabulary import ProjectVocabulary, VocabularyEntry
 
@@ -34,6 +38,12 @@ FORMAT_VERSION = 1
 
 # The exact pos names save_index writes; no other spelling loads.
 _POS_NAMES = {str(tag): tag for tag in PosTag}
+_KIND_SET = frozenset(KINDS)
+
+# json.loads reads an escaped high surrogate and the escaped low surrogate
+# after it as one character, so a string holding such a pair does not come
+# back from the file as it went in.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
 class InvalidIndexError(Exception):
@@ -68,41 +78,62 @@ def _json_list(items: list[str]) -> str:
 
 
 def save_index(index: ProjectIndex, path: str | Path) -> None:
-    """Write the bytes json.dumps(document, indent=2) + "\\n" would give."""
+    """Write the bytes json.dumps(document, indent=2) + "\\n" would give, then the file's cache slot.
+
+    The slot holds what load_index's parse of those bytes gives, so the
+    first load of the file reads it instead of parsing.  It is written
+    only when the file at path, hashed after the write, holds the bytes
+    this save wrote (a file replaced in between, a target that is not a
+    regular file and a missing cache get none), and when the values pass
+    the parse's rules and come back from it as they are (see
+    _checked_payload).  A slot that already holds these bytes is kept.
+    """
+    path = Path(path)
     vocabulary = index.vocabulary
-    nodes = [
-        _NODE_LAYOUT % (
-            node.id,
-            _encode(node.kind),
-            _encode(node.name),
-            _encode(node.file_path),
-            node.line,
-            "null" if node.parent_id is None else "%d" % node.parent_id,
-        )
-        for node in index.nodes
-    ]
-    entries = [
-        _ENTRY_LAYOUT % (
-            _encode(entry.word),
-            "true" if entry.recognized else "false",
-            "null" if entry.pos is None else _encode(str(entry.pos)),
-            entry.total,
-            *[entry.counts_by_kind.get(kind, 0) for kind in KINDS],
-        )
-        for entry in sorted(vocabulary.entries.values(), key=lambda e: e.word)
-    ]
-    document = _DOCUMENT_LAYOUT % (
+    entries = sorted(vocabulary.entries.values(), key=lambda e: e.word)
+    digest = _write_index_file(path, _document(index.nodes, vocabulary, entries))
+    slot = Slot.of("index", path, _SLOT_FORMAT, [path])
+    if slot is None or slot.read() is not None or slot.digests != (digest,):
+        return
+    payload = _checked_payload(index.nodes, vocabulary, entries)
+    if payload is not None:
+        slot.write([payload])
+
+
+def _document(nodes: list[SourceNode], vocabulary: ProjectVocabulary, entries: list[VocabularyEntry]) -> str:
+    """The index document, entries in the given order."""
+    return _DOCUMENT_LAYOUT % (
         FORMAT_VERSION,
         _encode(vocabulary.project_name),
         vocabulary.file_count,
-        _json_list(nodes),
-        _json_list(entries),
+        _json_list([
+            _NODE_LAYOUT % (
+                node.id,
+                _encode(node.kind),
+                _encode(node.name),
+                _encode(node.file_path),
+                node.line,
+                "null" if node.parent_id is None else "%d" % node.parent_id,
+            )
+            for node in nodes
+        ]),
+        _json_list([
+            _ENTRY_LAYOUT % (
+                _encode(entry.word),
+                "true" if entry.recognized else "false",
+                "null" if entry.pos is None else _encode(str(entry.pos)),
+                entry.total,
+                *[entry.counts_by_kind.get(kind, 0) for kind in KINDS],
+            )
+            for entry in entries
+        ]),
     )
-    _write_index_file(Path(path), document)
 
 
-def _write_index_file(path: Path, document: str) -> None:
+def _write_index_file(path: Path, document: str) -> bytes:
     """Write the document at path, in a new file renamed over it where that keeps what path is.
+
+    Returns the sha256 of the bytes written, hashed as they are written.
 
     A missing path, or a regular file with no other name, gets a temporary
     file beside it that is renamed into place, so a failed or interrupted
@@ -134,16 +165,27 @@ def _write_index_file(path: Path, document: str) -> None:
                 os.unlink(temp)
             handle = None
     if handle is None:
-        path.write_text(document, encoding="utf-8")
-        return
+        with open(path, "wb") as out:
+            return _write_hashed(out, document)
     try:
-        with open(handle, "w", encoding="utf-8") as out:
-            out.write(document)
+        with open(handle, "wb") as out:
+            digest = _write_hashed(out, document)
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(temp)
         raise
+    return digest
+
+
+def _write_hashed(out, document: str) -> bytes:
+    """Write the document's UTF-8 bytes a chunk at a time; the sha256 of the bytes."""
+    digest = hashlib.sha256()
+    for start in range(0, len(document), _CHUNK):
+        chunk = document[start : start + _CHUNK].encode("utf-8")
+        digest.update(chunk)
+        out.write(chunk)
+    return digest.digest()
 
 
 def load_index(path: str | Path) -> ProjectIndex:
@@ -151,7 +193,8 @@ def load_index(path: str | Path) -> ProjectIndex:
 
     Raises InvalidIndexError if the file cannot be read or breaks any rule
     of the format.  A successful parse is stored in the file's cache slot
-    (see _snapshot), keyed by the bytes of the index file; a later load of
+    (see _snapshot), keyed by the bytes of the index file, as save_index
+    stores what the parse would give; a later load of
     the same bytes from the same path reads the slot without parsing, and
     without hashing the file while the slot's stamp holds.  Its nodes and
     its vocabulary are each built on first access.
@@ -179,7 +222,8 @@ def load_index(path: str | Path) -> ProjectIndex:
         raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
     index = _index_from_document(document, path)
     if slot is not None:
-        slot.write([_slot_payload(index)])
+        vocabulary = index.vocabulary
+        slot.write([_slot_payload(vocabulary, _node_columns(index.nodes), vocabulary.entries.values())])
     return index
 
 
@@ -190,13 +234,13 @@ def _index_from_document(document, path) -> ProjectIndex:
         raise InvalidIndexError(f"unsupported index format in {path}")
     project_name = document.get("projectName")
     file_count = document.get("fileCount")
-    if not isinstance(project_name, str) or type(file_count) is not int or file_count < 0:
+    if not _good_metadata(project_name, file_count):
         raise InvalidIndexError(f"bad project metadata in {path}")
 
     nodes: list[SourceNode] = []
     for position, raw in enumerate(_expect_list(document, "nodes", path)):
         try:
-            node = _validate_node(raw, nodes)
+            node = _node_from_record(raw, nodes)
         except ValueError as exc:
             raise InvalidIndexError(f"node {position}: {exc} in {path}") from exc
         node_id = raw.get("id")
@@ -204,14 +248,25 @@ def _index_from_document(document, path) -> ProjectIndex:
             raise InvalidIndexError(f"node ids must be dense from 0 (node {position}) in {path}")
         nodes.append(node)
 
-    vocabulary = ProjectVocabulary(project_name, file_count)
+    entries = {}
     for raw in _expect_list(document, "vocabulary", path):
-        entry = _parse_entry(raw, path)
-        if entry.word in vocabulary.entries:
-            raise InvalidIndexError(f"duplicate vocabulary word {entry.word!r} in {path}")
-        vocabulary.entries[entry.word] = entry
+        if not isinstance(raw, dict):
+            raise InvalidIndexError(f"vocabulary entry is not an object in {path}")
+        word, recognized, pos_name, total, counts = map(raw.get, ("word", "recognized", "pos", "total", "counts"))
+        try:
+            pos = _check_entry(word, recognized, pos_name, total, counts)
+        except ValueError as exc:
+            raise InvalidIndexError(f"{exc} in {path}") from exc
+        if word in entries:
+            raise InvalidIndexError(f"duplicate vocabulary word {word!r} in {path}")
+        entries[word] = VocabularyEntry(word, recognized, pos, total, {kind: counts[kind] for kind in KINDS})
 
-    return ProjectIndex(nodes, vocabulary)
+    return ProjectIndex(nodes, ProjectVocabulary(project_name, file_count, entries))
+
+
+def _good_metadata(project_name, file_count) -> bool:
+    """The project-metadata rule shared by index load and save_index."""
+    return isinstance(project_name, str) and type(file_count) is int and file_count >= 0
 
 
 def _expect_list(document: dict, key: str, path) -> list:
@@ -221,37 +276,33 @@ def _expect_list(document: dict, key: str, path) -> list:
     return value
 
 
-def _parse_entry(raw, path) -> VocabularyEntry:
-    if not isinstance(raw, dict):
-        raise InvalidIndexError(f"vocabulary entry is not an object in {path}")
-    word = raw.get("word")
-    recognized = raw.get("recognized")
-    pos_name = raw.get("pos")
-    total = raw.get("total")
-    counts = raw.get("counts")
+def _check_entry(word, recognized, pos_name, total, counts) -> PosTag | None:
+    """The vocabulary-entry rules shared by index load and save_index; the pos that pos_name names.
+
+    The arguments are one entry's field values, its pos as the name the
+    file holds.  Raises ValueError with the reason on any violation.
+    """
     if not isinstance(word, str) or not word:
-        raise InvalidIndexError(f"bad vocabulary word {word!r} in {path}")
+        raise ValueError(f"bad vocabulary word {word!r}")
     if not isinstance(recognized, bool):
-        raise InvalidIndexError(f"{word}: recognized must be a boolean in {path}")
+        raise ValueError(f"{word}: recognized must be a boolean")
     if pos_name is None:
         pos = None
     elif isinstance(pos_name, str) and pos_name in _POS_NAMES:
         pos = _POS_NAMES[pos_name]
     else:
-        raise InvalidIndexError(f"{word}: unknown pos {pos_name!r} in {path}")
+        raise ValueError(f"{word}: unknown pos {pos_name!r}")
     if recognized != (pos is not None):
-        raise InvalidIndexError(f"{word}: recognized flag disagrees with pos in {path}")
-    if not isinstance(counts, dict) or set(counts) != set(KINDS):
-        raise InvalidIndexError(f"{word}: counts must cover all node kinds in {path}")
-    by_kind = {}
+        raise ValueError(f"{word}: recognized flag disagrees with pos")
+    if not isinstance(counts, dict) or counts.keys() != _KIND_SET:
+        raise ValueError(f"{word}: counts must cover all node kinds")
     for kind in KINDS:
         value = counts[kind]
         if type(value) is not int or value < 0:
-            raise InvalidIndexError(f"{word}: bad count for {kind} in {path}")
-        by_kind[kind] = value
-    if type(total) is not int or total != sum(by_kind.values()) or total < 1:
-        raise InvalidIndexError(f"{word}: total must equal the sum of counts in {path}")
-    return VocabularyEntry(word, recognized, pos, total, by_kind)
+            raise ValueError(f"{word}: bad count for {kind}")
+    if type(total) is not int or total != sum(counts.values()) or total < 1:
+        raise ValueError(f"{word}: total must equal the sum of counts")
+    return pos
 
 
 # Bump when the parse, the index format or the slot layout changes, so that
@@ -260,30 +311,71 @@ _SLOT_FORMAT = b"lexiscope-index-3"
 
 # A slot stores a pos as its int value, or None.
 _POS_OF_INT = {None: None, **{int(tag): tag for tag in PosTag}}
+_NAME_OF_POS = {None: None, **{tag: name for name, tag in _POS_NAMES.items()}}
 
 _ROW_LENGTH = 3 + len(KINDS)
 
 
-def _slot_payload(index: ProjectIndex) -> bytes:
-    """The marshalled (project name, file count, node columns, vocabulary rows).
+def _node_columns(nodes: list[SourceNode]) -> tuple[tuple, ...]:
+    """The id, kind, name, file, line and parent columns of nodes.
+
+    Equal kinds and equal files are one object, which marshal writes once.
+    """
+    ids, kinds, names, files, lines, parents = zip(*nodes) if nodes else ((),) * 6
+    same = dict(zip(kinds, kinds))
+    same.update(zip(files, files))
+    return ids, tuple(map(same.__getitem__, kinds)), names, tuple(map(same.__getitem__, files)), lines, parents
+
+
+def _slot_payload(vocabulary: ProjectVocabulary, node_columns, entries) -> bytes:
+    """The marshalled (project name, file count, node columns, vocabulary rows), a row per entry.
 
     The node columns are kind, name, file, line and parent; a node's id is
     its position.  A row is a word, its pos as an int or None, its total
     and its four counts in KINDS order.
     """
-    vocabulary = index.vocabulary
-    _ids, kinds, names, files, lines, parents = zip(*index.nodes) if index.nodes else ((),) * 6
-    # One object per distinct kind and file, which marshal writes once.
-    same: dict[str, str] = {}
-    kinds, files = (tuple([same.setdefault(value, value) for value in column]) for column in (kinds, files))
+    _ids, kinds, names, files, lines, parents = node_columns
     rows = tuple(
         (entry.word, None if entry.pos is None else int(entry.pos), entry.total,
          *[entry.counts_by_kind[kind] for kind in KINDS])
-        for entry in vocabulary.entries.values()
+        for entry in entries
     )
     return marshal.dumps(
         (vocabulary.project_name, vocabulary.file_count, kinds, names, files, lines, parents, rows)
     )
+
+
+def _checked_payload(nodes: list[SourceNode], vocabulary: ProjectVocabulary, entries: list[VocabularyEntry]):
+    """The slot payload of the index save_index wrote, or None when its parse could not give it.
+
+    The values go through the parse's own rules.  On top of those, every
+    node must be a SourceNode whose id is its position, every pos a PosTag
+    or None, and every string one that json.loads gives back as it is;
+    a bool or float where an int goes already breaks a rule, and a str or
+    int subclass is one marshal cannot write.
+    """
+    if not _good_metadata(vocabulary.project_name, vocabulary.file_count) or {*map(type, nodes)} - {SourceNode}:
+        return None
+    node_columns = ids, kinds, names, files, lines, parents = _node_columns(nodes)
+    if {*map(type, ids)} - {int} or ids != tuple(range(len(ids))):
+        return None
+    try:
+        for position, kind, name, file_path, line, parent in zip(count(), kinds, names, files, lines, parents):
+            _validate_node(kind, name, file_path, line, parent, nodes, position)
+        for entry in entries:
+            if entry.pos is not None and type(entry.pos) is not PosTag:
+                return None
+            _check_entry(entry.word, entry.recognized, _NAME_OF_POS[entry.pos], entry.total, entry.counts_by_kind)
+    except ValueError:
+        return None
+    words = [entry.word for entry in entries]
+    text = "\0".join([vocabulary.project_name, *set(files), *words])
+    if len(set(words)) != len(words) or not text.isascii() and _SURROGATE_PAIR.search(text):
+        return None
+    try:
+        return _slot_payload(vocabulary, node_columns, entries)
+    except ValueError:  # a str or int subclass, which marshal cannot write
+        return None
 
 
 def _index_from_slot(payload: memoryview) -> ProjectIndex | None:

@@ -16,6 +16,7 @@ from lexiscope.lexicon import load_lexicon
 from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry
 
 from conftest import FIXTURES, MINICORPUS, MINIDICT
+from test_index import _no_parse
 
 GOLDEN_INDEX = FIXTURES / "minicorpus_index.json"
 
@@ -84,12 +85,35 @@ class TestAnalyze:
         assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(target)]) == 2
         assert capsys.readouterr().err.startswith(f"lexiscope: cannot write index {target}: ")
 
-    def test_analyze_writes_no_index_slot(self, tmp_path, monkeypatch):
-        # Only a parse of the written bytes may fill an index's slot.
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-        assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(tmp_path / "o.json")]) == 0
-        assert [p for p in (cache / "lexiscope").iterdir() if p.name.startswith("index-")] == []
+    def test_analyze_leaves_its_indexes_warm(self, tmp_path, slots, capsys):
+        # The first read of each index comes from the slot analyze wrote,
+        # and prints what a parse of the file prints.
+        indexes = [str(tmp_path / f"{tree}.json") for tree in ("model", "util")]
+        for tree, out in zip(("model", "util"), indexes):
+            assert main(["analyze", str(MINICORPUS / tree), "--dict", str(MINIDICT), "-o", out]) == 0
+        assert len([p for p in slots.iterdir() if p.name.startswith("index-")]) == 2
+        commands = [
+            ["stats", indexes[0]],
+            ["topwords", indexes[1], "-k", "5"],
+            ["domain", *indexes],
+            ["locate", indexes[0], "get name", "--dict", str(MINIDICT)],
+        ]
+        capsys.readouterr()
+
+        def printed():
+            outputs = []
+            for argv in commands:
+                assert main(argv) == 0
+                outputs.append(capsys.readouterr().out)
+            return outputs
+
+        with _no_parse():
+            warm = printed()
+        for path in slots.iterdir():
+            if path.name.startswith("index-"):
+                path.unlink()
+        assert printed() == warm
+        assert "Vehicle.java" in warm[3]
 
     def test_cold_analyze_classifies_from_its_parse(self, tmp_path, monkeypatch):
         # A cold load hands back the tables it parsed; it does not read
@@ -108,7 +132,7 @@ class TestAnalyze:
         assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_INDEX.read_bytes()
         assert loads == []
-        assert sorted(p.name.split("-")[0] for p in (cache / "lexiscope").iterdir()) == ["lexicon", "scan"]
+        assert sorted(p.name.split("-")[0] for p in (cache / "lexiscope").iterdir()) == ["index", "lexicon", "scan"]
 
     def test_bad_dictionary_exits_3(self, tmp_path):
         rc = main(["analyze", str(MINICORPUS), "--dict", str(tmp_path),

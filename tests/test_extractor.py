@@ -831,3 +831,14 @@ class TestIngestNodes:
     def test_blank_lines_skipped(self):
         nodes = ingest_nodes(["", '{"kind":"class","name":"A","file":"a.java","line":1}', "  "])
         assert len(nodes) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("aZz_$09 .-\n\té") | st.characters(), max_size=6))
+    def test_node_name_rule_is_the_identifier_pattern(self, name):
+        record = json.dumps({"kind": "class", "name": name, "file": "a.java", "line": 1})
+        try:
+            accepted = ingest_nodes([record])[0].name == name
+        except SchemaError as exc:
+            assert exc.reason == f"bad name {name!r}"
+            accepted = False
+        assert accepted == bool(IDENTIFIER_RE.fullmatch(name))

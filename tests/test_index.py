@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import errno
 import hashlib
 import json
@@ -7,7 +8,8 @@ import os
 import shutil
 import stat
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -395,7 +397,18 @@ def _no_parse():
         yield
 
 
+def _typed_values(index):
+    """Every value of the index in order, each with its type, so that 1 and True differ."""
+    vocabulary = index.vocabulary
+    values = [vocabulary.project_name, vocabulary.file_count, *chain.from_iterable(index.nodes)]
+    for word, entry in vocabulary.entries.items():
+        values += [word, entry.word, entry.recognized, entry.pos, entry.total]
+        values += chain(*entry.counts_by_kind.items())
+    return [(type(value), value) for value in values]
+
+
 def _assert_same_index(loaded, parsed):
+    assert _typed_values(loaded) == _typed_values(parsed)
     assert loaded.nodes == parsed.nodes
     assert all(type(node) is SourceNode for node in loaded.nodes)
     assert loaded.vocabulary == parsed.vocabulary
@@ -417,6 +430,46 @@ def _valid_indexes(draw):
         pos = draw(st.none() | st.sampled_from(list(PosTag)))
         vocabulary.entries[word] = VocabularyEntry(word, pos is not None, pos, sum(counts.values()), counts)
     return ProjectIndex(draw(_node_trees()), vocabulary)
+
+
+def _loaded(path):
+    """What load_index gives for path: the index, or the text of its InvalidIndexError."""
+    try:
+        return load_index(path)
+    except InvalidIndexError as exc:
+        return str(exc)
+
+
+def _assert_load_after_save_is_the_parse(tmp_path_factory, index, slotted):
+    """Save index, then load it from the cache and with no cache: the same index, or the same error.
+
+    A slotted index's first load reads the slot save_index wrote.
+    """
+    path = tmp_path_factory.getbasetemp() / "saved.json"
+    slot_path("index", path).unlink(missing_ok=True)
+    save_index(index, path)
+    with _no_parse() if slotted else nullcontext():
+        first = _loaded(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", "cache")
+        patch.setenv("HOME", "home")
+        parsed = _loaded(path)
+    if isinstance(parsed, str):
+        assert first == parsed
+    else:
+        _assert_same_index(first, parsed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_indexes())
+def test_load_after_save_is_the_parse(tmp_path_factory, index):
+    _assert_load_after_save_is_the_parse(tmp_path_factory, index, slotted=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_indexes())
+def test_first_load_after_save_reads_the_slot(tmp_path_factory, index):
+    _assert_load_after_save_is_the_parse(tmp_path_factory, index, slotted=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -467,6 +520,72 @@ def _flipped(data: bytes, offset: int) -> bytes:
 
 def _with_rows(change):
     return _reshaped(lambda stored: stored[:-1] + (change(stored[-1]),))
+
+
+def _small_index():
+    """A one-class, one-word index that gets a slot."""
+    counts = {"class": 1, "method": 0, "parameter": 0, "field": 0}
+    entry = VocabularyEntry("car", True, PosTag.NOUN, 1, counts)
+    node = SourceNode(0, "class", "Car", "a.java", 1, None)
+    return ProjectIndex([node], ProjectVocabulary("p", 1, {"car": entry}))
+
+
+class _Text(str):
+    pass
+
+
+class _OtherPos(enum.IntEnum):
+    """A pos written as "noun" whose int is a verb's."""
+
+    NOUN = PosTag.VERB
+
+    def __str__(self):
+        return "noun"
+
+
+class _RenamedNode(SourceNode):
+    """A node whose name, which save_index writes, is not the name it holds."""
+
+    name = property(lambda self: "Other")
+
+
+def _node_change(**fields):
+    return lambda nodes, vocabulary, entry: nodes.__setitem__(0, nodes[0]._replace(**fields))
+
+
+def _entry_change(**fields):
+    return lambda nodes, vocabulary, entry: vars(entry).update(fields)
+
+
+# One change of _small_index per way its values can break a rule of the
+# parse, or come back from it other than they went in.
+_UNSLOTTED = {
+    "id-not-its-position": _node_change(id=5),
+    "boolean-id": _node_change(id=False),
+    "bad-name": _node_change(name="not valid!"),
+    "parentless-field": _node_change(kind="field"),
+    "boolean-line": _node_change(line=True),
+    "float-line": _node_change(line=1.5),
+    "empty-file": _node_change(file_path=""),
+    "str-subclass-name": _node_change(name=_Text("Car")),
+    "node-subclass": lambda nodes, vocabulary, entry: nodes.__setitem__(0, _RenamedNode(*nodes[0])),
+    "boolean-file-count": lambda nodes, vocabulary, entry: setattr(vocabulary, "file_count", True),
+    "negative-file-count": lambda nodes, vocabulary, entry: setattr(vocabulary, "file_count", -1),
+    "boolean-total": _entry_change(total=True),
+    "total-mismatch": _entry_change(total=7),
+    "pos-name-for-a-pos": _entry_change(pos="noun"),
+    "int-pos": _entry_change(pos=1),
+    "pos-of-another-enum": _entry_change(pos=_OtherPos.NOUN),
+    "recognized-without-pos": _entry_change(pos=None),
+    "int-recognized": _entry_change(recognized=1),
+    "float-count": lambda nodes, vocabulary, entry: entry.counts_by_kind.update({"class": 1.0}),
+    "count-beyond-kinds": lambda nodes, vocabulary, entry: entry.counts_by_kind.update({"module": 0}),
+    "missing-count": lambda nodes, vocabulary, entry: entry.counts_by_kind.pop("field"),
+    "duplicate-word": lambda nodes, vocabulary, entry: vocabulary.entries.update(cars=dataclasses.replace(entry)),
+    # Written as the escapes of one astral character, which is what they load as.
+    "surrogate-pair-word": _entry_change(word="\ud83d\ude00"),
+    "surrogate-pair-file": _node_change(file_path="a\udbff\udfff.java"),
+}
 
 
 class TestSlot(CacheRules):
@@ -597,9 +716,100 @@ class TestSlot(CacheRules):
             load_index(path)
         assert str(with_slot.value) == str(without.value)
 
-    def test_save_index_writes_no_slot(self, sample_index, tmp_path, slots):
-        save_index(sample_index, tmp_path / "index.json")
+    def test_save_index_writes_the_slot_of_a_valid_index(self, sample_index, tmp_path, slots):
+        path = tmp_path / "index.json"
+        save_index(sample_index, path)
+        [slot] = slots.iterdir()
+        assert slot == slot_path("index", path)
+        digest = hashlib.sha256(path.read_bytes()).digest()
+        assert _open_slot(slot)[0] == content_key(index_module._SLOT_FORMAT, [digest])
+        parsed = _parsed(path)
+        with _no_parse():
+            _assert_same_index(load_index(path), parsed)
+        assert list(slots.iterdir()) == [slot]
+
+    @pytest.mark.parametrize("change", list(_UNSLOTTED.values()), ids=list(_UNSLOTTED))
+    def test_save_index_writes_no_slot_for_a_value_the_parse_would_not_give(self, tmp_path, slots, change):
+        index = _small_index()
+        change(index.nodes, index.vocabulary, index.vocabulary.entries["car"])
+        path = tmp_path / "index.json"
+        save_index(index, path)
         assert not slots.exists()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("XDG_CACHE_HOME", "cache")
+            patch.setenv("HOME", "home")
+            parsed = _loaded(path)
+        loaded = _loaded(path)
+        if isinstance(parsed, str):
+            assert loaded == parsed
+        else:
+            _assert_same_index(loaded, parsed)
+
+    def test_slot_that_holds_the_saved_bytes_is_kept(self, sample_index, tmp_path, slots, monkeypatch):
+        path = tmp_path / "index.json"
+        save_index(sample_index, path)
+        [slot] = slots.iterdir()
+        kept = slot.read_bytes()
+        monkeypatch.setattr(index_module, "_checked_payload", mock.Mock(side_effect=AssertionError("rebuilt")))
+        save_index(sample_index, path)
+        assert list(slots.iterdir()) == [slot] and slot.read_bytes() == kept
+        with _no_parse():
+            assert load_index(path) == sample_index
+
+    @pytest.mark.parametrize("when", ["before-the-hash", "before-the-slot-is-written"])
+    def test_file_replaced_after_the_save_gets_no_slot(self, sample_index, tmp_path, slots, monkeypatch, when):
+        path = tmp_path / "index.json"
+        (tmp_path / "other").mkdir()
+        other = _write_document(tmp_path / "other", lambda d: None)
+        name = "_write_index_file" if when == "before-the-hash" else "_checked_payload"
+        step = getattr(index_module, name)
+
+        def replacing(*args):
+            result = step(*args)
+            shutil.copyfile(other, tmp_path / "replacement")
+            os.replace(tmp_path / "replacement", path)
+            return result
+
+        monkeypatch.setattr(index_module, name, replacing)
+        save_index(sample_index, path)
+        assert not slots.exists() or list(slots.iterdir()) == []
+        monkeypatch.undo()
+        _assert_same_index(load_index(path), _parsed(other))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("target", ["pipe", "symlink-to-a-device"])
+    def test_target_that_is_not_a_regular_file_gets_no_slot(self, sample_index, tmp_path, slots, target):
+        path = tmp_path / "index.json"
+        if target == "symlink-to-a-device":
+            path.symlink_to(os.devnull)
+            save_index(sample_index, path)
+        else:
+            os.mkfifo(path)
+            # Both ends are open before the save, so neither waits for the other.
+            hold = os.open(path, os.O_RDWR)
+            read_end = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+            os.set_blocking(read_end, True)
+
+            def drain():
+                with open(read_end, "rb") as handle:
+                    return handle.read()
+
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                received = pool.submit(drain)
+                try:
+                    save_index(sample_index, path)
+                finally:
+                    os.close(hold)
+                assert received.result(timeout=60) == _reference_bytes(sample_index)
+        assert not slots.exists()
+
+    def test_save_without_a_cache_writes_no_slot(self, sample_index, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+        monkeypatch.setenv("HOME", "home")
+        save_index(sample_index, "index.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+        assert load_index("index.json") == sample_index
 
     def test_warm_index_is_a_project_index_like_a_parsed_one(self, golden, slots):
         cold = load_index(golden)
