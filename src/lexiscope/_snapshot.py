@@ -30,6 +30,15 @@ index.save_index) when the parse's rules accept its values and would give
 each back as it is.  Such a save reads the slot first, as a load does,
 and writes it only when the sha256 the read took of the file is that of
 the bytes it wrote.
+
+A slot may also end its payload in a tail that its sha256 does not cover
+(the dictionary's shards).  Its payload is then the head's length (8
+bytes, little-endian), the head and the tail, and its sha256 is of the
+rest but the tail.  A read of such a slot reads the key, the head and the
+stamp and checks them; the tail stays in the file, and the loader reads
+and checks a piece of it when it needs that piece (see Tail).  A slot is
+only ever replaced by rename, so the tail read through an open slot is
+the one its head was written with.
 """
 
 from __future__ import annotations
@@ -133,10 +142,80 @@ def _open_slot(path: Path):
     return data[32:64], view[64:end], stamp
 
 
-def write_slot(path: Path, key: bytes, chunks: list[bytes]) -> None:
-    """Store the chunks at path under key; a cache that cannot be written is skipped.
+class Tail:
+    """The tail of a slot, read a piece at a time from the slot's file as it was opened.
 
-    The chunks are written one by one, never joined.
+    It holds the file's descriptor (no file object, which would warn when
+    left to the collector) and closes it when it is collected.  os.pread
+    reads at an offset without moving a shared position, so threads may
+    read at once.  The bytes are as the file holds them now: whoever
+    reads them checks them.
+    """
+
+    __slots__ = ("_fd", "_start", "_size")
+
+    def __init__(self, fd: int, start: int, size: int):
+        self._fd = fd
+        self._start = start
+        self._size = size
+
+    def __del__(self, close=os.close):
+        close(self._fd)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def read(self, start: int, end: int) -> bytes:
+        """Bytes start to end of the tail; fewer, or other ones, when the file was changed in place."""
+        return os.pread(self._fd, end - start, self._start + start)
+
+
+def _open_tailed_slot(path: Path):
+    """(key, (head, Tail), stamp) of the slot with a tail at path, or None for a missing or damaged one.
+
+    Reads the sha256, the key, the head's length, the head and the stamp,
+    and checks the sha256 over all of them but itself.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return None
+    try:
+        size = os.fstat(fd).st_size
+        start = os.pread(fd, 72, 0)
+        end = os.pread(fd, 8, max(size - 8, 0))
+        if len(start) < 72 or len(end) < 8:
+            return None
+        head_end = 72 + int.from_bytes(start[64:], "little")
+        stamp_start = size - 8 - int.from_bytes(end, "little")
+        if not head_end <= stamp_start:
+            return None
+        head = os.pread(fd, head_end - 72, 72)
+        stamp = os.pread(fd, size - stamp_start, stamp_start)
+        if len(head) != head_end - 72 or len(stamp) != size - stamp_start:
+            return None
+        digest = hashlib.sha256(start[32:])
+        digest.update(head)
+        digest.update(stamp)
+        if digest.digest() != start[:32]:
+            return None
+        stamp = marshal.loads(stamp[:-8])
+        tail, fd = Tail(fd, head_end, stamp_start - head_end), None
+        return start[32:64], (head, tail), stamp
+    except (OSError, EOFError, ValueError, TypeError):
+        return None
+    finally:
+        if fd is not None:
+            os.close(fd)
+
+
+def write_slot(
+    path: Path, key: bytes, chunks: list[bytes], tail: list[bytes] | tuple = (), end: list[bytes] | tuple = ()
+) -> None:
+    """Store the chunks, tail and end at path under key; a cache that cannot be written is skipped.
+
+    The sha256 covers the key, the chunks and the end, not the tail, which
+    goes between them.  The chunks are written one by one, never joined.
 
     The slot is written under a temporary name, which only its owner can
     read or write, and renamed into place, so a concurrent reader never
@@ -150,13 +229,15 @@ def write_slot(path: Path, key: bytes, chunks: list[bytes]) -> None:
     except OSError:
         return
     digest = hashlib.sha256(key)
-    for chunk in chunks:
+    for chunk in (*chunks, *end):
         digest.update(chunk)
     try:
         with os.fdopen(handle, "wb") as out:
             out.write(digest.digest())
             out.write(key)
             out.writelines(chunks)
+            out.writelines(tail)
+            out.writelines(end)
         os.replace(temp, path)
     except OSError:
         with contextlib.suppress(OSError):
@@ -193,18 +274,19 @@ class Slot:
         path = slot_path(kind, source)
         return None if path is None else cls(path, source, format_tag, files)
 
-    def read(self, parse_hashes: bool = False) -> memoryview | None:
+    def read(self, parse_hashes: bool = False, tailed: bool = False):
         """The payload, when the slot was written from the files as they are now; else None.
 
         Stamps the files first, for write.  A loader whose parse hashes the
         bytes it reads passes parse_hashes, and their sha256s to write: a
-        read that finds no slot then hashes no file.
+        read that finds no slot then hashes no file.  A loader whose slot
+        has a tail passes tailed, and gets the payload as (head, Tail).
         """
         self.time_ns = time.time_ns()
         self.states = _states(self.files)
         if self.states is None:
             return None
-        opened = _open_slot(self.path)
+        opened = (_open_tailed_slot if tailed else _open_slot)(self.path)
         if opened is None and parse_hashes:
             return None
         stamped = self._stamped(None if opened is None else opened[2])
@@ -220,7 +302,11 @@ class Slot:
             return None
         limit = self.time_ns - RACY_WINDOW_NS
         if None in stamped and all(changed is None or changed < limit for _, changed in self.states):
-            self.write([opened[1]])
+            if tailed:
+                head, tail = opened[1]
+                self.write([head], tail=[tail.read(0, len(tail))])
+            else:
+                self.write([opened[1]])
         return opened[1]
 
     def _stamped(self, stamp) -> list[bytes | None]:
@@ -247,23 +333,36 @@ class Slot:
             for (signature, changed), stamped_signature, digest in zip(self.states, signatures, digests)
         ]
 
-    def write(self, chunks: list[bytes], digests: list[bytes] | None = None) -> None:
+    def write(self, chunks: list[bytes], digests: list[bytes] | None = None, tail: list[bytes] | None = None) -> None:
         """Store the payload chunks under the stamp read took, unless a file changed since.
 
         digests, when given, are the sha256s of the bytes the payload was
-        parsed from, one per file, and make the key.
+        parsed from, one per file, and make the key.  tail, when given, makes
+        a slot with a tail: the chunks are its head and tail its tail.
         """
         if self.states is None:
             return
         if digests is not None:
             self.digests = tuple(digests)
             self.key = content_key(self.format_tag, self.digests)
-        if self.key is None or _states(self.files) != self.states:
+        if self.key is None or self.changed() is not None:
             return
         signatures = tuple(signature for signature, _ in self.states)
         stamp = marshal.dumps((self.source, self.time_ns, signatures, self.digests))
-        write_slot(self.path, self.key, [*chunks, stamp, len(stamp).to_bytes(8, "little")])
+        if tail is not None:
+            chunks = [sum(map(len, chunks)).to_bytes(8, "little"), *chunks]
+        write_slot(self.path, self.key, chunks, tail or (), [stamp, len(stamp).to_bytes(8, "little")])
         _sweep(self.path)
+
+    def changed(self) -> Path | None:
+        """The first file whose stat is not what read found, or None when none changed since."""
+        for path, state in zip(self.files, self.states):
+            try:
+                if _state(path) != state:
+                    return path
+            except OSError:
+                return path
+        return None
 
 
 def _stamped_source(path: Path) -> str | None:

@@ -11,7 +11,9 @@ pointer type are parsed past and dropped.
 from __future__ import annotations
 
 import enum
+import hashlib
 import marshal
+import threading
 from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -173,11 +175,16 @@ class Lexicon:
     ``entries`` and ``synsets`` are read-only mappings (``get``, ``[]``,
     ``in``, ``len`` and iteration, in no particular order).  After a parse
     they are read-only proxies of its tables.  Read from the dictionary's
-    snapshot, each unmarshals a shard of its table the first time a key in
-    that shard is looked up, so a command reads only the part of the
-    dictionary it asks for.  Nothing modifies a lexicon's content after
-    loading, so it is safe to share across threads for reading: two threads
-    may both load one shard, and either equal copy is kept.
+    snapshot, each reads a shard of its table from the snapshot's file, checks
+    it against its sha256 and unmarshals it the first time a key in that
+    shard is looked up, so a command reads only the part of the dictionary
+    it asks for.  A shard that fails its check makes the lexicon parse the
+    dictionary and answer every later lookup from that parse, which holds
+    the same content; a lookup raises LexiconError instead when a dictionary
+    file changed since the load.  Nothing modifies a lexicon's content
+    after loading, so it is safe to share across threads for reading: two
+    threads may both load one shard, and either equal copy is kept; one
+    parse serves them all.
     """
 
     entries: Mapping[str, dict[int, tuple[int, tuple[SynsetKey, ...]]]]
@@ -201,10 +208,11 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     A parse writes a snapshot of its tables to the directory's cache slot
     (see _snapshot), keyed by the content of every dictionary file and
     stamped with each file's stat signature; later loads of the same
-    content read it, a shard at a time as lookups reach it, and hash no
-    dictionary file while the stamp holds.  A snapshot that is missing,
-    damaged, of other content or cannot be written only means a parse, so
-    every error above comes from the parse.
+    content read its header, then a shard at a time as lookups reach it,
+    and hash no dictionary file while the stamp holds.  A snapshot that is
+    missing, damaged, of other content or cannot be written only means a
+    parse, so every error above comes from the parse, and so does one
+    found damaged by a lookup (see Lexicon).
     """
     root = Path(dictionary_directory)
     for tag, suffix in _POS_FILES.items():
@@ -213,15 +221,34 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
                 raise MissingFileError(f"missing {prefix}.{suffix} in {root}")
 
     slot = Slot.of("lexicon", root, _SNAPSHOT_FORMAT, [root / name for name in _DICT_FILES])
-    payload = None if slot is None else slot.read()
-    tables = None if payload is None else _open_payload(payload)
+    payload = None if slot is None else slot.read(tailed=True)
+    tables = None if payload is None else _open_payload(*payload, lambda: _parse_again(root, slot))
     if tables is not None:
         return Lexicon(*tables)
     tables = _parse_lexicon(root)
     if slot is not None:
-        slot.write(_snapshot_payload(tables))
+        header, shards = _snapshot_payload(tables)
+        slot.write([header], tail=shards)
     entries, synsets, exceptions = tables
     return Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
+
+
+def _parse_again(root: Path, slot: Slot) -> list[dict]:
+    """The shards of a parse of the dictionary under root, for a snapshot a lookup found damaged; writes it again.
+
+    The parse stands in for the snapshot the load read, so it must read
+    the files the load's key was taken of: a file whose stat is not what
+    the load found, before the parse or after it, raises LexiconError.
+    """
+    changed = slot.changed()
+    if changed is None:
+        tables = _parse_lexicon(root)
+        changed = slot.changed()
+    if changed is not None:
+        raise LexiconError(f"{changed} changed since the dictionary was loaded")
+    header, shards = _snapshot_payload(tables)
+    slot.write([header], tail=shards)
+    return list(_sharded(tables)[1])
 
 
 def _parse_lexicon(root: Path):
@@ -381,7 +408,7 @@ def _strip_marker(word: str) -> str:
 
 # Bump when the parse, the shape of its tables or the snapshot layout
 # changes, so that no snapshot of an older format is read.
-_SNAPSHOT_FORMAT = b"lexiscope-lexicon-5"
+_SNAPSHOT_FORMAT = b"lexiscope-lexicon-6"
 
 # Shards per table.
 _SHARDS = 1024
@@ -395,30 +422,62 @@ _DICT_FILES = tuple(
 )
 
 
+class _Shards:
+    """The shards of a snapshot's tail, each read and checked against its sha256 when it is asked for.
+
+    Shard i is the tail's bytes ``bounds[i]`` to ``bounds[i + 1]``, and its
+    sha256 is ``digests[32 * i : 32 * i + 32]``; an empty range is an empty
+    shard.  A shard that fails its check was damaged after the load checked
+    the slot's own sha256: from then on every shard comes from reparse, a
+    parse of the dictionary, which the first thread to find damage runs and
+    the others wait for.
+    """
+
+    __slots__ = ("_tail", "_bounds", "_digests", "_reparse", "_parsed", "_lock")
+
+    def __init__(self, tail, bounds: tuple[int, ...], digests: bytes, reparse):
+        self._tail = tail
+        self._bounds = bounds
+        self._digests = digests
+        self._reparse = reparse
+        self._parsed: list[dict] | None = None
+        self._lock = threading.Lock()
+
+    def load(self, number: int) -> dict:
+        if self._parsed is None:
+            start, end = self._bounds[number], self._bounds[number + 1]
+            if start == end:
+                return {}
+            blob = self._tail.read(start, end)
+            if hashlib.sha256(blob).digest() == self._digests[32 * number : 32 * number + 32]:
+                return marshal.loads(blob)
+            with self._lock:
+                if self._parsed is None:
+                    self._parsed = self._reparse()
+        return self._parsed[number]
+
+
 class _ShardedTable(Mapping):
-    """A read-only mapping stored as marshalled shards, each loaded on first touch.
+    """A read-only mapping stored as snapshot shards, each loaded on first touch.
 
     The shards hold the keys in sorted ranges: ``starts`` is the first key
     of each shard but the first, so a key belongs to shard
-    ``bisect_right(starts, key)``.  ``view`` holds the shards back to back;
-    shard i is ``view[bounds[i]:bounds[i + 1]]``, and an empty slice is an
-    empty shard.  Slices of a memoryview share the snapshot's buffer, so
-    no shard is copied before marshal reads it.
+    ``bisect_right(starts, key)``, which is shard ``first`` plus that of
+    ``shards``.
     """
 
-    __slots__ = ("_view", "_bounds", "_starts", "_count", "_loaded")
+    __slots__ = ("_shards", "_first", "_starts", "_count", "_loaded")
 
-    def __init__(self, view: memoryview, bounds: tuple[int, ...], starts: tuple, count: int):
-        self._view = view
-        self._bounds = bounds
+    def __init__(self, shards: _Shards, first: int, starts: tuple, count: int):
+        self._shards = shards
+        self._first = first
         self._starts = starts
         self._count = count
-        self._loaded: list[dict | None] = [None] * (len(bounds) - 1)
+        self._loaded: list[dict | None] = [None] * _SHARDS
 
     def _load(self, index: int) -> dict:
-        start, end = self._bounds[index], self._bounds[index + 1]
         # Two threads may both get here for one shard; either equal copy stays.
-        shard = self._loaded[index] = marshal.loads(self._view[start:end]) if end > start else {}
+        shard = self._loaded[index] = self._shards.load(self._first + index)
         return shard
 
     def _shard(self, key) -> dict | None:
@@ -455,36 +514,51 @@ class _ShardedTable(Mapping):
         return f"<{type(self).__name__} of {self._count} keys>"
 
 
-def _snapshot_payload(tables) -> list[bytes]:
-    """The snapshot payload of (entries, synsets, exceptions) in chunks: a header, then the shards.
+def _sharded(tables):
+    """(entry starts, synset starts) of a parse's (entries, synsets, exceptions), and its shards one at a time.
 
-    The payload is the header's length (8 bytes, little-endian), the
-    marshalled header ``(entry count, synset count, exceptions, entry
-    starts, synset starts, bounds)``, then the marshalled shards back to
-    back: _SHARDS of entries, then _SHARDS of synsets.  Each table's keys
-    are sorted and cut into _SHARDS ranges of near-equal size; its starts
-    are the first keys of all ranges but the first (none for an empty
-    table).  ``bounds`` holds 2 * _SHARDS + 1 offsets into the shard bytes;
-    an empty shard has no bytes.  A dictionary's payload depends on its
-    content alone, not on the process or the order of its files' lines.
+    Each table's keys are sorted and cut into _SHARDS ranges of near-equal
+    size, and each range is a shard, a dict: _SHARDS of entries, then
+    _SHARDS of synsets.  A table's starts are the first keys of all its
+    ranges but the first (none for an empty table).
+    """
+    cut = []
+    for table in tables[:2]:
+        keys = sorted(table)
+        cut.append((table, keys, [number * len(keys) // _SHARDS for number in range(_SHARDS + 1)]))
+    starts = tuple(tuple(keys[index] for index in cuts[1:-1]) if keys else () for _table, keys, cuts in cut)
+    shards = (
+        {key: table[key] for key in keys[low:high]} for table, keys, cuts in cut for low, high in zip(cuts, cuts[1:])
+    )
+    return starts, shards
+
+
+def _snapshot_payload(tables) -> tuple[bytes, list[bytes]]:
+    """The snapshot of (entries, synsets, exceptions): its head, the marshalled header, and its tail, the shards.
+
+    The header is ``(entry count, synset count, exceptions, entry starts,
+    synset starts, bounds, digests)``; the shards are _sharded's, each
+    marshalled on its own, and go back to back.  ``bounds`` holds 2 *
+    _SHARDS + 1 offsets into the shard bytes, and an empty shard has no
+    bytes; ``digests`` is the sha256s of the shards' bytes, back to back.
+    A dictionary's payload depends on its content alone, not on the
+    process or the order of its files' lines.
 
     Key ranges rather than a hash: the parse makes its objects in file
     order, which is near key order, so a dump in key order reads memory
     nearly in sequence, about three times faster than in hash order.
     """
     entries, synsets, exceptions = tables
+    starts, dicts = _sharded(tables)
     shards: list[bytes] = []
     bounds = [0]
-    starts = []
-    for table in (entries, synsets):
-        keys = sorted(table)
-        cuts = [number * len(keys) // _SHARDS for number in range(_SHARDS + 1)]
-        starts.append(tuple(keys[cut] for cut in cuts[1:-1]) if keys else ())
-        for low, high in zip(cuts, cuts[1:]):
-            shards.append(marshal.dumps({key: table[key] for key in keys[low:high]}) if high > low else b"")
-            bounds.append(bounds[-1] + len(shards[-1]))
-    header = marshal.dumps((len(entries), len(synsets), exceptions, *starts, tuple(bounds)))
-    return [len(header).to_bytes(8, "little"), header, *shards]
+    digests = []
+    for shard in dicts:
+        shards.append(marshal.dumps(shard) if shard else b"")
+        bounds.append(bounds[-1] + len(shards[-1]))
+        digests.append(hashlib.sha256(shards[-1]).digest())
+    header = marshal.dumps((len(entries), len(synsets), exceptions, *starts, tuple(bounds), b"".join(digests)))
+    return header, shards
 
 
 def _in_order(values) -> bool:
@@ -494,33 +568,33 @@ def _in_order(values) -> bool:
         return False
 
 
-def _open_payload(payload: memoryview):
-    """The (entries, synsets, exceptions) of a snapshot payload, or None for a bad one.
+def _open_payload(head: bytes, tail, reparse):
+    """The (entries, synsets, exceptions) of a snapshot's head and tail, or None for a bad one.
 
-    Only the header is unmarshalled here.  A header that does not
-    unmarshal or is of another shape, offsets that do not run in order from
-    0 to the end of the shards, starts out of order or of the wrong number,
-    or a count that is negative or is zero where its shards hold bytes (or
-    the reverse), gives None.
+    Only the header is unmarshalled here; tail is read as lookups reach
+    its shards (see _Shards, which calls reparse for a damaged one).  A
+    header that does not unmarshal or is of another shape, offsets that do
+    not run in order from 0 to the end of the tail, digests of the wrong
+    length, starts out of order or of the wrong number, or a count that is
+    negative or is zero where its shards hold bytes (or the reverse), gives
+    None.
     """
-    size = int.from_bytes(payload[:8], "little")
-    if len(payload) < 8 + size:
-        return None
     try:
-        header = marshal.loads(payload[8 : 8 + size])
+        header = marshal.loads(head)
     except (EOFError, ValueError, TypeError):
         return None
-    if not (isinstance(header, tuple) and len(header) == 6):
+    if not (isinstance(header, tuple) and len(header) == 7):
         return None
-    entry_count, synset_count, exceptions, entry_starts, synset_starts, bounds = header
-    shards = payload[8 + size :]
+    entry_count, synset_count, exceptions, entry_starts, synset_starts, bounds, digests = header
     if not (
         isinstance(bounds, tuple)
         and len(bounds) == 2 * _SHARDS + 1
         and all(type(bound) is int for bound in bounds)
         and bounds[0] == 0
-        and bounds[-1] == len(shards)
+        and bounds[-1] == len(tail)
         and _in_order(bounds)
+        and type(digests) is bytes
+        and len(digests) == 64 * _SHARDS
         and isinstance(exceptions, dict)
     ):
         return None
@@ -538,11 +612,8 @@ def _open_payload(payload: memoryview):
         ):
             return None
         tables.append((starts, count))
-    return (
-        _ShardedTable(shards, bounds[: _SHARDS + 1], *tables[0]),
-        _ShardedTable(shards, bounds[_SHARDS:], *tables[1]),
-        exceptions,
-    )
+    shards = _Shards(tail, bounds, digests, reparse)
+    return _ShardedTable(shards, 0, *tables[0]), _ShardedTable(shards, _SHARDS, *tables[1]), exceptions
 
 
 def lemmatize(lexicon: Lexicon, token: str) -> list[tuple[str, PosTag]]:

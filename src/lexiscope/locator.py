@@ -12,10 +12,13 @@ is-a relative, and longer pointer chains count for less.
 from __future__ import annotations
 
 import heapq
+import marshal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
+from pathlib import Path
 
+from ._snapshot import Slot
 from .extractor import SourceNode
 from .lexicon import (
     RELATIONS,
@@ -137,71 +140,131 @@ def locate_concept(
     query: ConceptQuery,
     lexicon: Lexicon,
     limit: int = 10,
+    postings: dict[str, tuple[int, ...]] | None = None,
 ) -> list[ConceptMatch]:
     """Rank candidates where every keyword matches the identifier scope.
 
-    Each class and method is scored from its own scope (the one
-    `node_scope` defines), restricted to the query's expansion words.  No
-    token is lemmatized: `surface_forms` lists, once per query, the
-    inflected forms that read as an expansion word, so a token's scope
-    words are itself if it is one and the words it is a form of.  A
-    keyword's match is the scope word that comes first in its best-first
-    order; the pass reads a candidate's scope words, not the expansion.
+    Candidates are matched through postings, the table _candidate_postings
+    gives for nodes (built here when not given): each token of a scope (the
+    one `node_scope` defines) to the positions of the candidates whose
+    scope holds it.  No token is lemmatized: `surface_forms` lists, once
+    per query, the inflected forms that read as an expansion word, so the
+    candidates that hold a word are those in the postings of the word and
+    of its forms.  A keyword's match for a candidate is the first word, in
+    the keyword's best-first order, whose postings hold it; only the
+    postings of the expansion words and their forms are read.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    # Per keyword, each expansion word's rank in best-first order and its
-    # triple; a word related in several ways keeps its first, best entry.
-    tables: dict[str, dict[str, tuple[int, tuple[str, str, int]]]] = {}
-    for keyword, expansion in expand_query(query, lexicon).items():
-        table = tables[keyword] = {}
-        for rank, entry in enumerate(best_first(expansion)):
-            table.setdefault(entry[0], (rank, entry))
-    wanted = {word for table in tables.values() for word in table}
-    forms = surface_forms(lexicon, wanted)
+    if postings is None:
+        postings = _candidate_postings(nodes)
+    ranked = {keyword: best_first(expansion) for keyword, expansion in expand_query(query, lexicon).items()}
+    # Per expansion word, the tokens that read as it: the word and its surface forms.
+    readers = {word: [word] for entries in ranked.values() for word, _relation, _distance in entries}
+    for form, words in surface_forms(lexicon, readers).items():
+        for word in words:
+            readers[word].append(form)
 
-    candidates: list[SourceNode] = []
-    children: dict[tuple[int, str], list[str]] = {}
-    for node in nodes:
-        if node.kind in _KIND_RANK:
-            candidates.append(node)
-        elif node.parent_id is not None:
-            children.setdefault((node.parent_id, node.kind), []).append(node.name)
+    # Per matching candidate, its evidence so far: each keyword's first word.
+    matched: dict[int, dict[str, tuple[str, str, int]]] | None = None
+    for keyword, entries in ranked.items():
+        found: dict[int, tuple[str, str, int]] = {}
+        done = set()
+        for entry in entries:
+            if entry[0] in done:  # a word related in several ways keeps its first, best entry
+                continue
+            done.add(entry[0])
+            for token in readers[entry[0]]:
+                for position in postings.get(token, ()):
+                    found.setdefault(position, entry)
+        if matched is None:
+            matched = {position: {keyword: entry} for position, entry in found.items()}
+        else:
+            matched = {
+                position: {**evidence, keyword: found[position]}
+                for position, evidence in matched.items()
+                if position in found
+            }
+        if not matched:
+            return []
 
-    # A cache per distinct name (its scope words), so each name is split once.
-    name_words: dict[str, set[str]] = {}
+    # A score per distinct (relation, distance) evidence, not per match.
+    scores: dict[tuple, Fraction] = {}
     matches: list[tuple] = []
-    for node in candidates:
-        scope: set[str] = set()
-        for name in [node.name, *children.get((node.id, _SCOPE_CHILD_KIND[node.kind]), ())]:
-            words = name_words.get(name)
-            if words is None:
-                words = name_words[name] = set()
-                for token in split_identifier(name):
-                    if token in wanted:
-                        words.add(token)
-                    words.update(forms.get(token, ()))
-            scope |= words
-        if not scope:
-            continue
-        per_keyword: dict[str, tuple[str, str, int]] = {}
-        for keyword, table in tables.items():
-            hits = [table[word] for word in scope if word in table]
-            if not hits:
-                break
-            per_keyword[keyword] = min(hits)[1]
-        if len(per_keyword) < len(tables):
-            continue
-        score = sum(
-            (match_weight(rel, dist) for _, rel, dist in per_keyword.values()),
-            Fraction(0),
-        )
+    for position in sorted(matched):  # node order, which breaks ties as the full sort would
+        node = nodes[position]
+        evidence = matched[position]
+        weights = tuple(entry[1:] for entry in evidence.values())
+        score = scores.get(weights)
+        if score is None:
+            score = scores[weights] = sum((match_weight(*weight) for weight in weights), Fraction(0))
         matches.append(
             (
                 (-score, _KIND_RANK[node.kind], node.file_path, node.line, node.id),
-                ConceptMatch(node.id, node.kind, score, per_keyword),
+                ConceptMatch(node.id, node.kind, score, evidence),
             )
         )
 
-    # The keys are unique (the node id comes last), so this is the head of a full sort.
+    # The keys are unique when the ids are (the node id comes last), so
+    # this is the head of a full sort; nsmallest keeps ties in node order.
     return [match for _, match in heapq.nsmallest(limit, matches, key=itemgetter(0))]
+
+
+def _candidate_postings(nodes: list[SourceNode]) -> dict[str, tuple[int, ...]]:
+    """Each token of a candidate's scope to the positions in nodes of the candidates whose scope holds it.
+
+    A scope is node_scope's tokens before lemmatizing: those of a class's
+    name and its fields' names, or of a method's name and its parameters'
+    names, the children found by parent_id and kind.  Positions ascend.
+    """
+    children: dict[tuple[int, str], list[str]] = {}
+    for node in nodes:
+        if node.kind not in _KIND_RANK and node.parent_id is not None:
+            children.setdefault((node.parent_id, node.kind), []).append(node.name)
+    # Each distinct name is split once.
+    name_tokens: dict[str, list[str]] = {}
+    postings: dict[str, list[int]] = {}
+    for position, node in enumerate(nodes):
+        if node.kind not in _KIND_RANK:
+            continue
+        scope: set[str] = set()
+        for name in [node.name, *children.get((node.id, _SCOPE_CHILD_KIND[node.kind]), ())]:
+            tokens = name_tokens.get(name)
+            if tokens is None:
+                tokens = name_tokens[name] = split_identifier(name)
+            scope.update(tokens)
+        for token in scope:
+            postings.setdefault(token, []).append(position)
+    return {token: tuple(positions) for token, positions in postings.items()}
+
+
+# Bump when the postings or their payload change, so that no slot of an
+# older format is read.
+_POSTINGS_FORMAT = b"lexiscope-postings-1"
+
+
+def _read_postings(index_path) -> tuple[Slot | None, dict[str, tuple[int, ...]] | None]:
+    """The postings slot of the index file at index_path, and the postings it holds for the file's bytes.
+
+    The postings are None when the slot holds none of these bytes, or
+    when there is no cache (and no slot).  Read before the index is
+    loaded, so that _write_postings's stat check spans the load: postings
+    are only stored under the sha256 of the bytes they were built from.
+    """
+    slot = Slot.of("postings", index_path, _POSTINGS_FORMAT, [Path(index_path)])
+    payload = None if slot is None else slot.read()
+    if payload is None:
+        return slot, None
+    try:
+        postings = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
+        return slot, None
+    return slot, postings if type(postings) is dict else None
+
+
+def _write_postings(slot: Slot | None, nodes: list[SourceNode]) -> dict[str, tuple[int, ...]]:
+    """The postings of the nodes _read_postings's index file held, stored in its slot, unless the file changed since."""
+    postings = _candidate_postings(nodes)
+    if slot is not None:
+        slot.write([marshal.dumps(postings)])
+    return postings

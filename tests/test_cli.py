@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 import lexiscope
+import lexiscope.cli as cli_module
 import lexiscope.lexicon as lexicon_module
+import lexiscope.locator as locator_module
+from lexiscope._snapshot import slot_path
 from lexiscope.cli import main
 from lexiscope.index import ProjectIndex, save_index
 from lexiscope.lexicon import load_lexicon
@@ -467,6 +470,70 @@ class TestLocate:
             "  find→get (hypernym,1)",
             "  word→word (self,0)",
         ]
+
+
+# Phrases that match one candidate, several, none, and all of them through a wide expansion.
+_LOCATE_PHRASES = [
+    ["find word form"], ["value"], ["car", "--depth", "2", "--limit", "100"], ["find word find"], ["zzzz"],
+    ["get name", "--relations", "none"],
+]
+
+
+class TestLocatePostings:
+    def _printed(self, capsys, index, phrases=_LOCATE_PHRASES):
+        printed = []
+        for phrase, *options in phrases:
+            assert main(["locate", str(index), phrase, "--dict", str(MINIDICT), *options]) == 0
+            printed.append(capsys.readouterr().out)
+        return printed
+
+    def test_second_locate_builds_no_postings(self, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        index = tmp_path / "minicorpus.json"
+        shutil.copyfile(GOLDEN_INDEX, index)
+        first = self._printed(capsys, index, _LOCATE_PHRASES[:1])
+        assert len(list((cache / "lexiscope").glob("postings-*.marshal"))) == 1
+
+        def no_build(nodes):
+            raise AssertionError("built postings")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(locator_module, "_candidate_postings", no_build)
+            warm = self._printed(capsys, index)
+        assert warm[:1] == first
+        assert len(list((cache / "lexiscope").glob("postings-*.marshal"))) == 1
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "no-cache")
+        monkeypatch.setenv("HOME", "no-home")
+        assert self._printed(capsys, index) == warm
+        assert not (tmp_path / "no-cache").exists() and not (tmp_path / "no-home").exists()
+
+    def test_index_replaced_before_its_load_gets_no_postings(self, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        index = tmp_path / "model.json"
+        replacement = tmp_path / "minicorpus.json"
+        assert main(["analyze", str(MINICORPUS / "model"), "--dict", str(MINIDICT), "-o", str(index)]) == 0
+        capsys.readouterr()
+        shutil.copyfile(GOLDEN_INDEX, replacement)
+        expected = self._printed(capsys, replacement)
+        assert expected != self._printed(capsys, index)
+        for path in (cache / "lexiscope").glob("postings-*"):
+            path.unlink()
+        load_index = cli_module.load_index
+
+        def replaced(path):
+            os.replace(replacement, index)
+            return load_index(path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_module, "load_index", replaced)
+            assert self._printed(capsys, index, _LOCATE_PHRASES[:1]) == expected[:1]
+        # The postings that locate used were built from the replacement, and none were stored.
+        assert list((cache / "lexiscope").glob("postings-*")) == []
+        assert self._printed(capsys, index) == expected
+        assert list((cache / "lexiscope").glob("postings-*")) == [slot_path("postings", index)]
 
 
 @pytest.mark.parametrize(

@@ -6,22 +6,26 @@ import stat
 import subprocess
 import sys
 import tempfile
+from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexiscope._snapshot as snapshot_module
 import lexiscope.lexicon as lexicon_module
-from lexiscope._snapshot import _open_slot, content_key, slot_path
+from lexiscope._snapshot import _open_tailed_slot, content_key, slot_path
 from lexiscope.lexicon import (
     HYPERNYM,
     HYPONYM,
     RELATIONS,
     SELF,
     SYNONYM,
+    LexiconError,
     MalformedLineError,
     MissingFileError,
     PosTag,
@@ -189,13 +193,16 @@ def _no_parse(root):
 
 
 def _with_digest(payload):
-    return hashlib.sha256(payload).digest() + payload
+    """A slot of payload, the slot's bytes after its sha256: that sha256, of all but the shards, then payload."""
+    head_end = 40 + int.from_bytes(payload[32:40], "little")
+    stamp_start = len(payload) - 8 - int.from_bytes(payload[-8:], "little")
+    return hashlib.sha256(payload[:head_end] + payload[stamp_start:]).digest() + payload
 
 
 _SHARDS = 1024
 
 # The header's fields, in order.
-_ENTRY_COUNT, _SYNSET_COUNT, _EXCEPTIONS, _ENTRY_STARTS, _SYNSET_STARTS, _BOUNDS = range(6)
+_ENTRY_COUNT, _SYNSET_COUNT, _EXCEPTIONS, _ENTRY_STARTS, _SYNSET_STARTS, _BOUNDS, _DIGESTS = range(7)
 
 
 def _split(data):
@@ -236,8 +243,10 @@ def _key(root=MINIDICT):
 
 def _stored(path, root=MINIDICT):
     """The tables the slot at path holds for the dictionary under root, or None."""
-    opened = _open_slot(path)
-    return None if opened is None or opened[0] != _key(root) else lexicon_module._open_payload(opened[1])
+    opened = _open_tailed_slot(path)
+    if opened is None or opened[0] != _key(root):
+        return None
+    return lexicon_module._open_payload(*opened[1], lambda: pytest.fail(f"a shard of {path} is damaged"))
 
 
 def _shard_tables(data):
@@ -250,6 +259,22 @@ def _shard_tables(data):
         if blob:
             tables[number // _SHARDS].update(marshal.loads(blob))
     return tables
+
+
+def _damage_entry_shard(path, word, root=MINIDICT):
+    """Flip a byte of the lemma shard that holds word in the slot at path, whose sha256 does not cover it.
+
+    Returns the damaged slot's bytes.
+    """
+    data = path.read_bytes()
+    header, tail = _split(data)
+    number = bisect_right(header[_ENTRY_STARTS], word)
+    low, high = header[_BOUNDS][number : number + 2]
+    assert word in marshal.loads(tail[low:high])
+    damaged = _flipped(data, len(data) - len(tail) + (low + high) // 2, 0x20)
+    path.write_bytes(damaged)
+    assert _open_tailed_slot(path)[0] == _key(root)  # the slot itself still checks out
+    return damaged
 
 
 def _with_field(data, field, change):
@@ -290,13 +315,18 @@ class TestSnapshot(CacheRules):
         assert path.name == f"lexicon-{hashlib.sha256(os.fsencode(os.path.abspath(MINIDICT))).hexdigest()}.marshal"
         assert stat.S_IMODE(path.stat().st_mode) == 0o600
         data = path.read_bytes()
-        assert data[:32] == hashlib.sha256(data[32:]).digest()
+        (entry_count, synset_count, exceptions, entry_starts, synset_starts, bounds, digests), shards = _split(data)
+        stamp, stamp_length = _stamp(data)
+        # The slot's sha256 covers all but the shards; each shard has its own in the header.
+        head_end = len(data) - len(shards)
+        assert data[:32] == hashlib.sha256(data[32:head_end] + data[-stamp_length:]).digest()
         assert data[32:64] == _key()
-        (entry_count, synset_count, exceptions, entry_starts, synset_starts, bounds), shards = _split(data)
         assert (entry_count, synset_count) == (len(parsed[0]), len(parsed[1]))
         assert exceptions == parsed[2]
-        stamp, stamp_length = _stamp(data)
         assert len(bounds) == 2 * _SHARDS + 1 and bounds[0] == 0 and bounds[-1] == len(shards) - stamp_length
+        assert digests == b"".join(
+            hashlib.sha256(shards[low:high]).digest() for low, high in zip(bounds, bounds[1:])
+        )
         source, _time_ns, signatures, digests = stamp
         files = [MINIDICT / name for name in lexicon_module._DICT_FILES]
         assert source == os.path.abspath(MINIDICT)
@@ -383,6 +413,100 @@ class TestSnapshot(CacheRules):
         assert _tables(load_lexicon(MINIDICT)) == parsed
         assert _stored(path) == parsed
         assert list(slots.iterdir()) == [path]
+
+    def test_damaged_shard_that_no_lookup_reaches_is_never_parsed(self, slots, monkeypatch):
+        parsed = _parse_lexicon(MINIDICT)
+        load_lexicon(MINIDICT)
+        [path] = slots.iterdir()
+        damaged = _damage_entry_shard(path, "car")
+        starts = _split(damaged)[0][_ENTRY_STARTS]
+        monkeypatch.setattr(lexicon_module, "_parse_lexicon", _no_parse)
+        lexicon = load_lexicon(MINIDICT)
+        others = {word for word in parsed[0] if bisect_right(starts, word) != bisect_right(starts, "car")}
+        assert others and "car" not in others
+        assert {word: lexicon.entries[word] for word in others} == {word: parsed[0][word] for word in others}
+        assert dict(lexicon.synsets) == parsed[1]
+        assert lemmatize(lexicon, "vehicles") == [("vehicle", PosTag.NOUN)]
+        assert path.read_bytes() == damaged
+
+    def test_reaching_a_damaged_shard_answers_from_one_parse(self, slots, monkeypatch):
+        parsed = _parse_lexicon(MINIDICT)
+        load_lexicon(MINIDICT)
+        [path] = slots.iterdir()
+        _damage_entry_shard(path, "car")
+        lexicon = load_lexicon(MINIDICT)
+        assert lexicon.entries["vehicle"] == parsed[0]["vehicle"]  # read from the slot
+        parses = []
+        parse = lexicon_module._parse_lexicon
+        monkeypatch.setattr(lexicon_module, "_parse_lexicon", lambda root: parses.append(root) or parse(root))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            found = list(pool.map(lambda _: lexicon.entries["car"], range(8)))
+        assert found == [parsed[0]["car"]] * 8
+        assert _tables(lexicon) == parsed
+        assert classify(lexicon, "cars") == ("car", PosTag.NOUN)
+        assert parses == [MINIDICT]
+        # The slot is written again, every shard of it good.
+        assert _stored(path) == parsed
+        assert list(slots.iterdir()) == [path]
+        monkeypatch.setattr(lexicon_module, "_parse_lexicon", _no_parse)
+        assert _tables(load_lexicon(MINIDICT)) == parsed
+
+    @pytest.mark.parametrize("when", ["before the parse", "during the parse"])
+    def test_dictionary_edited_since_the_load_is_an_error_at_a_damaged_shard(self, tmp_path, slots, monkeypatch, when):
+        root = tmp_path / "dict"
+        shutil.copytree(MINIDICT, root)
+        load_lexicon(root)
+        [path] = slots.iterdir()
+        damaged = _damage_entry_shard(path, "car", root)
+        lexicon = load_lexicon(root)
+        assert lexicon.entries.get("vehicle") is not None
+        index = root / "index.noun"
+
+        def edit():
+            index.write_text(index.read_text().replace("car n 1 1 @ 1 12 ", "car n 1 1 @ 1 13 "))
+
+        with monkeypatch.context() as patch:
+            if when == "before the parse":
+                edit()
+            else:
+                parse = lexicon_module._parse_lexicon
+                patch.setattr(lexicon_module, "_parse_lexicon", lambda root: (edit(), parse(root))[1])
+            for _ in range(2):
+                with pytest.raises(LexiconError, match=f"{index} changed since the dictionary was loaded"):
+                    lexicon.entries.get("car")
+        assert path.read_bytes() == damaged
+        assert load_lexicon(root).entries["car"][PosTag.NOUN][0] == 13
+
+    def test_warm_load_hashes_no_shard(self, slots, monkeypatch):
+        load_lexicon(MINIDICT)
+        [path] = slots.iterdir()
+        data = path.read_bytes()
+        (*_, entry_starts, _synset_starts, bounds, _digests), tail = _split(data)
+        shards = [tail[low:high] for low, high in zip(bounds, bounds[1:])]
+        hashed = []
+
+        class Counting:
+            def __init__(self, data=b""):
+                self._sha256 = hashlib.sha256()
+                self.update(data)
+
+            def update(self, data):
+                hashed.append(bytes(data))
+                self._sha256.update(data)
+
+            def digest(self):
+                return self._sha256.digest()
+
+            def hexdigest(self):
+                return self._sha256.hexdigest()
+
+        for module in (snapshot_module, lexicon_module):
+            monkeypatch.setattr(module, "hashlib", SimpleNamespace(sha256=Counting))
+        lexicon = load_lexicon(MINIDICT)
+        assert hashed and not [chunk for chunk in hashed for shard in shards if shard and shard in chunk]
+        del hashed[:]
+        assert lexicon.entries["car"]
+        assert hashed == [shards[bisect_right(entry_starts, "car")]]
 
     def test_no_cache_builds_no_payload(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

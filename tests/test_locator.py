@@ -1,3 +1,8 @@
+import hashlib
+import json
+import marshal
+import os
+import shutil
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexiscope.index as index_module
 import lexiscope.locator as locator
+from lexiscope._snapshot import _open_slot, content_key, slot_path
 from lexiscope.extractor import SourceNode, extract_java
 from lexiscope.lexicon import (
     HYPERNYM,
@@ -30,7 +37,8 @@ from lexiscope.locator import (
 )
 from lexiscope.tokenizer import split_identifier
 
-from conftest import write_dict
+from cache_rules import CacheRules
+from conftest import FIXTURES, write_dict
 from test_lexicon import _WORDS as _MODEL_WORDS, _dictionaries
 
 WORDTOOLS_SRC = """
@@ -548,3 +556,111 @@ def test_locate_lemmatizes_only_its_keywords(lexicon, monkeypatch):
     assert calls == expanded == ["finding", "car"]
     assert matches == _reference_locate(nodes, query, lexicon)
     assert [m.per_keyword["finding"] for m in matches] == [("find", SELF, 0)]
+
+
+@st.composite
+def _odd_node_lists(draw, words=st.sampled_from(_WORDS)):
+    """Nodes as a library caller may pass them: ids that are not positions and repeat, repeated names,
+    and parents that are missing or of the wrong kind."""
+    nodes: list[SourceNode] = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("class", "method", "field", "parameter")))
+        names = _identifiers(words, kind == "class")
+        if nodes and draw(st.booleans()):
+            names = st.sampled_from([node.name for node in nodes])
+        nodes.append(SourceNode(
+            draw(st.integers(0, 6)), kind, draw(names), draw(st.sampled_from(("A.java", "b/B.java"))),
+            draw(st.integers(1, 4)), draw(st.none() | st.integers(0, 6)),
+        ))
+    return nodes
+
+
+def _shown(matches):
+    """What the CLI prints of each match, evidence in phrase order included."""
+    return [(m.node_id, m.kind, m.score, list(m.per_keyword.items())) for m in matches]
+
+
+@given(
+    nodes=_odd_node_lists(),
+    keywords=st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3),
+    relations=st.sets(st.sampled_from(sorted(RELATIONS))),
+    depth=st.integers(0, 2),
+    limit=st.integers(1, 20),
+)
+@settings(max_examples=300, deadline=None)
+def test_postings_agree_with_per_candidate_reference_on_odd_nodes(lexicon, nodes, keywords, relations, depth, limit):
+    query = ConceptQuery(tuple(keywords), relations=frozenset(relations), depth=depth)
+    expected = _shown(_reference_locate(nodes, query, lexicon, limit))
+    postings = locator._candidate_postings(nodes)
+    stored = marshal.loads(marshal.dumps(postings))  # as the postings slot stores them
+    assert _shown(locate_concept(nodes, query, lexicon, limit)) == expected
+    assert _shown(locate_concept(nodes, query, lexicon, limit, postings=postings)) == expected
+    assert _shown(locate_concept(nodes, query, lexicon, limit, postings=stored)) == expected
+
+
+def test_postings_of_odd_nodes(lexicon):
+    assert locator._candidate_postings([]) == {}
+    assert locate_concept([], ConceptQuery(("car",)), lexicon) == []
+    nodes = [
+        SourceNode(5, "class", "CarShop", "A.java", 1),
+        SourceNode(5, "method", "findCar", "A.java", 2, 0),  # the class's id; parent 0 is the field below
+        SourceNode(0, "field", "autoCount", "A.java", 3, 5),  # joins the class's scope, not the method's
+        SourceNode(1, "parameter", "value", "A.java", 4, 5),  # joins the method's scope, not the class's
+        SourceNode(2, "parameter", "name", "A.java", 5, 9),  # no node has id 9
+        SourceNode(3, "field", "carWord", "A.java", 6, 1),  # id 1 is a parameter
+    ]
+    assert locator._candidate_postings(nodes) == {
+        "car": (0, 1), "shop": (0,), "auto": (0,), "count": (0,), "find": (1,), "value": (1,),
+    }
+
+
+# --- the postings slot ------------------------------------------------------
+
+
+def _postings(path):
+    """The postings locate uses for the index file at path: those its slot holds, or those built and stored.
+
+    The index is parsed without its own slot, so the cache holds only the postings slot.
+    """
+    slot, postings = locator._read_postings(path)
+    if postings is None:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        postings = locator._write_postings(slot, index_module._index_from_document(document, path).nodes)
+    return postings
+
+
+class TestPostingsSlot(CacheRules):
+    kind, load, source = "postings", staticmethod(_postings), FIXTURES / "minicorpus_index.json"
+    edit = "", b'"name": "wheelCount"', b'"name": "wheelTotal"'
+
+    def test_second_read_builds_no_postings(self, tmp_path, slots, monkeypatch):
+        index = tmp_path / "index.json"
+        shutil.copyfile(self.source, index)
+        built = _postings(index)
+        [slot] = slots.iterdir()
+        assert slot == slot_path("postings", index)
+        key, payload, _stamp = _open_slot(slot)
+        assert key == content_key(locator._POSTINGS_FORMAT, [hashlib.sha256(index.read_bytes()).digest()])
+        assert marshal.loads(payload) == built == locator._candidate_postings(index_module.load_index(index).nodes)
+        monkeypatch.setattr(locator, "_candidate_postings", _no_build)
+        assert locator._read_postings(index)[1] == built
+
+    def test_index_replaced_after_the_postings_read_gets_no_slot(self, tmp_path, slots):
+        index = tmp_path / "index.json"
+        replacement = tmp_path / "replacement.json"
+        shutil.copyfile(self.source, index)
+        name, old, new = self.edit
+        replacement.write_bytes(self.source.read_bytes().replace(old, new, 1))
+        slot, postings = locator._read_postings(index)
+        assert postings is None
+        os.replace(replacement, index)
+        nodes = index_module.load_index(index).nodes
+        assert locator._write_postings(slot, nodes) == locator._candidate_postings(nodes)
+        assert list(slots.glob("postings-*")) == []
+        # The next read finds none and stores those of the bytes it loads.
+        assert _postings(index) == locator._candidate_postings(nodes)
+        assert list(slots.glob("postings-*")) == [slot_path("postings", index)]
+
+
+def _no_build(nodes):
+    raise AssertionError("built postings")
