@@ -213,7 +213,9 @@ class _Scanner:
             tok = tokens[self.pos]
             self.pos += 1
             if tok in _CLASS_KEYWORDS:
-                self.scan_class_declaration(parent_id=None)
+                class_id = self.scan_class_declaration(parent_id=None)
+                if class_id is not None:
+                    self.scan_class_body(class_id)
             elif tok == "@":
                 self.skip_annotation()
             elif tok == "{":
@@ -221,11 +223,14 @@ class _Scanner:
                 self.skip_balanced("{", "}")
             # package/import statements and stray tokens fall through
 
-    def scan_class_declaration(self, parent_id: int | None) -> None:
-        """Keyword already consumed; emits the node and scans the body."""
+    def scan_class_declaration(self, parent_id: int | None) -> int | None:
+        """Keyword already consumed; emits the node and skims the header.
+
+        The class's id when the '{' of its body was consumed, else None.
+        """
         if not IDENTIFIER_RE.fullmatch(self.peek()):
             self.diagnostics.skipped_declarations += 1
-            return
+            return None
         class_id = self.emit("class", self.pos, parent_id)
         self.pos += 1
         # Skim the header: generics, extends/implements lists, record components.
@@ -234,23 +239,36 @@ class _Scanner:
             tok = tokens[self.pos]
             self.pos += 1
             if tok == "{":
-                self.scan_class_body(class_id)
-                return
+                return class_id
             if tok == ";":  # headerless declaration, nothing more to scan
-                return
+                return None
             self.skip_run(tok)
+        return None
 
     def scan_class_body(self, class_id: int) -> None:
-        """Member loop between the braces of a type body."""
+        """Member loop between the braces of a type body, and of the types nested in it.
+
+        The enclosing bodies of a nested type wait on a stack, not on the
+        call stack, so no depth of nesting exhausts the recursion limit.
+        """
         tokens = self.tokens
+        outer: list[int] = []  # the class ids of the enclosing bodies, innermost last
         declarators: list[list[int]] = [[]]  # identifier indices per ','-separated declarator
-        while self.pos < len(tokens):
-            index = self.pos
-            tok = tokens[index]
-            self.pos = index + 1
+        while True:
+            if self.pos >= len(tokens):
+                tok = "}"  # the end of the file closes every open body
+            else:
+                index = self.pos
+                tok = tokens[index]
+                self.pos = index + 1
             if tok == "}":
-                break
-            if tok == ";":
+                if any(declarators):
+                    self.diagnostics.skipped_declarations += 1
+                if not outer:
+                    return
+                class_id = outer.pop()
+                declarators = [[]]
+            elif tok == ";":
                 self.finish_field(declarators, class_id)
                 declarators = [[]]
             elif tok == "=":
@@ -268,15 +286,15 @@ class _Scanner:
                 self.skip_balanced("{", "}")
                 declarators = [[]]
             elif tok in _CLASS_KEYWORDS:
-                self.scan_class_declaration(class_id)
+                nested = self.scan_class_declaration(class_id)
+                if nested is not None:
+                    outer.append(class_id)
+                    class_id = nested
                 declarators = [[]]
             elif IDENTIFIER_RE.fullmatch(tok):
                 declarators[-1].append(index)
             else:  # '@' and '<' runs; '.', '[', ']', numbers and other noise are dropped
                 self.skip_run(tok)
-
-        if any(declarators):
-            self.diagnostics.skipped_declarations += 1
 
     def skip_initializer(self) -> None:
         """Consume '= ...' up to the ',' or ';' at its depth, or a closer it did not open.

@@ -113,6 +113,23 @@ class TestExtractJava:
             ("field", "y", 0),
         ]
 
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "unclosed"])
+    @pytest.mark.parametrize("keyword", ["class", "interface", "enum"])
+    def test_deeply_nested_types_never_raise(self, keyword, closed):
+        # Far past any recursion limit.  _ReferenceScanner recurses, so this
+        # depth stays out of the differential test below.
+        depth = 5_000
+        text = f"{keyword} A {{ int f; " * depth + ("} int g; " * depth if closed else "")
+        diagnostics = ScanDiagnostics()
+        nodes = extract_java(text, "Deep.java", diagnostics=diagnostics)
+        expected = []
+        for level in range(depth):
+            expected += [("class", "A", 2 * (level - 1) if level else None), ("field", "f", 2 * level)]
+        if closed:  # each "int g;" after a closing brace is a field of the enclosing type
+            expected += [("field", "g", 2 * level) for level in reversed(range(depth - 1))]
+        assert shapes(nodes) == expected
+        assert diagnostics == ScanDiagnostics()
+
     def test_constructor_is_not_a_method(self):
         nodes = extract_java("class E { E(int x) { x = 1; } int y; }", "E.java")
         assert shapes(nodes) == [("class", "E", None), ("field", "y", 0)]
