@@ -1,11 +1,20 @@
-"""One cache slot per source, shared by the dictionary and index loaders and the tree scan.
+"""One cache slot per source, shared by the dictionary and index loaders, the postings and the tree scan.
 
 A slot is ``<cache>/lexiscope/<kind>-<sha256 of the source's absolute
-path>.marshal``.  It holds the sha256 of the rest, then the content key of
-the files it was written from, then the loader's payload, then the stamp
-and the stamp's length (8 bytes, little-endian).  The stamp is the
-marshalled (source's absolute path, wall time in ns taken before the files
-were read, each file's stat signature, each file's sha256).
+path>.marshal``, and every kind has the one layout
+
+    sha256, key, head length, head, tail, stamp, stamp length
+
+The sha256 is of all the rest but the tail.  The key is the content key
+of the files the slot was written from; the two lengths are 8 bytes,
+little-endian.  Head and tail are the loader's payload.  The tail is
+empty but for the dictionary, whose shards it holds.  The stamp is the
+marshalled (source's absolute path, wall time in ns taken before the
+files were read, each file's stat signature, each file's sha256).  A read
+reads the key, the head and the stamp and checks them; a tail stays in
+the file, and the loader reads and checks a piece of it when it needs
+that piece (see Tail).  A slot is only ever replaced by rename, so the
+tail read through an open slot is the one its head was written with.
 
 A read stats the files.  A file whose signature is the stamp's and whose
 mtime and ctime are older than the stamp's time by more than
@@ -17,28 +26,17 @@ and every file settled writes the slot again under a new stamp, so the
 next read trusts the stat.  A reader that finds the slot missing,
 unreadable, damaged or written from other content gets None and parses
 its source again; the write after the parse is skipped when a file
-changed during it.  A loader
-that hashes the bytes it parses (the tree scan) has them make the key, so
-its read hashes no file when there is no slot, and a file is read once.
-A source with a file that is there but is not a regular file, such as a
-pipe, is never read from or written to a slot: no key stands for bytes a
-read consumes.  Every write removes the slots of its kind whose source is
-gone, and the content-named snapshots of earlier versions.  A cache that
-cannot be written is skipped.  A slot is only ever a cache of a parse:
-what a parse gave, or what a save writes right after its file (see
-index.save_index) when the parse's rules accept its values and would give
-each back as it is.  Such a save reads the slot first, as a load does,
-and writes it only when the sha256 the read took of the file is that of
-the bytes it wrote.
-
-A slot may also end its payload in a tail that its sha256 does not cover
-(the dictionary's shards).  Its payload is then the head's length (8
-bytes, little-endian), the head and the tail, and its sha256 is of the
-rest but the tail.  A read of such a slot reads the key, the head and the
-stamp and checks them; the tail stays in the file, and the loader reads
-and checks a piece of it when it needs that piece (see Tail).  A slot is
-only ever replaced by rename, so the tail read through an open slot is
-the one its head was written with.
+changed during it.  A loader that hashes the bytes it parses (the tree
+scan) has them make the key, so its read hashes no file when there is no
+slot, and a file is read once.  A source with a file that is there but
+is not a regular file, such as a pipe, is never read from or written to
+a slot: no key stands for bytes a read consumes.  Every write removes the
+slots of its kind whose source is gone.  A cache that cannot be written
+is skipped.  A slot is only ever a cache of a parse: what a parse gave,
+or what a save writes right after its file (see index.save_index) when
+the parse's rules accept its values and would give each back as it is.
+Such a save reads the slot first, as a load does, and writes it only
+when the sha256 the read took of the file is that of the bytes it wrote.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ import contextlib
 import hashlib
 import marshal
 import os
-import re
 import stat
 import sys
 import time
@@ -64,9 +61,6 @@ RACY_WINDOW_NS = 2_000_000_000
 # The sha256 that stands for a file that is not there.
 ABSENT = bytes(32)
 _CHUNK = 1 << 20
-
-# The dictionary snapshots of earlier versions, named after their content.
-_LEGACY_NAME = re.compile(r"[0-9a-f]{64}\.marshal")
 
 
 def slot_path(kind: str, source: str | os.PathLike) -> Path | None:
@@ -123,33 +117,15 @@ def _state(path: Path):
     return signature, max(status.st_mtime_ns, status.st_ctime_ns)
 
 
-def _open_slot(path: Path):
-    """(key, payload, stamp) of the slot at path, or None for a missing or damaged one."""
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return None
-    view = memoryview(data)
-    if len(data) < 72 or hashlib.sha256(view[32:]).digest() != data[:32]:
-        return None
-    end = len(data) - 8 - int.from_bytes(data[-8:], "little")
-    if end < 64:
-        return None
-    try:
-        stamp = marshal.loads(view[end:-8])
-    except (EOFError, ValueError, TypeError):
-        return None
-    return data[32:64], view[64:end], stamp
-
-
 class Tail:
     """The tail of a slot, read a piece at a time from the slot's file as it was opened.
 
     It holds the file's descriptor (no file object, which would warn when
-    left to the collector) and closes it when it is collected.  os.pread
-    reads at an offset without moving a shared position, so threads may
-    read at once.  The bytes are as the file holds them now: whoever
-    reads them checks them.
+    left to the collector) and closes it when it is collected.  A piece is
+    read as bytes are sliced, tail[start:end], with os.pread, which reads
+    at an offset without moving a shared position, so threads may read at
+    once.  The bytes are as the file holds them now: whoever reads them
+    checks them.
     """
 
     __slots__ = ("_fd", "_start", "_size")
@@ -165,16 +141,18 @@ class Tail:
     def __len__(self) -> int:
         return self._size
 
-    def read(self, start: int, end: int) -> bytes:
+    def __getitem__(self, piece: slice) -> bytes:
         """Bytes start to end of the tail; fewer, or other ones, when the file was changed in place."""
+        start, end, _ = piece.indices(self._size)
         return os.pread(self._fd, end - start, self._start + start)
 
 
-def _open_tailed_slot(path: Path):
-    """(key, (head, Tail), stamp) of the slot with a tail at path, or None for a missing or damaged one.
+def _open_slot(path: Path):
+    """(key, head, tail, stamp) of the slot at path, or None for a missing or damaged one.
 
     Reads the sha256, the key, the head's length, the head and the stamp,
-    and checks the sha256 over all of them but itself.
+    and checks the sha256 over all of them but itself.  The tail is a Tail
+    of the open file, or b"" when it is empty, and then no file stays open.
     """
     try:
         fd = os.open(path, os.O_RDONLY)
@@ -200,48 +178,15 @@ def _open_tailed_slot(path: Path):
         if digest.digest() != start[:32]:
             return None
         stamp = marshal.loads(stamp[:-8])
-        tail, fd = Tail(fd, head_end, stamp_start - head_end), None
-        return start[32:64], (head, tail), stamp
+        tail = b""
+        if head_end < stamp_start:
+            tail, fd = Tail(fd, head_end, stamp_start - head_end), None
+        return start[32:64], head, tail, stamp
     except (OSError, EOFError, ValueError, TypeError):
         return None
     finally:
         if fd is not None:
             os.close(fd)
-
-
-def write_slot(
-    path: Path, key: bytes, chunks: list[bytes], tail: list[bytes] | tuple = (), end: list[bytes] | tuple = ()
-) -> None:
-    """Store the chunks, tail and end at path under key; a cache that cannot be written is skipped.
-
-    The sha256 covers the key, the chunks and the end, not the tail, which
-    goes between them.  The chunks are written one by one, never joined.
-
-    The slot is written under a temporary name, which only its owner can
-    read or write, and renamed into place, so a concurrent reader never
-    reads a partial slot.
-    """
-    import tempfile  # here, not at the top: only a parse or a new stamp writes
-
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    except OSError:
-        return
-    digest = hashlib.sha256(key)
-    for chunk in (*chunks, *end):
-        digest.update(chunk)
-    try:
-        with os.fdopen(handle, "wb") as out:
-            out.write(digest.digest())
-            out.write(key)
-            out.writelines(chunks)
-            out.writelines(tail)
-            out.writelines(end)
-        os.replace(temp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
 
 
 def _states(files: list[Path]):
@@ -267,6 +212,7 @@ class Slot:
         self.key: bytes | None = None
         self.digests: tuple[bytes, ...] | None = None
         self.states = None
+        self.tail: Tail | bytes = b""
 
     @classmethod
     def of(cls, kind: str, source, format_tag: bytes, files: list[Path]) -> Slot | None:
@@ -274,22 +220,22 @@ class Slot:
         path = slot_path(kind, source)
         return None if path is None else cls(path, source, format_tag, files)
 
-    def read(self, parse_hashes: bool = False, tailed: bool = False):
-        """The payload, when the slot was written from the files as they are now; else None.
+    def read(self, parse_hashes: bool = False):
+        """The head of the payload, when the slot was written from the files as they are now; else None.
 
-        Stamps the files first, for write.  A loader whose parse hashes the
-        bytes it reads passes parse_hashes, and their sha256s to write: a
-        read that finds no slot then hashes no file.  A loader whose slot
-        has a tail passes tailed, and gets the payload as (head, Tail).
+        Stamps the files first, for write, and keeps the payload's tail in
+        self.tail.  A loader whose parse hashes the bytes it reads passes
+        parse_hashes, and their sha256s to write: a read that finds no slot
+        then hashes no file.
         """
         self.time_ns = time.time_ns()
         self.states = _states(self.files)
         if self.states is None:
             return None
-        opened = (_open_tailed_slot if tailed else _open_slot)(self.path)
+        opened = _open_slot(self.path)
         if opened is None and parse_hashes:
             return None
-        stamped = self._stamped(None if opened is None else opened[2])
+        stamped = self._stamped(None if opened is None else opened[3])
         try:
             digests = tuple(
                 file_digest(path) if digest is None else digest for path, digest in zip(self.files, stamped)
@@ -300,14 +246,11 @@ class Slot:
         self.key = content_key(self.format_tag, digests)
         if opened is None or opened[0] != self.key:
             return None
+        _key, head, self.tail, _stamp = opened
         limit = self.time_ns - RACY_WINDOW_NS
         if None in stamped and all(changed is None or changed < limit for _, changed in self.states):
-            if tailed:
-                head, tail = opened[1]
-                self.write([head], tail=[tail.read(0, len(tail))])
-            else:
-                self.write([opened[1]])
-        return opened[1]
+            self.write([head], tail=[self.tail[:]])
+        return head
 
     def _stamped(self, stamp) -> list[bytes | None]:
         """Per file, the stamp's sha256 when the file is as the stamp saw it and settled before it; else None."""
@@ -333,12 +276,15 @@ class Slot:
             for (signature, changed), stamped_signature, digest in zip(self.states, signatures, digests)
         ]
 
-    def write(self, chunks: list[bytes], digests: list[bytes] | None = None, tail: list[bytes] | None = None) -> None:
-        """Store the payload chunks under the stamp read took, unless a file changed since.
+    def write(self, chunks: list[bytes], digests: list[bytes] | None = None, tail: list[bytes] | tuple = ()) -> None:
+        """Store the payload, the chunks as its head and tail as its tail, under the stamp read took, unless a file changed since.
 
         digests, when given, are the sha256s of the bytes the payload was
-        parsed from, one per file, and make the key.  tail, when given, makes
-        a slot with a tail: the chunks are its head and tail its tail.
+        parsed from, one per file, and make the key.  A cache that cannot be
+        written is skipped.  The slot is written under a temporary name,
+        which only its owner can read or write, and renamed into place, so a
+        concurrent reader never reads a partial slot.  The chunks are
+        written one by one, never joined.
         """
         if self.states is None:
             return
@@ -347,12 +293,31 @@ class Slot:
             self.key = content_key(self.format_tag, self.digests)
         if self.key is None or self.changed() is not None:
             return
+        _sweep(self.path)
+        import tempfile  # here, not at the top: only a parse or a new stamp writes
+
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            handle, temp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
+        except OSError:
+            return
         signatures = tuple(signature for signature, _ in self.states)
         stamp = marshal.dumps((self.source, self.time_ns, signatures, self.digests))
-        if tail is not None:
-            chunks = [sum(map(len, chunks)).to_bytes(8, "little"), *chunks]
-        write_slot(self.path, self.key, chunks, tail or (), [stamp, len(stamp).to_bytes(8, "little")])
-        _sweep(self.path)
+        head = [self.key, sum(map(len, chunks)).to_bytes(8, "little"), *chunks]
+        end = [stamp, len(stamp).to_bytes(8, "little")]
+        digest = hashlib.sha256()
+        for chunk in (*head, *end):
+            digest.update(chunk)
+        try:
+            with os.fdopen(handle, "wb") as out:
+                out.write(digest.digest())
+                out.writelines(head)
+                out.writelines(tail)
+                out.writelines(end)
+            os.replace(temp, self.path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
 
     def changed(self) -> Path | None:
         """The first file whose stat is not what read found, or None when none changed since."""
@@ -381,11 +346,12 @@ def _stamped_source(path: Path) -> str | None:
 
 
 def _sweep(own: Path) -> None:
-    """Remove the slots of own's kind whose source is gone, and earlier versions' content-named snapshots.
+    """Remove the slots of own's kind whose source is gone.
 
     A slot without a readable stamp is of another format, which no read
     of this one uses, and goes too.  A reader that opened a removed slot
-    still reads it whole; one that comes later finds no slot and parses.
+    still reads it through its open file; one that comes later finds no
+    slot and parses.
     """
     prefix = own.name.split("-", 1)[0] + "-"
     try:
@@ -394,7 +360,7 @@ def _sweep(own: Path) -> None:
         return
     for name in names:
         path = own.parent / name
-        if _LEGACY_NAME.fullmatch(name) or (
+        if (
             name.startswith(prefix)
             and name.endswith(".marshal")
             and name != own.name

@@ -490,7 +490,7 @@ def _decoded(data: bytes) -> str:
 # The scanner's source is in every scan slot's key, so a change to the
 # scanner misses every slot; bump the tag when only the payload changes.
 _SCANNER = Path(__file__)
-_SLOT_FORMAT = b"lexiscope-scan-1"
+_SLOT_FORMAT = b"lexiscope-scan-2"
 
 
 def _slot_payload(scan, relative: list[str]) -> bytes:
@@ -510,7 +510,7 @@ def _slot_payload(scan, relative: list[str]) -> bytes:
     ))
 
 
-def _scan_from_slot(payload: memoryview, relative: list[str]):
+def _scan_from_slot(payload: bytes, relative: list[str]):
     """The (nodes, file count, counters) a slot payload holds, or None for a bad shape."""
     try:
         file_count, counters, per_file, kinds, names, lines, parents = marshal.loads(payload)

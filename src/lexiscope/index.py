@@ -307,7 +307,7 @@ def _check_entry(word, recognized, pos_name, total, counts) -> PosTag | None:
 
 # Bump when the parse, the index format or the slot layout changes, so that
 # no slot of an older format is read.
-_SLOT_FORMAT = b"lexiscope-index-3"
+_SLOT_FORMAT = b"lexiscope-index-4"
 
 # A slot stores a pos as its int value, or None.
 _POS_OF_INT = {None: None, **{int(tag): tag for tag in PosTag}}
@@ -378,7 +378,7 @@ def _checked_payload(nodes: list[SourceNode], vocabulary: ProjectVocabulary, ent
         return None
 
 
-def _index_from_slot(payload: memoryview) -> ProjectIndex | None:
+def _index_from_slot(payload: bytes) -> ProjectIndex | None:
     """The index a slot payload holds, or None for a bad shape.
 
     The columns and rows are checked here; the nodes and entries are built

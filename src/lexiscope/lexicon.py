@@ -221,8 +221,8 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
                 raise MissingFileError(f"missing {prefix}.{suffix} in {root}")
 
     slot = Slot.of("lexicon", root, _SNAPSHOT_FORMAT, [root / name for name in _DICT_FILES])
-    payload = None if slot is None else slot.read(tailed=True)
-    tables = None if payload is None else _open_payload(*payload, lambda: _parse_again(root, slot))
+    head = None if slot is None else slot.read()
+    tables = None if head is None else _open_payload(head, slot.tail, lambda: _parse_again(root, slot))
     if tables is not None:
         return Lexicon(*tables)
     tables = _parse_lexicon(root)
@@ -448,7 +448,7 @@ class _Shards:
             start, end = self._bounds[number], self._bounds[number + 1]
             if start == end:
                 return {}
-            blob = self._tail.read(start, end)
+            blob = self._tail[start:end]
             if hashlib.sha256(blob).digest() == self._digests[32 * number : 32 * number + 32]:
                 return marshal.loads(blob)
             with self._lock:

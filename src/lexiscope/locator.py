@@ -240,7 +240,7 @@ def _candidate_postings(nodes: list[SourceNode]) -> dict[str, tuple[int, ...]]:
 
 # Bump when the postings or their payload change, so that no slot of an
 # older format is read.
-_POSTINGS_FORMAT = b"lexiscope-postings-1"
+_POSTINGS_FORMAT = b"lexiscope-postings-2"
 
 
 def _read_postings(index_path) -> tuple[Slot | None, dict[str, tuple[int, ...]] | None]:

@@ -169,12 +169,14 @@ class CacheRules:
         assert sorted(slots.iterdir()) == sorted(slot_path(self.kind, path) for path in (second, third))
 
     def test_write_removes_legacy_snapshots_and_slots_without_a_stamp(self, slots):
+        # The content-named snapshots of versions before slots are no longer
+        # swept: the write keeps them, and they can be deleted by hand.
         slots.mkdir(parents=True)
-        legacy = slots / f"{'0' * 64}.marshal"
         stampless = slots / f"{self.kind}-{'1' * 64}.marshal"
         other_kind = slots / f"{'index' if self.kind == 'lexicon' else 'lexicon'}-{'2' * 64}.marshal"
-        kept = [other_kind, slots / "notes.txt", slots / f"{'3' * 63}.marshal"]
-        for path in (legacy, stampless, *kept):
+        content_named = slots / f"{'0' * 64}.marshal"
+        kept = [other_kind, content_named, slots / "notes.txt", slots / f"{'3' * 63}.marshal"]
+        for path in (stampless, *kept):
             path.write_bytes(b"\0" * 100)
         expected = _parsed(self.load, self.source)
         assert self.load(self.source) == expected

@@ -494,7 +494,9 @@ def golden(tmp_path):
     return path
 
 
-def _signed(rest: bytes) -> bytes:
+def _signed(key: bytes, head: bytes, stamp: bytes) -> bytes:
+    """The slot of key, head and stamp (with its length), an empty tail and a valid sha256."""
+    rest = key + len(head).to_bytes(8, "little") + head + stamp
     return hashlib.sha256(rest).digest() + rest
 
 
@@ -503,13 +505,17 @@ def _stamp_tail(data: bytes) -> bytes:
     return data[len(data) - 8 - int.from_bytes(data[-8:], "little") :]
 
 
+def _head(data: bytes) -> bytes:
+    """An index slot's head, its payload: what its head length, after the key, says follows."""
+    return data[72 : 72 + int.from_bytes(data[64:72], "little")]
+
+
 def _reshaped(change):
     """The slot with its stored tuple as change leaves it, under its key and stamp, with a valid digest."""
 
     def damage(data):
-        tail = _stamp_tail(data)
-        stored = marshal.loads(data[64 : -len(tail)])
-        return _signed(data[32:64] + marshal.dumps(change(stored)) + tail)
+        stored = marshal.loads(_head(data))
+        return _signed(data[32:64], marshal.dumps(change(stored)), _stamp_tail(data))
 
     return damage
 
@@ -617,7 +623,7 @@ class TestSlot(CacheRules):
             pytest.param(  # the payload's last byte, the digest left as it was
                 lambda data: _flipped(data, len(data) - len(_stamp_tail(data)) - 1), False, id="flipped-byte"
             ),
-            pytest.param(lambda data: _signed(data[32:64] + b"\xff" + _stamp_tail(data)), True, id="not-marshal"),
+            pytest.param(lambda data: _signed(data[32:64], b"\xff", _stamp_tail(data)), True, id="not-marshal"),
             pytest.param(_reshaped(list), True, id="list-for-the-tuple"),
             pytest.param(_reshaped(lambda stored: stored[:-1]), True, id="too-few-fields"),
             pytest.param(_reshaped(lambda stored: stored + ((),)), True, id="too-many-fields"),
@@ -630,9 +636,9 @@ class TestSlot(CacheRules):
             pytest.param(_with_rows(lambda rows: ((rows[0][0], 9) + rows[0][2:],) + rows[1:]), True, id="unknown-pos"),
             pytest.param(_with_rows(lambda rows: ((rows[0][0], [1]) + rows[0][2:],) + rows[1:]), True, id="list-pos"),
             pytest.param(_with_rows(lambda rows: rows + ((rows[0][0],) + rows[1][1:],)), True, id="repeated-word"),
-            pytest.param(lambda data: _signed(bytes(32) + data[64:]), False, id="other-key"),
+            pytest.param(lambda data: _signed(bytes(32), _head(data), _stamp_tail(data)), False, id="other-key"),
             pytest.param(  # the sha256, then the payload
-                lambda data: _signed(data[64 : -len(_stamp_tail(data))]), False, id="index-1"
+                lambda data: hashlib.sha256(_head(data)).digest() + _head(data), False, id="index-1"
             ),
         ],
     )
@@ -640,15 +646,32 @@ class TestSlot(CacheRules):
         parsed = _parsed(golden)
         load_index(golden)
         [slot] = slots.iterdir()
-        key, _payload, stamp = _open_slot(slot)
+        key, _payload, _tail, stamp = _open_slot(slot)
         slot.write_bytes(damage(slot.read_bytes()))
         if reaches_payload:
             # The slot itself is sound; the payload's checks are what turn it away.
             opened = _open_slot(slot)
-            assert opened is not None and opened[0] == key and opened[2] == stamp
+            assert opened is not None and opened[0] == key and opened[2:] == (b"", stamp)
             assert index_module._index_from_slot(opened[1]) is None
         _assert_same_index(load_index(golden), parsed)
         # The parse wrote the slot again.
+        with _no_parse():
+            _assert_same_index(load_index(golden), parsed)
+        assert list(slots.iterdir()) == [slot]
+
+    def test_slot_of_the_earlier_layout_is_parsed_again_and_replaced(self, golden, slots):
+        # Before every slot kind shared one layout, an index slot held no head
+        # length: its sha256 (of all the rest), key, payload and stamp.
+        parsed = _parsed(golden)
+        load_index(golden)
+        [slot] = slots.iterdir()
+        data = slot.read_bytes()
+        key = content_key(b"lexiscope-index-3", [hashlib.sha256(golden.read_bytes()).digest()])
+        rest = key + _head(data) + _stamp_tail(data)
+        slot.write_bytes(hashlib.sha256(rest).digest() + rest)
+        assert _open_slot(slot) is None
+        _assert_same_index(load_index(golden), parsed)
+        assert _open_slot(slot)[:3] == (data[32:64], _head(data), b"")
         with _no_parse():
             _assert_same_index(load_index(golden), parsed)
         assert list(slots.iterdir()) == [slot]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import lexiscope._snapshot as snapshot_module
 import lexiscope.lexicon as lexicon_module
-from lexiscope._snapshot import _open_tailed_slot, content_key, slot_path
+from lexiscope._snapshot import _open_slot, content_key, slot_path
 from lexiscope.lexicon import (
     HYPERNYM,
     HYPONYM,
@@ -243,10 +243,10 @@ def _key(root=MINIDICT):
 
 def _stored(path, root=MINIDICT):
     """The tables the slot at path holds for the dictionary under root, or None."""
-    opened = _open_tailed_slot(path)
+    opened = _open_slot(path)
     if opened is None or opened[0] != _key(root):
         return None
-    return lexicon_module._open_payload(*opened[1], lambda: pytest.fail(f"a shard of {path} is damaged"))
+    return lexicon_module._open_payload(*opened[1:3], lambda: pytest.fail(f"a shard of {path} is damaged"))
 
 
 def _shard_tables(data):
@@ -273,7 +273,7 @@ def _damage_entry_shard(path, word, root=MINIDICT):
     assert word in marshal.loads(tail[low:high])
     damaged = _flipped(data, len(data) - len(tail) + (low + high) // 2, 0x20)
     path.write_bytes(damaged)
-    assert _open_tailed_slot(path)[0] == _key(root)  # the slot itself still checks out
+    assert _open_slot(path)[0] == _key(root)  # the slot itself still checks out
     return damaged
 
 

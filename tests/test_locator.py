@@ -639,7 +639,8 @@ class TestPostingsSlot(CacheRules):
         built = _postings(index)
         [slot] = slots.iterdir()
         assert slot == slot_path("postings", index)
-        key, payload, _stamp = _open_slot(slot)
+        key, payload, tail, _stamp = _open_slot(slot)
+        assert tail == b""
         assert key == content_key(locator._POSTINGS_FORMAT, [hashlib.sha256(index.read_bytes()).digest()])
         assert marshal.loads(payload) == built == locator._candidate_postings(index_module.load_index(index).nodes)
         monkeypatch.setattr(locator, "_candidate_postings", _no_build)

@@ -201,13 +201,6 @@ def _pieces(draw):
 _NAMES = st.lists(_pieces(), min_size=1, max_size=4).map("".join)
 
 
-class _BytesTail(bytes):
-    """A snapshot's shard bytes in memory, read as a slot's tail is."""
-
-    def read(self, start, end):
-        return self[start:end]
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     _dictionaries(),
@@ -224,7 +217,8 @@ def test_build_vocabulary_matches_its_reference(case, named, stoplist):
     entries, synsets, exceptions = tables
     parsed = Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
     header, shards = _snapshot_payload(tables)
-    sharded = Lexicon(*_open_payload(header, _BytesTail(b"".join(shards)), None))
+    # A tail is read as bytes are, so the shards joined stand in for a slot's.
+    sharded = Lexicon(*_open_payload(header, b"".join(shards), None))
     nodes = [SourceNode(i, kind, name, "F.java", i + 1, None) for i, (kind, name) in enumerate(named)]
     expected = _reference_build_vocabulary(nodes, parsed, stoplist, project_name="p", file_count=3)
     tokens = {token for _kind, name in named for token in split_identifier(name)}
