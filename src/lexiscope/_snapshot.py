@@ -31,7 +31,7 @@ scan) has them make the key, so its read hashes no file when there is no
 slot, and a file is read once.  A source with a file that is there but
 is not a regular file, such as a pipe, is never read from or written to
 a slot: no key stands for bytes a read consumes.  Every write removes the
-slots of its kind whose source is gone.  A cache that cannot be written
+slots of its kind whose source is gone or that the reader turns away.  A cache that cannot be written
 is skipped.  A slot is only ever a cache of a parse: what a parse gave,
 or what a save writes right after its file (see index.save_index) when
 the parse's rules accept its values and would give each back as it is.
@@ -330,28 +330,13 @@ class Slot:
         return None
 
 
-def _stamped_source(path: Path) -> str | None:
-    """The source a slot's stamp names, or None for a slot without a readable stamp."""
-    try:
-        with open(path, "rb") as handle:
-            end = handle.seek(-8, os.SEEK_END)
-            size = int.from_bytes(handle.read(8), "little")
-            if size > end - 64:
-                return None
-            handle.seek(end - size)
-            stamp = marshal.loads(handle.read(size))
-    except (OSError, EOFError, ValueError, TypeError):
-        return None
-    return stamp[0] if type(stamp) is tuple and stamp and type(stamp[0]) is str else None
-
-
 def _sweep(own: Path) -> None:
-    """Remove the slots of own's kind whose source is gone.
+    """Remove the slots of own's kind whose source is gone, or that the slot reader turns away.
 
-    A slot without a readable stamp is of another format, which no read
-    of this one uses, and goes too.  A reader that opened a removed slot
-    still reads it through its open file; one that comes later finds no
-    slot and parses.
+    A slot the reader turns away is damaged or of another format, which no
+    read of this one uses; its stamp is only unmarshalled once the slot's
+    sha256 checks out.  A reader that opened a removed slot still reads it
+    through its open file; one that comes later finds no slot and parses.
     """
     prefix = own.name.split("-", 1)[0] + "-"
     try:
@@ -359,12 +344,9 @@ def _sweep(own: Path) -> None:
     except OSError:
         return
     for name in names:
-        path = own.parent / name
-        if (
-            name.startswith(prefix)
-            and name.endswith(".marshal")
-            and name != own.name
-            and not os.path.exists(_stamped_source(path) or "")
-        ):
-            with contextlib.suppress(OSError):
-                os.unlink(path)
+        if name.startswith(prefix) and name.endswith(".marshal") and name != own.name:
+            opened = _open_slot(own.parent / name)
+            stamp = None if opened is None else opened[3]
+            if not (type(stamp) is tuple and stamp and type(stamp[0]) is str and os.path.exists(stamp[0])):
+                with contextlib.suppress(OSError):
+                    os.unlink(own.parent / name)

@@ -6,6 +6,7 @@ a slot is, when none is written, when a stat signature is trusted, and
 which slots a write sweeps away.
 """
 
+import marshal
 import os
 import shutil
 import time
@@ -167,6 +168,27 @@ class CacheRules:
         assert len(list(slots.iterdir())) == 2
         self.load(third)
         assert sorted(slots.iterdir()) == sorted(slot_path(self.kind, path) for path in (second, third))
+
+    def test_sweep_unmarshals_no_stamp_its_slot_does_not_vouch_for(self, tmp_path, slots, monkeypatch):
+        # A damaged stamp can declare a tuple of 2**31 items, which marshal
+        # would allocate before it finds the bytes missing.
+        first, second = self._copy(tmp_path, "first"), self._copy(tmp_path, "second")
+        self.load(first)
+        damaged = slot_path(self.kind, first)
+        data = bytearray(damaged.read_bytes())
+        stamp_start = len(data) - 8 - int.from_bytes(data[-8:], "little")
+        data[stamp_start + 1] ^= 0x40
+        damaged.write_bytes(data)
+        stamp = bytes(data[stamp_start:-8])
+
+        def loads(blob):
+            assert bytes(blob) != stamp, "unmarshalled a stamp its slot's sha256 does not vouch for"
+            return marshal.loads(blob)
+
+        monkeypatch.setattr(_snapshot, "marshal", SimpleNamespace(loads=loads, dumps=marshal.dumps))
+        expected = _parsed(self.load, second)
+        assert self.load(second) == expected
+        assert list(slots.iterdir()) == [slot_path(self.kind, second)]
 
     def test_write_removes_legacy_snapshots_and_slots_without_a_stamp(self, slots):
         # The content-named snapshots of versions before slots are no longer
