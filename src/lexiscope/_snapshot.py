@@ -31,12 +31,13 @@ scan) has them make the key, so its read hashes no file when there is no
 slot, and a file is read once.  A source with a file that is there but
 is not a regular file, such as a pipe, is never read from or written to
 a slot: no key stands for bytes a read consumes.  Every write removes the
-slots of its kind whose source is gone or that the reader turns away.  A cache that cannot be written
-is skipped.  A slot is only ever a cache of a parse: what a parse gave,
-or what a save writes right after its file (see index.save_index) when
-the parse's rules accept its values and would give each back as it is.
-Such a save reads the slot first, as a load does, and writes it only
-when the sha256 the read took of the file is that of the bytes it wrote.
+slots of its kind whose source is gone or that the reader turns away.  A
+cache that cannot be written is skipped.  A slot is only ever a cache of
+a parse: what a parse gave, or what a save writes right after its file
+(see index.save_index) when the parse's rules accept its values and
+would give each back as it is.  Such a save reads the slot first, as a
+load does, and writes it only when the sha256 the read took of the file
+is that of the bytes it wrote.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ class Slot:
         ]
 
     def write(self, chunks: list[bytes], digests: list[bytes] | None = None, tail: list[bytes] | tuple = ()) -> None:
-        """Store the payload, the chunks as its head and tail as its tail, under the stamp read took, unless a file changed since.
+        """Store the chunks as the payload's head and tail as its tail, under read's stamp, unless a file changed since.
 
         digests, when given, are the sha256s of the bytes the payload was
         parsed from, one per file, and make the key.  A cache that cannot be

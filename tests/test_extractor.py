@@ -590,6 +590,21 @@ def test_tokens_lines_and_scan_agree_with_reference(text):
     assert diagnostics == expected.diagnostics
 
 
+# Runs of nested type openers and of closers, past the depth at which a
+# recursive scanner would give out.
+_deep_runs = st.tuples(
+    st.sampled_from(["class A {", "interface I {", "enum E {", "int f;", "}"]), st.integers(1, 3_000)
+).map(lambda run: " ".join([run[0]] * run[1]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from(_JAVA_PIECES) | _type_bodies | _deep_runs, max_size=20).map(" ".join))
+def test_scan_of_token_soups_never_raises(text):
+    nodes = extract_java(text, "F.java")
+    assert [node.id for node in nodes] == list(range(len(nodes)))
+    assert all(node.parent_id is None or node.parent_id < node.id for node in nodes)
+
+
 class TestExtractProject:
     def test_counts_and_order(self, tmp_path):
         (tmp_path / "b").mkdir()
