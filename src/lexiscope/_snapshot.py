@@ -1,4 +1,4 @@
-"""One cache slot per source, shared by the dictionary and index loaders, the postings and the tree scan.
+"""One cache slot per source, shared by the dictionary and index loaders and the tree scan.
 
 A slot is ``<cache>/lexiscope/<kind>-<sha256 of the source's absolute
 path>.marshal``, and every kind has the one layout
@@ -7,14 +7,15 @@ path>.marshal``, and every kind has the one layout
 
 The sha256 is of all the rest but the tail.  The key is the content key
 of the files the slot was written from; the two lengths are 8 bytes,
-little-endian.  Head and tail are the loader's payload.  The tail is
-empty but for the dictionary, whose shards it holds.  The stamp is the
-marshalled (source's absolute path, wall time in ns taken before the
-files were read, each file's stat signature, each file's sha256).  A read
-reads the key, the head and the stamp and checks them; a tail stays in
-the file, and the loader reads and checks a piece of it when it needs
-that piece (see Tail).  A slot is only ever replaced by rename, so the
-tail read through an open slot is the one its head was written with.
+little-endian.  Head and tail are the loader's payload.  The tail holds
+the dictionary's shards, and an index's postings once locate has built
+them; it is empty for the tree scan.  The stamp is the marshalled
+(source's absolute path, wall time in ns taken before the files were
+read, each file's stat signature, each file's sha256).  A read reads the
+key, the head and the stamp and checks them; a tail stays in the file,
+and the loader reads and checks a piece of it when it needs that piece
+(see Tail).  A slot is only ever replaced by rename, so the tail read
+through an open slot is the one its head was written with.
 
 A read stats the files.  A file whose signature is the stamp's and whose
 mtime and ctime are older than the stamp's time by more than

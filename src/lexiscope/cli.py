@@ -21,7 +21,7 @@ from .domain import DOMAIN, POTENTIAL, build_domain_vocabulary
 from .extractor import ScanDiagnostics, SchemaError, extract_project, ingest_nodes
 from .index import InvalidIndexError, ProjectIndex, load_index, save_index
 from .lexicon import RELATIONS, LexiconError, load_lexicon
-from .locator import ConceptQuery, _read_postings, _write_postings, locate_concept
+from .locator import ConceptQuery, locate_concept
 from .tokenizer import split_identifier
 from .vocabulary import build_vocabulary, compute_stats, default_stoplist, load_stoplist, top_k
 
@@ -315,15 +315,10 @@ def cmd_locate(args) -> int:
     ]
     if not keywords:
         raise ValueError("empty phrase")
-    # The stored postings are read before the index, so that they are
-    # written only for the bytes the index was loaded from.
-    slot, postings = _read_postings(args.index)
     index = load_index(args.index)
     lexicon = load_lexicon(_dictionary_dir(args))
     query = ConceptQuery(tuple(keywords), relations=_parse_relations(args.relations), depth=args.depth)
-    if postings is None:
-        postings = _write_postings(slot, index.nodes)
-    matches = locate_concept(index.nodes, query, lexicon, limit=args.limit, postings=postings)
+    matches = locate_concept(index.nodes, query, lexicon, limit=args.limit, postings=index.postings)
     if not matches:
         print("no matches")
         return 0

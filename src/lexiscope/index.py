@@ -8,7 +8,8 @@ earlier load or save of the same path validated reads the marshalled slot
 that load or save left in the cache instead, and builds each part of the
 index on its first access.  A save writes the slot only for values that
 pass the parse's rules and that the parse gives back as they are, so a
-slot is only ever what a parse of its file gives.
+slot is only ever what a parse of its file gives.  Its tail holds the
+nodes' candidate postings once locate has built them (ProjectIndex.postings).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from itertools import count, repeat
 from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
+from . import locator
 from ._snapshot import _CHUNK, Slot
 from .extractor import KINDS, SourceNode, _node_from_record, _validate_node
 from .lexicon import PosTag
@@ -54,6 +56,26 @@ class InvalidIndexError(Exception):
 class ProjectIndex:
     nodes: list[SourceNode]
     vocabulary: ProjectVocabulary
+
+    # (slot, head, tail) that load_index read or wrote this index through; not a field.
+    _slot = (None, None, b"")
+
+    @cached_property
+    def postings(self) -> dict[str, tuple[int, ...]]:
+        """locate's candidate postings of the nodes (locator._candidate_postings), read from the slot's tail.
+
+        When the tail holds none, they are built and stored as the tail,
+        beside the head, through the load's own slot: so only while the file
+        is as the load found it, under the bytes they were built from.
+        """
+        slot, head, tail = self._slot
+        postings = _tail_postings(tail)
+        if postings is None:
+            postings = locator._candidate_postings(self.nodes)
+            if slot is not None:
+                data = marshal.dumps(postings)
+                slot.write([head], tail=[hashlib.sha256(data).digest(), data])
+        return postings
 
 
 # The layout json.dumps(document, indent=2) gives one node and one
@@ -200,11 +222,13 @@ def load_index(path: str | Path) -> ProjectIndex:
     its vocabulary are each built on first access.
     A slot that is missing, damaged, of another shape or of other bytes
     only means a parse, so every InvalidIndexError comes from the parse.
+    Neither path writes a tail; the index's postings do.
     """
     slot = Slot.of("index", path, _SLOT_FORMAT, [Path(path)])
     payload = None if slot is None else slot.read()
     index = None if payload is None else _index_from_slot(payload)
     if index is not None:
+        index._slot = slot, payload, slot.tail
         return index
     try:
         data = Path(path).read_bytes()
@@ -223,7 +247,9 @@ def load_index(path: str | Path) -> ProjectIndex:
     index = _index_from_document(document, path)
     if slot is not None:
         vocabulary = index.vocabulary
-        slot.write([_slot_payload(vocabulary, _node_columns(index.nodes), vocabulary.entries.values())])
+        payload = _slot_payload(vocabulary, _node_columns(index.nodes), vocabulary.entries.values())
+        slot.write([payload])
+        index._slot = slot, payload, b""
     return index
 
 
@@ -402,6 +428,17 @@ def _index_from_slot(payload: bytes) -> ProjectIndex | None:
     except TypeError:  # an unhashable pos or word
         return None
     return _SlotIndex(stored=(project_name, file_count, columns, rows))
+
+
+def _tail_postings(tail) -> dict | None:
+    """The postings an index slot's tail holds (their sha256, then their marshalled dict), or None for none."""
+    data = tail[:]
+    if hashlib.sha256(data[32:]).digest() == data[:32]:
+        with contextlib.suppress(EOFError, ValueError, TypeError):
+            postings = marshal.loads(data[32:])
+            if type(postings) is dict:
+                return postings
+    return None
 
 
 class _SlotIndex(ProjectIndex):

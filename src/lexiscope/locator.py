@@ -12,13 +12,10 @@ is-a relative, and longer pointer chains count for less.
 from __future__ import annotations
 
 import heapq
-import marshal
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from pathlib import Path
 
-from ._snapshot import Slot
 from .extractor import SourceNode
 from .lexicon import (
     RELATIONS,
@@ -236,35 +233,3 @@ def _candidate_postings(nodes: list[SourceNode]) -> dict[str, tuple[int, ...]]:
         for token in scope:
             postings.setdefault(token, []).append(position)
     return {token: tuple(positions) for token, positions in postings.items()}
-
-
-# Bump when the postings or their payload change, so that no slot of an
-# older format is read.
-_POSTINGS_FORMAT = b"lexiscope-postings-2"
-
-
-def _read_postings(index_path) -> tuple[Slot | None, dict[str, tuple[int, ...]] | None]:
-    """The postings slot of the index file at index_path, and the postings it holds for the file's bytes.
-
-    The postings are None when the slot holds none of these bytes, or
-    when there is no cache (and no slot).  Read before the index is
-    loaded, so that _write_postings's stat check spans the load: postings
-    are only stored under the sha256 of the bytes they were built from.
-    """
-    slot = Slot.of("postings", index_path, _POSTINGS_FORMAT, [Path(index_path)])
-    payload = None if slot is None else slot.read()
-    if payload is None:
-        return slot, None
-    try:
-        postings = marshal.loads(payload)
-    except (EOFError, ValueError, TypeError):
-        return slot, None
-    return slot, postings if type(postings) is dict else None
-
-
-def _write_postings(slot: Slot | None, nodes: list[SourceNode]) -> dict[str, tuple[int, ...]]:
-    """The postings of the nodes _read_postings's index file held, stored in its slot, unless the file changed since."""
-    postings = _candidate_postings(nodes)
-    if slot is not None:
-        slot.write([marshal.dumps(postings)])
-    return postings

@@ -80,6 +80,15 @@ _commands = st.one_of(
 )
 
 
+def _tail_span(content):
+    """(start, end) of a slot's tail in its bytes, or None when the tail is empty or the lengths do not fit."""
+    if len(content) < 80:
+        return None
+    start = 72 + int.from_bytes(content[64:72], "little")
+    end = len(content) - 8 - int.from_bytes(content[-8:], "little")
+    return (start, end) if start < end else None
+
+
 class _Clock:
     """A clock ahead of the real one by offset, and the file times _snapshot reads shifted to match.
 
@@ -223,11 +232,12 @@ class CacheModel(RuleBasedStateMachine):
         files = case[0]
         self._write_dictionary(files, _picked(sorted(files), pick) if one else None)
 
-    @rule(pick=_picks, where=st.sampled_from(("anywhere", "stamp", "shard")), at=_picks, bit=st.integers(0, 7))
+    @rule(pick=_picks, where=st.sampled_from(("anywhere", "stamp", "tail")), at=_picks, bit=st.integers(0, 7))
     def flip_a_slot_byte(self, pick, where, at, bit):
+        """Flip a bit anywhere in a slot, in its stamp, or in a tail: a dictionary shard or an index's postings."""
         slots = self._slot_files()
-        if where == "shard":
-            slots = [path for path in slots if path.name.startswith("lexicon-")] or slots
+        if where == "tail":
+            slots = [path for path in slots if _tail_span(path.read_bytes())] or slots
         if not slots:
             return
         path = _picked(slots, pick)
@@ -238,10 +248,8 @@ class CacheModel(RuleBasedStateMachine):
         stamp = len(content) - 8 - int.from_bytes(content[-8:], "little")
         if where == "stamp" and 64 <= stamp < len(content):
             start = stamp
-        elif where == "shard" and len(content) >= 72:
-            tail = 72 + int.from_bytes(content[64:72], "little")
-            if tail < stamp:
-                start, end = tail, stamp
+        elif where == "tail" and _tail_span(content):
+            start, end = _tail_span(content)
         content[start + at % (end - start)] ^= 1 << bit
         with open(path, "r+b") as handle:
             handle.write(content)

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import json
+import marshal
 import os
 import shutil
 import subprocess
@@ -9,12 +11,12 @@ from pathlib import Path
 import pytest
 
 import lexiscope
-import lexiscope.cli as cli_module
+import lexiscope.index as index_module
 import lexiscope.lexicon as lexicon_module
 import lexiscope.locator as locator_module
-from lexiscope._snapshot import slot_path
+from lexiscope._snapshot import _open_slot, slot_path
 from lexiscope.cli import main
-from lexiscope.index import ProjectIndex, save_index
+from lexiscope.index import ProjectIndex, load_index, save_index
 from lexiscope.lexicon import load_lexicon
 from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry
 
@@ -479,6 +481,20 @@ _LOCATE_PHRASES = [
 ]
 
 
+def _stored_postings(index):
+    """The postings the tail of the index file's slot holds, or None when it holds none."""
+    opened = _open_slot(slot_path("index", index))
+    return None if opened is None else index_module._tail_postings(opened[2])
+
+
+def _slot_kinds(cache):
+    return {path.name.split("-", 1)[0] for path in (cache / "lexiscope").iterdir()}
+
+
+def _no_build(nodes):
+    raise AssertionError("built postings")
+
+
 class TestLocatePostings:
     def _printed(self, capsys, index, phrases=_LOCATE_PHRASES):
         printed = []
@@ -490,23 +506,28 @@ class TestLocatePostings:
     def test_second_locate_builds_no_postings(self, tmp_path, monkeypatch, capsys):
         cache = tmp_path / "cache"
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-        index = tmp_path / "minicorpus.json"
-        shutil.copyfile(GOLDEN_INDEX, index)
-        first = self._printed(capsys, index, _LOCATE_PHRASES[:1])
-        assert len(list((cache / "lexiscope").glob("postings-*.marshal"))) == 1
-
-        def no_build(nodes):
-            raise AssertionError("built postings")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(locator_module, "_candidate_postings", no_build)
-            warm = self._printed(capsys, index)
-        assert warm[:1] == first
-        assert len(list((cache / "lexiscope").glob("postings-*.marshal"))) == 1
+        # The copy's first locate parses it; the analyzed index's reads the slot analyze wrote.
+        copied, analyzed = tmp_path / "minicorpus.json", tmp_path / "analyzed.json"
+        shutil.copyfile(GOLDEN_INDEX, copied)
+        assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(analyzed)]) == 0
+        capsys.readouterr()
+        assert _stored_postings(analyzed) is None
+        printed = {}
+        for index in (copied, analyzed):
+            first = self._printed(capsys, index, _LOCATE_PHRASES[:1])
+            stored = _stored_postings(index)
+            assert stored == locator_module._candidate_postings(load_index(index).nodes)
+            with monkeypatch.context() as patch:
+                patch.setattr(locator_module, "_candidate_postings", _no_build)
+                printed[index] = self._printed(capsys, index)
+            assert printed[index][:1] == first
+            assert _stored_postings(index) == stored
+            assert _slot_kinds(cache) <= {"lexicon", "index", "scan"}
+        assert printed[copied] == printed[analyzed]
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("XDG_CACHE_HOME", "no-cache")
         monkeypatch.setenv("HOME", "no-home")
-        assert self._printed(capsys, index) == warm
+        assert self._printed(capsys, copied) == printed[copied]
         assert not (tmp_path / "no-cache").exists() and not (tmp_path / "no-home").exists()
 
     def test_index_replaced_before_its_load_gets_no_postings(self, tmp_path, monkeypatch, capsys):
@@ -519,21 +540,53 @@ class TestLocatePostings:
         shutil.copyfile(GOLDEN_INDEX, replacement)
         expected = self._printed(capsys, replacement)
         assert expected != self._printed(capsys, index)
-        for path in (cache / "lexiscope").glob("postings-*"):
-            path.unlink()
-        load_index = cli_module.load_index
+        slot_path("index", index).unlink()
+        read = index_module.Slot.read
 
-        def replaced(path):
-            os.replace(replacement, index)
-            return load_index(path)
+        def replaced(slot, *args):
+            # After the index slot's read stats the file, before the load parses it.
+            head = read(slot, *args)
+            if slot.path == slot_path("index", index):
+                os.replace(replacement, index)
+            return head
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli_module, "load_index", replaced)
+            patch.setattr(index_module.Slot, "read", replaced)
             assert self._printed(capsys, index, _LOCATE_PHRASES[:1]) == expected[:1]
-        # The postings that locate used were built from the replacement, and none were stored.
-        assert list((cache / "lexiscope").glob("postings-*")) == []
+        # The postings that locate used were built from the replacement, and neither they nor its nodes were stored.
+        assert not slot_path("index", index).exists()
         assert self._printed(capsys, index) == expected
-        assert list((cache / "lexiscope").glob("postings-*")) == [slot_path("postings", index)]
+        assert _stored_postings(index) == locator_module._candidate_postings(load_index(index).nodes)
+        assert _slot_kinds(cache) == {"lexicon", "index", "scan"}
+
+    @pytest.mark.parametrize("damage", ["flipped", "truncated", "not-a-dict"])
+    def test_bad_tail_is_built_again(self, tmp_path, monkeypatch, capsys, damage):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        index = tmp_path / "minicorpus.json"
+        shutil.copyfile(GOLDEN_INDEX, index)
+        with monkeypatch.context() as patch:
+            patch.setenv("XDG_CACHE_HOME", "no-cache")
+            expected = self._printed(capsys, index)
+        self._printed(capsys, index, _LOCATE_PHRASES[:1])
+        stored = _stored_postings(index)
+        slot = slot_path("index", index)
+        content = slot.read_bytes()
+        head_end = 72 + int.from_bytes(content[64:72], "little")
+        stamp_start = len(content) - 8 - int.from_bytes(content[-8:], "little")
+        tail = content[head_end:stamp_start]
+        if damage == "flipped":  # "word" becomes "vord", which still unmarshals
+            at = tail.index(b"word", 32)
+            tail = tail[:at] + bytes([tail[at] ^ 1]) + tail[at + 1 :]
+        elif damage == "truncated":
+            tail = tail[: len(tail) // 2]
+        else:
+            data = marshal.dumps(sorted(stored.items()))
+            tail = hashlib.sha256(data).digest() + data
+        slot.write_bytes(content[:head_end] + tail + content[stamp_start:])
+        assert _open_slot(slot)[2][:] == tail and _stored_postings(index) is None
+        assert self._printed(capsys, index) == expected
+        assert _stored_postings(index) == stored
 
 
 @pytest.mark.parametrize(

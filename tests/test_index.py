@@ -23,6 +23,7 @@ from lexiscope.cli import main
 from lexiscope.extractor import KINDS, SchemaError, SourceNode, extract_project, ingest_nodes
 from lexiscope.index import FORMAT_VERSION, InvalidIndexError, ProjectIndex, load_index, save_index
 from lexiscope.lexicon import PosTag
+from lexiscope.locator import _candidate_postings
 from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry, build_vocabulary, default_stoplist
 
 from cache_rules import CacheRules
@@ -846,6 +847,9 @@ class TestSlot(CacheRules):
             assert (trimmed.nodes, trimmed.vocabulary) == (cold.nodes[:1], cold.vocabulary)
             assert trimmed != cold and cold != trimmed
             assert dataclasses.replace(index) == cold
+            # A copy has no slot: its postings are those of its own nodes, stored nowhere.
+            assert trimmed.postings == _candidate_postings(cold.nodes[:1])
+        assert _open_slot(slot_path("index", golden))[2] == b""
 
     def test_warm_commands_build_only_the_part_they_read(self, golden, tmp_path, slots, capsys):
         other = tmp_path / "other.json"

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import marshal
 import os
 import shutil
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexiscope.cli as cli_module
 import lexiscope.index as index_module
 import lexiscope.locator as locator
 from lexiscope._snapshot import _open_slot, content_key, slot_path
@@ -614,53 +614,78 @@ def test_postings_of_odd_nodes(lexicon):
     }
 
 
-# --- the postings slot ------------------------------------------------------
+# --- the postings tail of the index slot ------------------------------------
 
 
 def _postings(path):
-    """The postings locate uses for the index file at path: those its slot holds, or those built and stored.
+    """The postings locate uses for the index file at path: those its slot's tail holds, or those built and stored."""
+    return index_module.load_index(path).postings
 
-    The index is parsed without its own slot, so the cache holds only the postings slot.
-    """
-    slot, postings = locator._read_postings(path)
-    if postings is None:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-        postings = locator._write_postings(slot, index_module._index_from_document(document, path).nodes)
-    return postings
+
+def _tail(path):
+    """The tail of the index slot of the file at path, as bytes."""
+    return _open_slot(slot_path("index", path))[2][:]
 
 
 class TestPostingsSlot(CacheRules):
-    kind, load, source = "postings", staticmethod(_postings), FIXTURES / "minicorpus_index.json"
+    """The postings live in the tail of the index file's own slot; the cache rules hold for it as a locate reads it."""
+
+    kind, load, source = "index", staticmethod(_postings), FIXTURES / "minicorpus_index.json"
     edit = "", b'"name": "wheelCount"', b'"name": "wheelTotal"'
 
     def test_second_read_builds_no_postings(self, tmp_path, slots, monkeypatch):
         index = tmp_path / "index.json"
         shutil.copyfile(self.source, index)
-        built = _postings(index)
+        index_module.load_index(index)
         [slot] = slots.iterdir()
-        assert slot == slot_path("postings", index)
-        key, payload, tail, _stamp = _open_slot(slot)
-        assert tail == b""
-        assert key == content_key(locator._POSTINGS_FORMAT, [hashlib.sha256(index.read_bytes()).digest()])
-        assert marshal.loads(payload) == built == locator._candidate_postings(index_module.load_index(index).nodes)
+        assert slot == slot_path("index", index)
+        key, head, tail, _stamp = _open_slot(slot)
+        assert tail == b""  # a load writes no tail
+        built = _postings(index)
+        assert list(slots.iterdir()) == [slot]
+        # The tail is the postings' sha256, then the postings marshalled; key and head are the load's.
+        assert _open_slot(slot)[:2] == (key, head)
+        assert key == content_key(index_module._SLOT_FORMAT, [hashlib.sha256(index.read_bytes()).digest()])
+        data = _tail(index)
+        assert data[:32] == hashlib.sha256(data[32:]).digest()
+        assert marshal.loads(data[32:]) == built == locator._candidate_postings(index_module.load_index(index).nodes)
         monkeypatch.setattr(locator, "_candidate_postings", _no_build)
-        assert locator._read_postings(index)[1] == built
+        assert _postings(index) == built
 
-    def test_index_replaced_after_the_postings_read_gets_no_slot(self, tmp_path, slots):
-        index = tmp_path / "index.json"
-        replacement = tmp_path / "replacement.json"
-        shutil.copyfile(self.source, index)
-        name, old, new = self.edit
-        replacement.write_bytes(self.source.read_bytes().replace(old, new, 1))
-        slot, postings = locator._read_postings(index)
-        assert postings is None
-        os.replace(replacement, index)
-        nodes = index_module.load_index(index).nodes
-        assert locator._write_postings(slot, nodes) == locator._candidate_postings(nodes)
-        assert list(slots.glob("postings-*")) == []
-        # The next read finds none and stores those of the bytes it loads.
-        assert _postings(index) == locator._candidate_postings(nodes)
-        assert list(slots.glob("postings-*")) == [slot_path("postings", index)]
+    def test_index_replaced_after_its_load_gets_no_tail(self, tmp_path, slots):
+        for first_load in ("parse", "slot"):
+            index = tmp_path / f"{first_load}.json"
+            replacement = tmp_path / "replacement.json"
+            shutil.copyfile(self.source, index)
+            if first_load == "slot":
+                index_module.load_index(index)
+            name, old, new = self.edit
+            replacement.write_bytes(self.source.read_bytes().replace(old, new, 1))
+            loaded = index_module.load_index(index)
+            os.replace(replacement, index)
+            assert loaded.postings == locator._candidate_postings(loaded.nodes)
+            assert _tail(index) == b""
+            # The next load parses the replacement, and its postings are the ones stored.
+            nodes = index_module.load_index(index).nodes
+            assert _postings(index) == locator._candidate_postings(nodes) != loaded.postings
+            assert marshal.loads(_tail(index)[32:]) == locator._candidate_postings(nodes)
+        assert sorted(slots.iterdir()) == sorted(slot_path("index", tmp_path / name) for name in ("parse.json", "slot.json"))
+
+    def test_indexes_loaded_for_their_vocabulary_keep_no_file_open(self, tmp_path, slots):
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("no /proc/self/fd to count open files in")
+        indexes = [tmp_path / f"index-{number}.json" for number in range(80)]
+        for index in indexes:
+            shutil.copyfile(self.source, index)
+            _postings(index)
+        assert all(len(_open_slot(slot_path("index", index))[2]) for index in indexes)
+        before = len(os.listdir(fds))
+        # As domain does, with the collector paused: only each index's vocabulary is kept.
+        with cli_module._collector_paused():
+            vocabularies = [index_module.load_index(index).vocabulary for index in indexes]
+            assert len(os.listdir(fds)) == before
+        assert len({vocabulary.project_name for vocabulary in vocabularies}) == 1
 
 
 def _no_build(nodes):
