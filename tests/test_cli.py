@@ -22,6 +22,7 @@ from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry
 
 from conftest import FIXTURES, MINICORPUS, MINIDICT
 from test_index import _no_parse
+from test_locator import _no_build
 
 GOLDEN_INDEX = FIXTURES / "minicorpus_index.json"
 
@@ -491,10 +492,6 @@ def _slot_kinds(cache):
     return {path.name.split("-", 1)[0] for path in (cache / "lexiscope").iterdir()}
 
 
-def _no_build(nodes):
-    raise AssertionError("built postings")
-
-
 class TestLocatePostings:
     def _printed(self, capsys, index, phrases=_LOCATE_PHRASES):
         printed = []
@@ -566,8 +563,11 @@ class TestLocatePostings:
         index = tmp_path / "minicorpus.json"
         shutil.copyfile(GOLDEN_INDEX, index)
         with monkeypatch.context() as patch:
+            patch.chdir(tmp_path)
             patch.setenv("XDG_CACHE_HOME", "no-cache")
+            patch.setenv("HOME", "no-home")
             expected = self._printed(capsys, index)
+        assert not (tmp_path / "no-cache").exists() and not (tmp_path / "no-home").exists()
         self._printed(capsys, index, _LOCATE_PHRASES[:1])
         stored = _stored_postings(index)
         slot = slot_path("index", index)

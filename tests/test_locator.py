@@ -592,7 +592,7 @@ def test_postings_agree_with_per_candidate_reference_on_odd_nodes(lexicon, nodes
     query = ConceptQuery(tuple(keywords), relations=frozenset(relations), depth=depth)
     expected = _shown(_reference_locate(nodes, query, lexicon, limit))
     postings = locator._candidate_postings(nodes)
-    stored = marshal.loads(marshal.dumps(postings))  # as the postings slot stores them
+    stored = marshal.loads(marshal.dumps(postings))  # as the index slot's tail stores them
     assert _shown(locate_concept(nodes, query, lexicon, limit)) == expected
     assert _shown(locate_concept(nodes, query, lexicon, limit, postings=postings)) == expected
     assert _shown(locate_concept(nodes, query, lexicon, limit, postings=stored)) == expected
