@@ -140,6 +140,10 @@ class Tail:
     def __del__(self, close=os.close):
         close(self._fd)
 
+    def __reduce__(self):
+        # A copy would close the descriptor this one reads when it is collected.
+        raise TypeError(f"cannot copy or pickle a {type(self).__name__}: it holds an open file")
+
     def __len__(self) -> int:
         return self._size
 

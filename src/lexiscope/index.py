@@ -10,6 +10,8 @@ index on its first access.  A save writes the slot only for values that
 pass the parse's rules and that the parse gives back as they are, so a
 slot is only ever what a parse of its file gives.  Its tail holds the
 nodes' candidate postings once locate has built them (ProjectIndex.postings).
+An index read from a slot is a plain ProjectIndex too; a copy or a pickle
+of any index carries only its nodes and its vocabulary.
 """
 
 from __future__ import annotations
@@ -59,6 +61,28 @@ class ProjectIndex:
 
     # (slot, head, tail) that load_index read or wrote this index through; not a field.
     _slot = (None, None, b"")
+
+    def __getattr__(self, name):
+        """A field _index_from_slot left unset (no other index gets here), built from _stored and kept."""
+        stored = self.__dict__.get("_stored")
+        if stored is None or name not in ("nodes", "vocabulary"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        project_name, file_count, columns, rows = stored
+        if name == "nodes":
+            # tuple.__new__ over the zipped columns makes each node without a Python call.
+            value = list(map(tuple.__new__, repeat(SourceNode), zip(range(len(columns[0])), *columns)))
+        else:
+            entries = {
+                word: VocabularyEntry(word, pos is not None, _POS_OF_INT[pos], total, dict(zip(KINDS, counts)))
+                for word, pos, total, *counts in rows
+            }
+            value = ProjectVocabulary(project_name, file_count, entries)
+        self.__dict__[name] = value
+        return value
+
+    def __reduce__(self):
+        """A copy or pickle carries the fields only, as a dataclasses.replace copy does: no slot, no postings."""
+        return ProjectIndex, (self.nodes, self.vocabulary)
 
     @cached_property
     def postings(self) -> dict[str, tuple[int, ...]]:
@@ -407,8 +431,8 @@ def _checked_payload(nodes: list[SourceNode], vocabulary: ProjectVocabulary, ent
 def _index_from_slot(payload: bytes) -> ProjectIndex | None:
     """The index a slot payload holds, or None for a bad shape.
 
-    The columns and rows are checked here; the nodes and entries are built
-    from them on first access.
+    The columns and rows are checked here and kept as _stored; the nodes
+    and entries are built from them on first access (ProjectIndex.__getattr__).
     """
     try:
         stored = marshal.loads(payload)
@@ -427,7 +451,9 @@ def _index_from_slot(payload: bytes) -> ProjectIndex | None:
             return None
     except TypeError:  # an unhashable pos or word
         return None
-    return _SlotIndex(stored=(project_name, file_count, columns, rows))
+    index = ProjectIndex.__new__(ProjectIndex)
+    index._stored = project_name, file_count, columns, rows
+    return index
 
 
 def _tail_postings(tail) -> dict | None:
@@ -439,37 +465,3 @@ def _tail_postings(tail) -> dict | None:
             if type(postings) is dict:
                 return postings
     return None
-
-
-class _SlotIndex(ProjectIndex):
-    """An index read from its cache slot, whose nodes and vocabulary are each built on first access.
-
-    It takes ProjectIndex's fields too, so dataclasses.replace gives a copy
-    of the fields it is handed, and it equals a ProjectIndex of the same
-    nodes and vocabulary, as the parse of its file does.
-    """
-
-    def __init__(self, nodes=None, vocabulary=None, *, stored=None):
-        self._stored = stored
-        if stored is None:
-            super().__init__(nodes, vocabulary)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectIndex):
-            return NotImplemented
-        return (self.nodes, self.vocabulary) == (other.nodes, other.vocabulary)
-
-    @cached_property
-    def nodes(self) -> list[SourceNode]:
-        columns = self._stored[2]
-        # tuple.__new__ over the zipped columns makes each node without a Python call.
-        return list(map(tuple.__new__, repeat(SourceNode), zip(range(len(columns[0])), *columns)))
-
-    @cached_property
-    def vocabulary(self) -> ProjectVocabulary:
-        project_name, file_count, _columns, rows = self._stored
-        entries = {
-            word: VocabularyEntry(word, pos is not None, _POS_OF_INT[pos], total, dict(zip(KINDS, counts)))
-            for word, pos, total, *counts in rows
-        }
-        return ProjectVocabulary(project_name, file_count, entries)

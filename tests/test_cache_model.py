@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule, run_state_machine_as_test
 
 from lexiscope import _snapshot
 from lexiscope.cli import main
@@ -315,3 +315,11 @@ TestCacheModel.settings = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large, HealthCheck.filter_too_much],
 )
+
+
+if __name__ == "__main__":
+    # The long profile, for a change to a slot: PYTHONPATH=src python tests/test_cache_model.py
+    run_state_machine_as_test(
+        CacheModel,
+        settings=settings(TestCacheModel.settings, max_examples=1000, stateful_step_count=40, database=None),
+    )

@@ -1,10 +1,13 @@
+import copy
 import dataclasses
 import enum
 import errno
+import gc
 import hashlib
 import json
 import marshal
 import os
+import pickle
 import shutil
 import stat
 from concurrent.futures import ThreadPoolExecutor
@@ -840,6 +843,7 @@ class TestSlot(CacheRules):
         with _no_parse():
             warm = load_index(golden)
         assert warm == cold and cold == warm
+        assert type(warm) is ProjectIndex and repr(warm) == repr(cold)
         assert [field.name for field in dataclasses.fields(warm)] == ["nodes", "vocabulary"]
         assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
         for index in (cold, warm):
@@ -850,6 +854,24 @@ class TestSlot(CacheRules):
             # A copy has no slot: its postings are those of its own nodes, stored nowhere.
             assert trimmed.postings == _candidate_postings(cold.nodes[:1])
         assert _open_slot(slot_path("index", golden))[2] == b""
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, copy.deepcopy, lambda index: pickle.loads(pickle.dumps(index))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_of_a_warm_index_carries_only_its_fields(self, golden, slots, duplicate):
+        cold = load_index(golden)
+        postings = cold.postings  # stored as the slot's tail
+        with _no_parse():
+            warm = load_index(golden)
+        assert len(warm._slot[2])  # the load keeps the tail's file open
+        copied = duplicate(warm)
+        assert type(copied) is ProjectIndex and copied == cold
+        assert vars(copied) == {"nodes": cold.nodes, "vocabulary": cold.vocabulary}
+        del copied
+        gc.collect()  # a copied tail, collected, would close the file warm reads
+        with mock.patch.object(index_module.locator, "_candidate_postings", side_effect=AssertionError("built")):
+            assert warm.postings == postings
 
     def test_warm_commands_build_only_the_part_they_read(self, golden, tmp_path, slots, capsys):
         other = tmp_path / "other.json"

@@ -1,3 +1,5 @@
+import copy
+import gc
 import hashlib
 import marshal
 import os
@@ -576,6 +578,15 @@ class TestSnapshot(CacheRules):
             )
             assert lexicon.exceptions == exceptions
             assert len(lexicon) == len(entries)
+
+    def test_deep_copy_of_a_warm_lexicon_leaves_its_snapshot_open(self, slots, lexicon):
+        words = sorted(_parse_lexicon(MINIDICT)[0])
+        load_lexicon(MINIDICT)
+        warm = load_lexicon(MINIDICT)  # read from the snapshot, no shard loaded yet
+        with pytest.raises(TypeError):
+            copy.deepcopy(warm)
+        gc.collect()  # a copied snapshot file, collected, would close the one warm reads
+        assert [classify(warm, word) for word in words] == [classify(lexicon, word) for word in words]
 
     def test_equal_keys_find_one_synset(self, lexicon):
         key = next(iter(lexicon.synsets))
