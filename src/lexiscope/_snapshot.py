@@ -7,9 +7,10 @@ path>.marshal``, and every kind has the one layout
 
 The sha256 is of all the rest but the tail.  The key is the content key
 of the files the slot was written from; the two lengths are 8 bytes,
-little-endian.  Head and tail are the loader's payload.  The tail holds
-the dictionary's shards, and an index's postings once locate has built
-them; it is empty for the tree scan.  The stamp is the marshalled
+little-endian.  Head and tail are the loader's payload.  Only the
+dictionary slot has a tail, its shards; the index slot (whose head holds
+locate's postings once they are built) and the tree scan's have none, so
+a warm index or scan holds no open file.  The stamp is the marshalled
 (source's absolute path, wall time in ns taken before the files were
 read, each file's stat signature, each file's sha256).  A read reads the
 key, the head and the stamp and checks them; a tail stays in the file,

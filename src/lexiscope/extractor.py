@@ -18,9 +18,8 @@ import marshal
 import os
 import re
 import stat
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -436,12 +435,12 @@ def extract_project(
     tag = b"\0".join([_SLOT_FORMAT, *map(os.fsencode, relative)])
     slot = Slot.of("scan", root, tag, [*paths, _SCANNER])
     payload = None if slot is None else slot.read(parse_hashes=True)
-    scan = None if payload is None else _scan_from_slot(payload, relative)
+    scan = None if payload is None else _scan_from_slot(payload)
     if scan is None:
         scan, digests = _scan(paths, relative)
         if slot is not None and not scan[2].unreadable_files:
             with contextlib.suppress(OSError):  # a scanner that cannot be read keys no slot
-                slot.write([_slot_payload(scan, relative)], [*digests, file_digest(_SCANNER)])
+                slot.write([_slot_payload(scan)], [*digests, file_digest(_SCANNER)])
     nodes, file_count, counts = scan
     diagnostics.skipped_declarations += counts.skipped_declarations
     diagnostics.skipped_blocks += counts.skipped_blocks
@@ -490,39 +489,47 @@ def _decoded(data: bytes) -> str:
 # The scanner's source is in every scan slot's key, so a change to the
 # scanner misses every slot; bump the tag when only the payload changes.
 _SCANNER = Path(__file__)
-_SLOT_FORMAT = b"lexiscope-scan-2"
+_SLOT_FORMAT = b"lexiscope-scan-3"
 
 
-def _slot_payload(scan, relative: list[str]) -> bytes:
-    """The marshalled (file count, counters, node columns) of a scan of the files at the relative paths.
-
-    The nodes are in file order, so the file column is the number of
-    nodes of each file; the others are kind, name, line and parent.  A
-    node's id is its position.
-    """
+def _slot_payload(scan) -> bytes:
+    """The marshalled (file count, counters, the nodes' _node_columns) of a scan."""
     nodes, file_count, counts = scan
-    _ids, kinds, names, files, lines, parents = zip(*nodes) if nodes else ((),) * 6
-    per_file = Counter(files)
-    return marshal.dumps((
-        file_count,
-        (counts.skipped_declarations, counts.skipped_blocks, counts.unreadable_files),
-        tuple(map(per_file.__getitem__, relative)), kinds, names, lines, parents,
-    ))
+    counters = counts.skipped_declarations, counts.skipped_blocks, counts.unreadable_files
+    return marshal.dumps((file_count, counters, *_node_columns(nodes)))
 
 
-def _scan_from_slot(payload: bytes, relative: list[str]):
+def _scan_from_slot(payload: bytes):
     """The (nodes, file count, counters) a slot payload holds, or None for a bad shape."""
     try:
-        file_count, counters, per_file, kinds, names, lines, parents = marshal.loads(payload)
-        files = list(chain.from_iterable(map(repeat, relative, per_file)))
+        file_count, counters, *columns = marshal.loads(payload)
         counts = ScanDiagnostics(*counters)
-        if len(per_file) != len(relative) or len(files) != len(kinds):
-            return None
     except (EOFError, ValueError, TypeError):
         return None
+    return (_nodes_from_columns(columns), file_count, counts) if _good_columns(columns) else None
+
+
+def _node_columns(nodes: list[SourceNode]) -> tuple[tuple, ...]:
+    """The kind, name, file, line and parent columns of nodes whose ids are their positions.
+
+    Equal kinds and equal files are one object, which marshal writes once.
+    The scan and index slots store nodes as these columns.
+    """
+    _ids, kinds, names, files, lines, parents = zip(*nodes) if nodes else ((),) * 6
+    same = dict(zip(kinds, kinds))
+    same.update(zip(files, files))
+    return tuple(map(same.__getitem__, kinds)), names, tuple(map(same.__getitem__, files)), lines, parents
+
+
+def _good_columns(columns) -> bool:
+    """Whether columns have the shape _node_columns gives: five tuples of one length."""
+    return len(columns) == 5 and all(type(column) is tuple and len(column) == len(columns[0]) for column in columns)
+
+
+def _nodes_from_columns(columns) -> list[SourceNode]:
+    """The nodes whose _node_columns these are."""
     # tuple.__new__ over the zipped columns makes each node without a Python call.
-    nodes = list(map(tuple.__new__, repeat(SourceNode), zip(count(), kinds, names, files, lines, parents)))
-    return nodes, file_count, counts
+    return list(map(tuple.__new__, repeat(SourceNode), zip(count(), *columns)))
 
 
 def _validate_node(kind, name, file_path, line, parent, nodes: list[SourceNode], position: int) -> None:

@@ -8,10 +8,12 @@ earlier load or save of the same path validated reads the marshalled slot
 that load or save left in the cache instead, and builds each part of the
 index on its first access.  A save writes the slot only for values that
 pass the parse's rules and that the parse gives back as they are, so a
-slot is only ever what a parse of its file gives.  Its tail holds the
-nodes' candidate postings once locate has built them (ProjectIndex.postings).
-An index read from a slot is a plain ProjectIndex too; a copy or a pickle
-of any index carries only its nodes and its vocabulary.
+slot is only ever what a parse of its file gives.  Its head also holds
+the nodes' candidate postings once locate has built them
+(ProjectIndex.postings).  An index slot has no tail (only the dictionary
+slot has one), so the whole slot is read at once and a warm index holds
+no open file.  An index read from a slot is a plain ProjectIndex too; a
+copy or a pickle of any index carries only its nodes and its vocabulary.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ import re
 import stat
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import count
 from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
 from . import locator
 from ._snapshot import _CHUNK, Slot
-from .extractor import KINDS, SourceNode, _node_from_record, _validate_node
+from .extractor import KINDS, SourceNode, _good_columns, _node_columns, _node_from_record, _nodes_from_columns
+from .extractor import _validate_node
 from .lexicon import PosTag
 from .vocabulary import ProjectVocabulary, VocabularyEntry
 
@@ -59,18 +62,19 @@ class ProjectIndex:
     nodes: list[SourceNode]
     vocabulary: ProjectVocabulary
 
-    # (slot, head, tail) that load_index read or wrote this index through; not a field.
-    _slot = (None, None, b"")
+    # The Slot that load_index read or wrote this index through, and the tuple
+    # its head holds (see _head); neither is a field.
+    _slot = None
+    _stored = None
 
     def __getattr__(self, name):
         """A field _index_from_slot left unset (no other index gets here), built from _stored and kept."""
-        stored = self.__dict__.get("_stored")
+        stored = self._stored
         if stored is None or name not in ("nodes", "vocabulary"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        project_name, file_count, columns, rows = stored
+        project_name, file_count, *columns, rows, _postings = stored
         if name == "nodes":
-            # tuple.__new__ over the zipped columns makes each node without a Python call.
-            value = list(map(tuple.__new__, repeat(SourceNode), zip(range(len(columns[0])), *columns)))
+            value = _nodes_from_columns(columns)
         else:
             entries = {
                 word: VocabularyEntry(word, pos is not None, _POS_OF_INT[pos], total, dict(zip(KINDS, counts)))
@@ -86,19 +90,20 @@ class ProjectIndex:
 
     @cached_property
     def postings(self) -> dict[str, tuple[int, ...]]:
-        """locate's candidate postings of the nodes (locator._candidate_postings), read from the slot's tail.
+        """locate's candidate postings of the nodes (locator._candidate_postings), read from the slot's head.
 
-        When the tail holds none, they are built and stored as the tail,
-        beside the head, through the load's own slot: so only while the file
-        is as the load found it, under the bytes they were built from.
+        When the head holds none, they are built and the head is written
+        again with them, through the load's own slot: so only while the
+        file is as the load found it, under the bytes they were built from.
         """
-        slot, head, tail = self._slot
-        postings = _tail_postings(tail)
-        if postings is None:
+        postings = None
+        if self._stored is not None:
+            with contextlib.suppress(EOFError, ValueError, TypeError):
+                postings = marshal.loads(self._stored[-1])
+        if type(postings) is not dict:
             postings = locator._candidate_postings(self.nodes)
-            if slot is not None:
-                data = marshal.dumps(postings)
-                slot.write([head], tail=[hashlib.sha256(data).digest(), data])
+            if self._slot is not None:
+                self._slot.write([marshal.dumps((*self._stored[:-1], marshal.dumps(postings)))])
         return postings
 
 
@@ -246,13 +251,13 @@ def load_index(path: str | Path) -> ProjectIndex:
     its vocabulary are each built on first access.
     A slot that is missing, damaged, of another shape or of other bytes
     only means a parse, so every InvalidIndexError comes from the parse.
-    Neither path writes a tail; the index's postings do.
+    Neither path stores postings; the index's postings property does.
     """
     slot = Slot.of("index", path, _SLOT_FORMAT, [Path(path)])
     payload = None if slot is None else slot.read()
     index = None if payload is None else _index_from_slot(payload)
     if index is not None:
-        index._slot = slot, payload, slot.tail
+        index._slot = slot
         return index
     try:
         data = Path(path).read_bytes()
@@ -271,9 +276,9 @@ def load_index(path: str | Path) -> ProjectIndex:
     index = _index_from_document(document, path)
     if slot is not None:
         vocabulary = index.vocabulary
-        payload = _slot_payload(vocabulary, _node_columns(index.nodes), vocabulary.entries.values())
-        slot.write([payload])
-        index._slot = slot, payload, b""
+        index._slot = slot
+        index._stored = _head(vocabulary, _node_columns(index.nodes), vocabulary.entries.values())
+        slot.write([marshal.dumps(index._stored)])
     return index
 
 
@@ -357,7 +362,7 @@ def _check_entry(word, recognized, pos_name, total, counts) -> PosTag | None:
 
 # Bump when the parse, the index format or the slot layout changes, so that
 # no slot of an older format is read.
-_SLOT_FORMAT = b"lexiscope-index-4"
+_SLOT_FORMAT = b"lexiscope-index-5"
 
 # A slot stores a pos as its int value, or None.
 _POS_OF_INT = {None: None, **{int(tag): tag for tag in PosTag}}
@@ -366,33 +371,20 @@ _NAME_OF_POS = {None: None, **{tag: name for name, tag in _POS_NAMES.items()}}
 _ROW_LENGTH = 3 + len(KINDS)
 
 
-def _node_columns(nodes: list[SourceNode]) -> tuple[tuple, ...]:
-    """The id, kind, name, file, line and parent columns of nodes.
+def _head(vocabulary: ProjectVocabulary, node_columns, entries) -> tuple:
+    """(project name, file count, five node columns, vocabulary rows, postings): an index slot's head, unmarshalled.
 
-    Equal kinds and equal files are one object, which marshal writes once.
+    The node columns are extractor._node_columns'; a node's id is its
+    position.  A row is a word, its pos as an int or None, its total and
+    its four counts in KINDS order, one per entry.  The postings are
+    b"" until ProjectIndex.postings stores them, marshalled, in their place.
     """
-    ids, kinds, names, files, lines, parents = zip(*nodes) if nodes else ((),) * 6
-    same = dict(zip(kinds, kinds))
-    same.update(zip(files, files))
-    return ids, tuple(map(same.__getitem__, kinds)), names, tuple(map(same.__getitem__, files)), lines, parents
-
-
-def _slot_payload(vocabulary: ProjectVocabulary, node_columns, entries) -> bytes:
-    """The marshalled (project name, file count, node columns, vocabulary rows), a row per entry.
-
-    The node columns are kind, name, file, line and parent; a node's id is
-    its position.  A row is a word, its pos as an int or None, its total
-    and its four counts in KINDS order.
-    """
-    _ids, kinds, names, files, lines, parents = node_columns
     rows = tuple(
         (entry.word, None if entry.pos is None else int(entry.pos), entry.total,
          *[entry.counts_by_kind[kind] for kind in KINDS])
         for entry in entries
     )
-    return marshal.dumps(
-        (vocabulary.project_name, vocabulary.file_count, kinds, names, files, lines, parents, rows)
-    )
+    return (vocabulary.project_name, vocabulary.file_count, *node_columns, rows, b"")
 
 
 def _checked_payload(nodes: list[SourceNode], vocabulary: ProjectVocabulary, entries: list[VocabularyEntry]):
@@ -406,9 +398,10 @@ def _checked_payload(nodes: list[SourceNode], vocabulary: ProjectVocabulary, ent
     """
     if not _good_metadata(vocabulary.project_name, vocabulary.file_count) or {*map(type, nodes)} - {SourceNode}:
         return None
-    node_columns = ids, kinds, names, files, lines, parents = _node_columns(nodes)
-    if {*map(type, ids)} - {int} or ids != tuple(range(len(ids))):
+    ids = [node.id for node in nodes]
+    if {*map(type, ids)} - {int} or ids != list(range(len(ids))):
         return None
+    node_columns = kinds, names, files, lines, parents = _node_columns(nodes)
     try:
         for position, kind, name, file_path, line, parent in zip(count(), kinds, names, files, lines, parents):
             _validate_node(kind, name, file_path, line, parent, nodes, position)
@@ -423,7 +416,7 @@ def _checked_payload(nodes: list[SourceNode], vocabulary: ProjectVocabulary, ent
     if len(set(words)) != len(words) or not text.isascii() and _SURROGATE_PAIR.search(text):
         return None
     try:
-        return _slot_payload(vocabulary, node_columns, entries)
+        return marshal.dumps(_head(vocabulary, node_columns, entries))
     except ValueError:  # a str or int subclass, which marshal cannot write
         return None
 
@@ -431,19 +424,18 @@ def _checked_payload(nodes: list[SourceNode], vocabulary: ProjectVocabulary, ent
 def _index_from_slot(payload: bytes) -> ProjectIndex | None:
     """The index a slot payload holds, or None for a bad shape.
 
-    The columns and rows are checked here and kept as _stored; the nodes
-    and entries are built from them on first access (ProjectIndex.__getattr__).
+    The tuple is checked here and kept as _stored; the nodes and entries
+    are built from it on first access (ProjectIndex.__getattr__), the
+    postings when locate reads them (ProjectIndex.postings).
     """
     try:
         stored = marshal.loads(payload)
     except (EOFError, ValueError, TypeError):
         return None
-    if not (isinstance(stored, tuple) and len(stored) == 8):
+    if not (isinstance(stored, tuple) and len(stored) == 9):
         return None
-    project_name, file_count, kinds, names, files, lines, parents, rows = stored
-    columns = (kinds, names, files, lines, parents)
-    if not (all(type(column) is tuple and len(column) == len(kinds) for column in columns)
-            and type(rows) is tuple):
+    rows, postings = stored[7:]
+    if not (_good_columns(stored[2:7]) and type(rows) is tuple and type(postings) is bytes):
         return None
     try:
         if not (all(type(row) is tuple and len(row) == _ROW_LENGTH and row[1] in _POS_OF_INT for row in rows)
@@ -452,16 +444,5 @@ def _index_from_slot(payload: bytes) -> ProjectIndex | None:
     except TypeError:  # an unhashable pos or word
         return None
     index = ProjectIndex.__new__(ProjectIndex)
-    index._stored = project_name, file_count, columns, rows
+    index._stored = stored
     return index
-
-
-def _tail_postings(tail) -> dict | None:
-    """The postings an index slot's tail holds (their sha256, then their marshalled dict), or None for none."""
-    data = tail[:]
-    if hashlib.sha256(data[32:]).digest() == data[:32]:
-        with contextlib.suppress(EOFError, ValueError, TypeError):
-            postings = marshal.loads(data[32:])
-            if type(postings) is dict:
-                return postings
-    return None

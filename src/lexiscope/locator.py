@@ -212,7 +212,9 @@ def _candidate_postings(nodes: list[SourceNode]) -> dict[str, tuple[int, ...]]:
 
     A scope is node_scope's tokens before lemmatizing: those of a class's
     name and its fields' names, or of a method's name and its parameters'
-    names, the children found by parent_id and kind.  Positions ascend.
+    names, the children found by parent_id and kind.  Positions ascend,
+    and tokens come in the order the scopes first hold them, so the table
+    (and the slot that stores it) is the same under any hash seed.
     """
     children: dict[tuple[int, str], list[str]] = {}
     for node in nodes:
@@ -224,12 +226,12 @@ def _candidate_postings(nodes: list[SourceNode]) -> dict[str, tuple[int, ...]]:
     for position, node in enumerate(nodes):
         if node.kind not in _KIND_RANK:
             continue
-        scope: set[str] = set()
+        scope: dict[str, None] = {}
         for name in [node.name, *children.get((node.id, _SCOPE_CHILD_KIND[node.kind]), ())]:
             tokens = name_tokens.get(name)
             if tokens is None:
                 tokens = name_tokens[name] = split_identifier(name)
-            scope.update(tokens)
+            scope.update(dict.fromkeys(tokens))
         for token in scope:
             postings.setdefault(token, []).append(position)
     return {token: tuple(positions) for token, positions in postings.items()}

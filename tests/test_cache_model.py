@@ -234,7 +234,7 @@ class CacheModel(RuleBasedStateMachine):
 
     @rule(pick=_picks, where=st.sampled_from(("anywhere", "stamp", "tail")), at=_picks, bit=st.integers(0, 7))
     def flip_a_slot_byte(self, pick, where, at, bit):
-        """Flip a bit anywhere in a slot, in its stamp, or in a tail: a dictionary shard or an index's postings."""
+        """Flip a bit anywhere in a slot, in its stamp, or in a tail: a dictionary shard, as only that slot has one."""
         slots = self._slot_files()
         if where == "tail":
             slots = [path for path in slots if _tail_span(path.read_bytes())] or slots

@@ -483,9 +483,13 @@ _LOCATE_PHRASES = [
 
 
 def _stored_postings(index):
-    """The postings the tail of the index file's slot holds, or None when it holds none."""
+    """The postings the head of the index file's slot holds, or None when it holds none (or no dict)."""
     opened = _open_slot(slot_path("index", index))
-    return None if opened is None else index_module._tail_postings(opened[2])
+    try:
+        postings = marshal.loads(marshal.loads(opened[1])[-1])
+    except (TypeError, EOFError, ValueError):  # no slot, or no postings
+        return None
+    return postings if type(postings) is dict else None
 
 
 def _slot_kinds(cache):
@@ -557,7 +561,7 @@ class TestLocatePostings:
         assert _slot_kinds(cache) == {"lexicon", "index", "scan"}
 
     @pytest.mark.parametrize("damage", ["flipped", "truncated", "not-a-dict"])
-    def test_bad_tail_is_built_again(self, tmp_path, monkeypatch, capsys, damage):
+    def test_bad_stored_postings_are_built_again(self, tmp_path, monkeypatch, capsys, damage):
         cache = tmp_path / "cache"
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
         index = tmp_path / "minicorpus.json"
@@ -574,19 +578,46 @@ class TestLocatePostings:
         content = slot.read_bytes()
         head_end = 72 + int.from_bytes(content[64:72], "little")
         stamp_start = len(content) - 8 - int.from_bytes(content[-8:], "little")
-        tail = content[head_end:stamp_start]
-        if damage == "flipped":  # "word" becomes "vord", which still unmarshals
-            at = tail.index(b"word", 32)
-            tail = tail[:at] + bytes([tail[at] ^ 1]) + tail[at + 1 :]
-        elif damage == "truncated":
-            tail = tail[: len(tail) // 2]
-        else:
-            data = marshal.dumps(sorted(stored.items()))
-            tail = hashlib.sha256(data).digest() + data
-        slot.write_bytes(content[:head_end] + tail + content[stamp_start:])
-        assert _open_slot(slot)[2][:] == tail and _stored_postings(index) is None
+        fields = marshal.loads(content[72:head_end])
+        if damage == "flipped":  # "word" becomes "vord" under the slot's old sha256, which no longer checks out
+            at = content.index(b"word", content.index(fields[-1]))
+            slot.write_bytes(content[:at] + bytes([content[at] ^ 1]) + content[at + 1 :])
+            assert _open_slot(slot) is None
+        else:  # a head that the slot's sha256 covers, with postings that do not unmarshal to a dict
+            data = fields[-1][: len(fields[-1]) // 2] if damage == "truncated" else marshal.dumps(sorted(stored.items()))
+            head = marshal.dumps((*fields[:-1], data))
+            rest = content[32:64] + len(head).to_bytes(8, "little") + head + content[stamp_start:]
+            slot.write_bytes(hashlib.sha256(rest).digest() + rest)
+            assert _open_slot(slot) is not None and _stored_postings(index) is None
         assert self._printed(capsys, index) == expected
         assert _stored_postings(index) == stored
+
+    def test_stored_postings_do_not_depend_on_the_hash_seed(self, tmp_path):
+        written = []
+        for seed in ("1", "2"):
+            cache = tmp_path / f"cache-{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed, XDG_CACHE_HOME=str(cache))
+            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            # The clock is fixed, so both runs take one path through the cache: no file settles, every read hashes.
+            script = (
+                "import sys, types; from lexiscope import _snapshot; from lexiscope.cli import main; "
+                "_snapshot.time = types.SimpleNamespace(time_ns=lambda: 10**18); "
+                "index, corpus, dictionary = sys.argv[1:]; "
+                "assert main(['analyze', corpus, '--dict', dictionary, '-o', index]) == 0; "
+                "assert main(['locate', index, 'find word form', '--dict', dictionary]) == 0"
+            )
+            index = tmp_path / "minicorpus.json"
+            index.unlink(missing_ok=True)
+            subprocess.run(
+                [sys.executable, "-c", script, str(index), str(MINICORPUS), str(MINIDICT)],
+                env=env, check=True, stdout=subprocess.DEVNULL,
+            )
+            [slot] = (cache / "lexiscope").glob("index-*.marshal")
+            data = slot.read_bytes()
+            assert marshal.loads(marshal.loads(_open_slot(slot)[1])[-1])  # postings are stored
+            # The slot without its sha256 and its stamp, which holds the file's inode.
+            written.append((slot.name, data[32 : len(data) - 8 - int.from_bytes(data[-8:], "little")]))
+        assert written[0] == written[1]
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import enum
 import errno
-import gc
 import hashlib
 import json
 import marshal
@@ -529,7 +528,8 @@ def _flipped(data: bytes, offset: int) -> bytes:
 
 
 def _with_rows(change):
-    return _reshaped(lambda stored: stored[:-1] + (change(stored[-1]),))
+    """The slot with its vocabulary rows, the head's eighth field, as change leaves them."""
+    return _reshaped(lambda stored: stored[:7] + (change(stored[7]),) + stored[8:])
 
 
 def _small_index():
@@ -633,7 +633,8 @@ class TestSlot(CacheRules):
             pytest.param(_reshaped(lambda stored: stored + ((),)), True, id="too-many-fields"),
             pytest.param(_reshaped(lambda stored: stored[:3] + (stored[3][:-1],) + stored[4:]), True, id="short-column"),
             pytest.param(_reshaped(lambda stored: stored[:2] + (list(stored[2]),) + stored[3:]), True, id="list-column"),
-            pytest.param(_reshaped(lambda stored: stored[:-1] + (list(stored[-1]),)), True, id="list-of-rows"),
+            pytest.param(_with_rows(list), True, id="list-of-rows"),
+            pytest.param(_reshaped(lambda stored: stored[:-1] + ({},)), True, id="postings-not-bytes"),
             pytest.param(_with_rows(lambda rows: (rows[0][:-1],) + rows[1:]), True, id="row-short-of-a-count"),
             pytest.param(_with_rows(lambda rows: (rows[0] + (0,),) + rows[1:]), True, id="row-with-a-fifth-count"),
             pytest.param(_with_rows(lambda rows: (rows[0][:1],) + rows[1:]), True, id="row-of-one-field"),
@@ -853,7 +854,8 @@ class TestSlot(CacheRules):
             assert dataclasses.replace(index) == cold
             # A copy has no slot: its postings are those of its own nodes, stored nowhere.
             assert trimmed.postings == _candidate_postings(cold.nodes[:1])
-        assert _open_slot(slot_path("index", golden))[2] == b""
+        _key, head, tail, _stamp = _open_slot(slot_path("index", golden))
+        assert tail == b"" and marshal.loads(head)[-1] == b""
 
     @pytest.mark.parametrize(
         "duplicate", [copy.copy, copy.deepcopy, lambda index: pickle.loads(pickle.dumps(index))],
@@ -861,15 +863,14 @@ class TestSlot(CacheRules):
     )
     def test_copy_of_a_warm_index_carries_only_its_fields(self, golden, slots, duplicate):
         cold = load_index(golden)
-        postings = cold.postings  # stored as the slot's tail
+        postings = cold.postings  # stored in the slot's head
         with _no_parse():
             warm = load_index(golden)
-        assert len(warm._slot[2])  # the load keeps the tail's file open
+        assert marshal.loads(warm._stored[-1]) == postings
         copied = duplicate(warm)
         assert type(copied) is ProjectIndex and copied == cold
         assert vars(copied) == {"nodes": cold.nodes, "vocabulary": cold.vocabulary}
-        del copied
-        gc.collect()  # a copied tail, collected, would close the file warm reads
+        assert copied._slot is None and copied._stored is None
         with mock.patch.object(index_module.locator, "_candidate_postings", side_effect=AssertionError("built")):
             assert warm.postings == postings
 
@@ -880,7 +881,7 @@ class TestSlot(CacheRules):
             load_index(path)
         built = mock.Mock(side_effect=AssertionError("built"))
         with _no_parse():
-            with mock.patch.object(index_module, "SourceNode", built):
+            with mock.patch.object(index_module, "_nodes_from_columns", built):
                 for argv in (["stats", str(golden)], ["topwords", str(golden)], ["domain", str(golden), str(other)]):
                     assert main(argv) == 0
             with mock.patch.object(index_module, "VocabularyEntry", built):

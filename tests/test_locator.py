@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import lexiscope.cli as cli_module
 import lexiscope.index as index_module
 import lexiscope.locator as locator
 from lexiscope._snapshot import _open_slot, content_key, slot_path
@@ -592,7 +591,7 @@ def test_postings_agree_with_per_candidate_reference_on_odd_nodes(lexicon, nodes
     query = ConceptQuery(tuple(keywords), relations=frozenset(relations), depth=depth)
     expected = _shown(_reference_locate(nodes, query, lexicon, limit))
     postings = locator._candidate_postings(nodes)
-    stored = marshal.loads(marshal.dumps(postings))  # as the index slot's tail stores them
+    stored = marshal.loads(marshal.dumps(postings))  # as the index slot's head stores them
     assert _shown(locate_concept(nodes, query, lexicon, limit)) == expected
     assert _shown(locate_concept(nodes, query, lexicon, limit, postings=postings)) == expected
     assert _shown(locate_concept(nodes, query, lexicon, limit, postings=stored)) == expected
@@ -614,21 +613,21 @@ def test_postings_of_odd_nodes(lexicon):
     }
 
 
-# --- the postings tail of the index slot ------------------------------------
+# --- the postings in the index slot's head ----------------------------------
 
 
 def _postings(path):
-    """The postings locate uses for the index file at path: those its slot's tail holds, or those built and stored."""
+    """The postings locate uses for the index file at path: those its slot's head holds, or those built and stored."""
     return index_module.load_index(path).postings
 
 
-def _tail(path):
-    """The tail of the index slot of the file at path, as bytes."""
-    return _open_slot(slot_path("index", path))[2][:]
+def _stored_field(path):
+    """The last field of the head of the index slot of the file at path: the postings marshalled, or b"" for none."""
+    return marshal.loads(_open_slot(slot_path("index", path))[1])[-1]
 
 
 class TestPostingsSlot(CacheRules):
-    """The postings live in the tail of the index file's own slot; the cache rules hold for it as a locate reads it."""
+    """The postings live in the head of the index file's own slot; the cache rules hold for it as a locate reads it."""
 
     kind, load, source = "index", staticmethod(_postings), FIXTURES / "minicorpus_index.json"
     edit = "", b'"name": "wheelCount"', b'"name": "wheelTotal"'
@@ -640,19 +639,19 @@ class TestPostingsSlot(CacheRules):
         [slot] = slots.iterdir()
         assert slot == slot_path("index", index)
         key, head, tail, _stamp = _open_slot(slot)
-        assert tail == b""  # a load writes no tail
+        assert tail == b"" and _stored_field(index) == b""  # a load stores no postings
         built = _postings(index)
         assert list(slots.iterdir()) == [slot]
-        # The tail is the postings' sha256, then the postings marshalled; key and head are the load's.
-        assert _open_slot(slot)[:2] == (key, head)
+        # The key is the load's, and so is the head but for its last field, the postings marshalled; no tail.
         assert key == content_key(index_module._SLOT_FORMAT, [hashlib.sha256(index.read_bytes()).digest()])
-        data = _tail(index)
-        assert data[:32] == hashlib.sha256(data[32:]).digest()
-        assert marshal.loads(data[32:]) == built == locator._candidate_postings(index_module.load_index(index).nodes)
+        new_key, new_head, new_tail, _stamp = _open_slot(slot)
+        assert (new_key, new_tail) == (key, b"") and marshal.loads(new_head)[:-1] == marshal.loads(head)[:-1]
+        nodes = index_module.load_index(index).nodes
+        assert marshal.loads(_stored_field(index)) == built == locator._candidate_postings(nodes)
         monkeypatch.setattr(locator, "_candidate_postings", _no_build)
         assert _postings(index) == built
 
-    def test_index_replaced_after_its_load_gets_no_tail(self, tmp_path, slots):
+    def test_index_replaced_after_its_load_gets_no_postings(self, tmp_path, slots):
         for first_load in ("parse", "slot"):
             index = tmp_path / f"{first_load}.json"
             replacement = tmp_path / "replacement.json"
@@ -664,14 +663,14 @@ class TestPostingsSlot(CacheRules):
             loaded = index_module.load_index(index)
             os.replace(replacement, index)
             assert loaded.postings == locator._candidate_postings(loaded.nodes)
-            assert _tail(index) == b""
+            assert _stored_field(index) == b""
             # The next load parses the replacement, and its postings are the ones stored.
             nodes = index_module.load_index(index).nodes
             assert _postings(index) == locator._candidate_postings(nodes) != loaded.postings
-            assert marshal.loads(_tail(index)[32:]) == locator._candidate_postings(nodes)
+            assert marshal.loads(_stored_field(index)) == locator._candidate_postings(nodes)
         assert sorted(slots.iterdir()) == sorted(slot_path("index", tmp_path / name) for name in ("parse.json", "slot.json"))
 
-    def test_indexes_loaded_for_their_vocabulary_keep_no_file_open(self, tmp_path, slots):
+    def test_warm_indexes_keep_no_file_open(self, tmp_path, slots, monkeypatch):
         fds = Path("/proc/self/fd")
         if not fds.is_dir():
             pytest.skip("no /proc/self/fd to count open files in")
@@ -679,13 +678,11 @@ class TestPostingsSlot(CacheRules):
         for index in indexes:
             shutil.copyfile(self.source, index)
             _postings(index)
-        assert all(len(_open_slot(slot_path("index", index))[2]) for index in indexes)
+        monkeypatch.setattr(locator, "_candidate_postings", _no_build)
         before = len(os.listdir(fds))
-        # As domain does, with the collector paused: only each index's vocabulary is kept.
-        with cli_module._collector_paused():
-            vocabularies = [index_module.load_index(index).vocabulary for index in indexes]
-            assert len(os.listdir(fds)) == before
-        assert len({vocabulary.project_name for vocabulary in vocabularies}) == 1
+        warm = [index_module.load_index(index) for index in indexes]
+        assert len({len(index.postings) for index in warm}) == 1
+        assert len(os.listdir(fds)) == before
 
 
 def _no_build(nodes):
