@@ -137,8 +137,8 @@ def _collector_paused():
     A command's data (nodes, the dictionary parse, the lexicon shards it
     reads) is long-lived and holds no reference cycles worth finding, so
     collections during a command walk ever more objects and free nothing:
-    a cold dictionary parse builds over a million, and an ``analyze``
-    unmarshals every entry shard while it classifies.
+    a cold dictionary parse builds over a million, and a warm ``analyze``
+    unmarshals the dictionary's class table while it classifies.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -29,6 +29,7 @@ import stat
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
+from operator import attrgetter
 from json.encoder import encode_basestring_ascii as _encode
 from pathlib import Path
 
@@ -45,6 +46,7 @@ FORMAT_VERSION = 1
 
 # The exact pos names save_index writes; no other spelling loads.
 _POS_NAMES = {str(tag): tag for tag in PosTag}
+_POS_JSON = {tag: _encode(name) for name, tag in _POS_NAMES.items()}
 _KIND_SET = frozenset(KINDS)
 
 # json.loads reads an escaped high surrogate and the escaped low surrogate
@@ -108,7 +110,8 @@ class ProjectIndex:
 
 
 # The layout json.dumps(document, indent=2) gives one node and one
-# vocabulary entry; save_index fills it in without the pure-Python encoder.
+# vocabulary entry; save_index fills in each list's layout, repeated, with
+# one % instead of the pure-Python encoder.
 _NODE_LAYOUT = (
     '\n    {\n      "id": %d,\n      "kind": %s,\n      "name": %s,\n      "file": %s,'
     '\n      "line": %d,\n      "parent": %s\n    }'
@@ -124,8 +127,18 @@ _DOCUMENT_LAYOUT = (
 )
 
 
-def _json_list(items: list[str]) -> str:
-    return "[" + ",".join(items) + "\n  ]" if items else "[]"
+_NODE_FIELDS = attrgetter("id", "kind", "name", "file_path", "line", "parent_id")
+_ENTRY_FIELDS = attrgetter("word", "recognized", "pos", "total", "counts_by_kind")
+
+
+def _json_list(layout: str, count: int, columns: list) -> str:
+    """The JSON list of count items in layout, item n's values each column's n-th, in one %."""
+    if not count:
+        return "[]"
+    values = [None] * (len(columns) * count)
+    for position, column in enumerate(columns):
+        values[position :: len(columns)] = column
+    return "[" + ",".join([layout] * count) % tuple(values) + "\n  ]"
 
 
 def save_index(index: ProjectIndex, path: str | Path) -> None:
@@ -152,31 +165,34 @@ def save_index(index: ProjectIndex, path: str | Path) -> None:
 
 
 def _document(nodes: list[SourceNode], vocabulary: ProjectVocabulary, entries: list[VocabularyEntry]) -> str:
-    """The index document, entries in the given order."""
+    """The index document, entries in the given order.
+
+    Each distinct kind and file path is encoded once.  A value that is not
+    of its field's type renders as the per-item % it replaces rendered it.
+    """
+    # A SourceNode's fields are its items; any other node is read by attribute.
+    fields = nodes if {*map(type, nodes)} <= {SourceNode} else map(_NODE_FIELDS, nodes)
+    ids, kinds, names, files, lines, parents = zip(*fields) if nodes else ((),) * 6
+    encoded = {text: _encode(text) for text in {*kinds, *files}}
+    words, recognized, poses, totals, counts = zip(*map(_ENTRY_FIELDS, entries)) if entries else ((),) * 5
     return _DOCUMENT_LAYOUT % (
         FORMAT_VERSION,
         _encode(vocabulary.project_name),
         vocabulary.file_count,
-        _json_list([
-            _NODE_LAYOUT % (
-                node.id,
-                _encode(node.kind),
-                _encode(node.name),
-                _encode(node.file_path),
-                node.line,
-                "null" if node.parent_id is None else "%d" % node.parent_id,
-            )
-            for node in nodes
+        _json_list(_NODE_LAYOUT, len(nodes), [
+            ids,
+            map(encoded.__getitem__, kinds),
+            map(_encode, names),
+            map(encoded.__getitem__, files),
+            lines,
+            ["null" if parent is None else parent if type(parent) is int else "%d" % parent for parent in parents],
         ]),
-        _json_list([
-            _ENTRY_LAYOUT % (
-                _encode(entry.word),
-                "true" if entry.recognized else "false",
-                "null" if entry.pos is None else _encode(str(entry.pos)),
-                entry.total,
-                *[entry.counts_by_kind.get(kind, 0) for kind in KINDS],
-            )
-            for entry in entries
+        _json_list(_ENTRY_LAYOUT, len(entries), [
+            map(_encode, words),
+            ["true" if flag else "false" for flag in recognized],
+            [_POS_JSON[pos] if type(pos) is PosTag else "null" if pos is None else _encode(str(pos)) for pos in poses],
+            totals,
+            *[[by_kind.get(kind, 0) for by_kind in counts] for kind in KINDS],
         ]),
     )
 

@@ -17,6 +17,8 @@ import threading
 from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 
@@ -178,7 +180,9 @@ class Lexicon:
     snapshot, each reads a shard of its table from the snapshot's file, checks
     it against its sha256 and unmarshals it the first time a key in that
     shard is looked up, so a command reads only the part of the dictionary
-    it asks for.  A shard that fails its check makes the lexicon parse the
+    it asks for.  Classification reads no shard: the first one reads the
+    snapshot's class table whole, checked the same way (see _classes).  A
+    shard or table that fails its check makes the lexicon parse the
     dictionary and answer every later lookup from that parse, which holds
     the same content; a lookup raises LexiconError instead when a dictionary
     file changed since the load.  Nothing modifies a lexicon's content
@@ -191,8 +195,27 @@ class Lexicon:
     synsets: Mapping[SynsetKey, tuple[tuple[str, ...], tuple[SynsetKey, ...], tuple[SynsetKey, ...]]]
     exceptions: dict[int, dict[str, tuple[str, ...]]]
 
+    # The class table of entries (see _class_table) that load_lexicon's parse
+    # built for its snapshot; not a field.
+    _table = None
+
     def __len__(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def _classes(self) -> tuple[dict[str, int], tuple[int | None, ...]]:
+        """The class table as _classify_all reads it: each lemma to the position before its counts, and the counts.
+
+        A lemma's tag count under pos is counts[position + pos].  The table
+        is the snapshot's, read whole on the first call, or the one the
+        parse built, or else one built here from entries.
+        """
+        entries = self.entries
+        if type(entries) is _ShardedTable:
+            lemmas, counts = entries._shards.load(_TABLE)
+        else:
+            lemmas, counts = self._table or _class_table(entries)
+        return dict(zip(lemmas, range(-1, 4 * len(lemmas), 4))), counts
 
 
 def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
@@ -208,8 +231,9 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     A parse writes a snapshot of its tables to the directory's cache slot
     (see _snapshot), keyed by the content of every dictionary file and
     stamped with each file's stat signature; later loads of the same
-    content read its header, then a shard at a time as lookups reach it,
-    and hash no dictionary file while the stamp holds.  A snapshot that is
+    content read its header, then a shard at a time as lookups reach it
+    and the class table whole when they classify, and hash no dictionary
+    file while the stamp holds.  A snapshot that is
     missing, damaged, of other content or cannot be written only means a
     parse, so every error above comes from the parse, and so does one
     found damaged by a lookup (see Lexicon).
@@ -226,15 +250,18 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     if tables is not None:
         return Lexicon(*tables)
     tables = _parse_lexicon(root)
-    if slot is not None:
-        header, shards = _snapshot_payload(tables)
-        slot.write([header], tail=shards)
     entries, synsets, exceptions = tables
-    return Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
+    lexicon = Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
+    if slot is not None:
+        table = _class_table(entries)
+        header, pieces = _snapshot_payload(tables, table)
+        slot.write([header], tail=pieces)
+        object.__setattr__(lexicon, "_table", table)
+    return lexicon
 
 
-def _parse_again(root: Path, slot: Slot) -> list[dict]:
-    """The shards of a parse of the dictionary under root, for a snapshot a lookup found damaged; writes it again.
+def _parse_again(root: Path, slot: Slot) -> list:
+    """The tail's pieces of a parse of the dictionary under root, for a snapshot a lookup found damaged; writes it again.
 
     The parse stands in for the snapshot the load read, so it must read
     the files the load's key was taken of: a file whose stat is not what
@@ -246,9 +273,10 @@ def _parse_again(root: Path, slot: Slot) -> list[dict]:
         changed = slot.changed()
     if changed is not None:
         raise LexiconError(f"{changed} changed since the dictionary was loaded")
-    header, shards = _snapshot_payload(tables)
-    slot.write([header], tail=shards)
-    return list(_sharded(tables)[1])
+    table = _class_table(tables[0])
+    header, pieces = _snapshot_payload(tables, table)
+    slot.write([header], tail=pieces)
+    return [*_sharded(tables)[1], table]
 
 
 def _parse_lexicon(root: Path):
@@ -408,10 +436,12 @@ def _strip_marker(word: str) -> str:
 
 # Bump when the parse, the shape of its tables or the snapshot layout
 # changes, so that no snapshot of an older format is read.
-_SNAPSHOT_FORMAT = b"lexiscope-lexicon-6"
+_SNAPSHOT_FORMAT = b"lexiscope-lexicon-7"
 
-# Shards per table.
+# Shards per table.  The tail holds the entry shards, the synset shards and
+# then the class table, which is piece number _TABLE.
 _SHARDS = 1024
+_TABLE = 2 * _SHARDS
 
 # Every file a load reads, in a fixed order; an optional file that is
 # absent hashes as _snapshot.ABSENT in place of its digest.
@@ -423,14 +453,14 @@ _DICT_FILES = tuple(
 
 
 class _Shards:
-    """The shards of a snapshot's tail, each read and checked against its sha256 when it is asked for.
+    """The pieces of a snapshot's tail, each read and checked against its sha256 when it is asked for.
 
-    Shard i is the tail's bytes ``bounds[i]`` to ``bounds[i + 1]``, and its
-    sha256 is ``digests[32 * i : 32 * i + 32]``; an empty range is an empty
-    shard.  A shard that fails its check was damaged after the load checked
-    the slot's own sha256: from then on every shard comes from reparse, a
-    parse of the dictionary, which the first thread to find damage runs and
-    the others wait for.
+    Piece i, a shard or the class table, is the tail's bytes ``bounds[i]``
+    to ``bounds[i + 1]``, and its sha256 is ``digests[32 * i : 32 * i +
+    32]``; an empty range is an empty shard.  A piece that fails its check
+    was damaged after the load checked the slot's own sha256: from then on
+    every piece comes from reparse, a parse of the dictionary, which the
+    first thread to find damage runs and the others wait for.
     """
 
     __slots__ = ("_tail", "_bounds", "_digests", "_reparse", "_parsed", "_lock")
@@ -440,10 +470,10 @@ class _Shards:
         self._bounds = bounds
         self._digests = digests
         self._reparse = reparse
-        self._parsed: list[dict] | None = None
+        self._parsed: list | None = None
         self._lock = threading.Lock()
 
-    def load(self, number: int) -> dict:
+    def load(self, number: int):
         if self._parsed is None:
             start, end = self._bounds[number], self._bounds[number + 1]
             if start == end:
@@ -533,16 +563,33 @@ def _sharded(tables):
     return starts, shards
 
 
-def _snapshot_payload(tables) -> tuple[bytes, list[bytes]]:
-    """The snapshot of (entries, synsets, exceptions): its head, the marshalled header, and its tail, the shards.
+def _class_table(entries) -> tuple[tuple[str, ...], tuple[int | None, ...]]:
+    """The class table of the entries: (each lemma in key order, a counts column).
+
+    The column holds each lemma's tag count under each part of speech in
+    PosTag order, None where it lacks that part of speech, four to a lemma.
+    Flat columns unmarshal about three times faster than a tuple or a dict
+    per lemma.
+    """
+    lemmas = tuple(sorted(entries))
+    counts = tuple(
+        None if found is None else found[0]
+        for entry in map(entries.__getitem__, lemmas)
+        for found in map(entry.get, _POS_ORDER)
+    )
+    return lemmas, counts
+
+
+def _snapshot_payload(tables, table) -> tuple[bytes, list[bytes]]:
+    """The snapshot of (entries, synsets, exceptions): its head, the marshalled header, and its tail's pieces.
 
     The header is ``(entry count, synset count, exceptions, entry starts,
-    synset starts, bounds, digests)``; the shards are _sharded's, each
-    marshalled on its own, and go back to back.  ``bounds`` holds 2 *
-    _SHARDS + 1 offsets into the shard bytes, and an empty shard has no
-    bytes; ``digests`` is the sha256s of the shards' bytes, back to back.
-    A dictionary's payload depends on its content alone, not on the
-    process or the order of its files' lines.
+    synset starts, bounds, digests)``; the pieces are _sharded's shards,
+    then table, the entries' _class_table, each marshalled on its own, and
+    go back to back.  ``bounds`` holds 2 * _SHARDS + 2 offsets into the
+    tail, and an empty shard has no bytes; ``digests`` is the sha256s of
+    the pieces' bytes, back to back.  A dictionary's payload depends on its
+    content alone, not on the process or the order of its files' lines.
 
     Key ranges rather than a hash: the parse makes its objects in file
     order, which is near key order, so a dump in key order reads memory
@@ -550,15 +597,15 @@ def _snapshot_payload(tables) -> tuple[bytes, list[bytes]]:
     """
     entries, synsets, exceptions = tables
     starts, dicts = _sharded(tables)
-    shards: list[bytes] = []
+    pieces: list[bytes] = []
     bounds = [0]
     digests = []
-    for shard in dicts:
-        shards.append(marshal.dumps(shard) if shard else b"")
-        bounds.append(bounds[-1] + len(shards[-1]))
-        digests.append(hashlib.sha256(shards[-1]).digest())
+    for piece in chain(dicts, [table]):
+        pieces.append(marshal.dumps(piece) if piece else b"")
+        bounds.append(bounds[-1] + len(pieces[-1]))
+        digests.append(hashlib.sha256(pieces[-1]).digest())
     header = marshal.dumps((len(entries), len(synsets), exceptions, *starts, tuple(bounds), b"".join(digests)))
-    return header, shards
+    return header, pieces
 
 
 def _in_order(values) -> bool:
@@ -572,12 +619,12 @@ def _open_payload(head: bytes, tail, reparse):
     """The (entries, synsets, exceptions) of a snapshot's head and tail, or None for a bad one.
 
     Only the header is unmarshalled here; tail is read as lookups reach
-    its shards (see _Shards, which calls reparse for a damaged one).  A
+    its pieces (see _Shards, which calls reparse for a damaged one).  A
     header that does not unmarshal or is of another shape, offsets that do
-    not run in order from 0 to the end of the tail, digests of the wrong
-    length, starts out of order or of the wrong number, or a count that is
-    negative or is zero where its shards hold bytes (or the reverse), gives
-    None.
+    not run in order from 0 to the end of the tail, an empty class table,
+    digests of the wrong length, starts out of order or of the wrong
+    number, or a count that is negative or is zero where its shards hold
+    bytes (or the reverse), gives None.
     """
     try:
         header = marshal.loads(head)
@@ -588,20 +635,20 @@ def _open_payload(head: bytes, tail, reparse):
     entry_count, synset_count, exceptions, entry_starts, synset_starts, bounds, digests = header
     if not (
         isinstance(bounds, tuple)
-        and len(bounds) == 2 * _SHARDS + 1
+        and len(bounds) == _TABLE + 2
         and all(type(bound) is int for bound in bounds)
         and bounds[0] == 0
-        and bounds[-1] == len(tail)
+        and bounds[_TABLE] < bounds[-1] == len(tail)
         and _in_order(bounds)
         and type(digests) is bytes
-        and len(digests) == 64 * _SHARDS
+        and len(digests) == 32 * (_TABLE + 1)
         and isinstance(exceptions, dict)
     ):
         return None
     tables = []
     for count, starts, low, high in (
         (entry_count, entry_starts, bounds[0], bounds[_SHARDS]),
-        (synset_count, synset_starts, bounds[_SHARDS], bounds[-1]),
+        (synset_count, synset_starts, bounds[_SHARDS], bounds[_TABLE]),
     ):
         if not (
             type(count) is int and count >= 0
@@ -713,30 +760,16 @@ def classify(lexicon: Lexicon, word: str) -> tuple[str, PosTag] | None:
     return _classify_all(lexicon, (word,))[word]
 
 
-class _Entries(dict):
-    """lexicon.entries.get for one batch: each lemma is looked up once, then read from this dict."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Mapping):
-        super().__init__()
-        self.entries = entries
-
-    def __missing__(self, lemma: str):
-        entry = self[lemma] = self.entries.get(lemma)
-        return entry
-
-
 def _classify_all(lexicon: Lexicon, words) -> dict[str, tuple[str, PosTag] | None]:
     """classify of each of the words, as a dict from each word to its reading.
 
     The candidates are lemmatize's, in its order, taken as they come: a
     part of speech keeps its first candidate of the highest tag count, so
     a repeated candidate can never replace it, and no candidate list or
-    seen-set is needed.  Each candidate lemma is looked up once per call,
-    however many words reach it.
+    seen-set is needed.  Each candidate is looked up in the lexicon's class
+    table (Lexicon._classes), which holds every lemma's tag counts.
     """
-    entries = _Entries(lexicon.entries)
+    rows, counts = lexicon._classes
     exceptions = _exception_tables(lexicon)
     readings: dict[str, tuple[str, PosTag] | None] = {}
     for word in words:
@@ -744,15 +777,18 @@ def _classify_all(lexicon: Lexicon, words) -> dict[str, tuple[str, PosTag] | Non
         # pos -> (tag count, lemma) of its best candidate so far; an exact
         # match is the first candidate of each of its parts of speech.
         best = {}
-        entry = entries[token]
-        if entry is not None:
-            for pos, found in entry.items():
-                best[pos] = (found[0], token)
+        row = rows.get(token)
+        if row is not None:
+            for pos in _POS_ORDER:
+                found = counts[row + pos]
+                if found is not None:
+                    best[pos] = (found, token)
         for lemma, pos in _inflections(token, exceptions):
-            entry = entries[lemma]
-            found = None if entry is None else entry.get(pos)
-            if found is not None and (pos not in best or found[0] > best[pos][0]):
-                best[pos] = (found[0], lemma)
+            row = rows.get(lemma)
+            if row is not None:
+                found = counts[row + pos]
+                if found is not None and (pos not in best or found > best[pos][0]):
+                    best[pos] = (found, lemma)
         reading = None
         top = -1
         for pos in _POS_ORDER:  # ties go to the lower tag

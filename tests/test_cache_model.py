@@ -3,15 +3,17 @@
 A Hypothesis state machine acts on one small Java tree, one drawn
 dictionary and one cache.  It edits, adds, removes and renames source
 files, rewrites a file at the same size under its old mtime, replaces an
-index by rename, edits the dictionary, damages, truncates and deletes
-slots, and moves the clock on.  Between those steps it runs commands
-through main([...]), each twice: first with no cache (XDG_CACHE_HOME and
-HOME relative), then with the cache.  Both runs must give the same exit
-code, stdout and index bytes.
+index by rename, edits the dictionary, damages (the dictionary's class
+table among the rest), truncates and deletes slots, and moves the clock
+on.  Between those steps it runs commands through main([...]), each
+twice: first with no cache (XDG_CACHE_HOME and HOME relative), then with
+the cache.  Both runs must give the same exit code, stdout and index
+bytes.
 """
 
 import contextlib
 import io
+import marshal
 import os
 import shutil
 import tempfile
@@ -87,6 +89,19 @@ def _tail_span(content):
     start = 72 + int.from_bytes(content[64:72], "little")
     end = len(content) - 8 - int.from_bytes(content[-8:], "little")
     return (start, end) if start < end else None
+
+
+def _class_table_span(content):
+    """(start, end) of the class table, the last piece of a dictionary slot's tail, or None when there is none."""
+    tail = _tail_span(content)
+    if tail is None:
+        return None
+    try:
+        bounds = marshal.loads(content[72 : tail[0]])[5]
+        start, end = tail[0] + bounds[-2], tail[0] + bounds[-1]
+    except (EOFError, ValueError, TypeError, IndexError, KeyError):
+        return None
+    return (start, end) if tail[0] <= start < end <= tail[1] else None
 
 
 class _Clock:
@@ -250,6 +265,18 @@ class CacheModel(RuleBasedStateMachine):
             start = stamp
         elif where == "tail" and _tail_span(content):
             start, end = _tail_span(content)
+        content[start + at % (end - start)] ^= 1 << bit
+        with open(path, "r+b") as handle:
+            handle.write(content)
+
+    @rule(pick=_picks, at=_picks, bit=st.integers(0, 7))
+    def flip_a_class_table_byte(self, pick, at, bit):
+        """Flip a bit inside a dictionary slot's class table, which only a classification reads."""
+        spans = [(path, span) for path in self._slot_files() if (span := _class_table_span(path.read_bytes()))]
+        if not spans:
+            return
+        path, (start, end) = _picked(spans, pick)
+        content = bytearray(path.read_bytes())
         content[start + at % (end - start)] ^= 1 << bit
         with open(path, "r+b") as handle:
             handle.write(content)

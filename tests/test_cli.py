@@ -134,11 +134,40 @@ class TestAnalyze:
             return load(table, index)
 
         monkeypatch.setattr(lexicon_module._ShardedTable, "_load", recording)
+        # It classifies from the class table it built for the snapshot.
+        tables = []
+        class_table = lexicon_module._class_table
+        monkeypatch.setattr(lexicon_module, "_class_table", lambda entries: tables.append(entries) or class_table(entries))
         out = tmp_path / "o.json"
         assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_INDEX.read_bytes()
         assert loads == []
+        assert len(tables) == 1
         assert sorted(p.name.split("-")[0] for p in (cache / "lexiscope").iterdir()) == ["index", "lexicon", "scan"]
+
+    def test_warm_analyze_classifies_from_the_class_table(self, tmp_path, monkeypatch):
+        # A warm load classifies from the snapshot's class table, read whole,
+        # and reads no lemma or synset shard.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        load_lexicon(MINIDICT)
+        loads, pieces = [], []
+        load, load_piece = lexicon_module._ShardedTable._load, lexicon_module._Shards.load
+
+        def recording(table, index):
+            loads.append(index)
+            return load(table, index)
+
+        def recording_piece(shards, number):
+            pieces.append(number)
+            return load_piece(shards, number)
+
+        monkeypatch.setattr(lexicon_module._ShardedTable, "_load", recording)
+        monkeypatch.setattr(lexicon_module._Shards, "load", recording_piece)
+        out = tmp_path / "o.json"
+        assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_INDEX.read_bytes()
+        assert loads == []
+        assert pieces == [lexicon_module._TABLE]
 
     def test_bad_dictionary_exits_3(self, tmp_path):
         rc = main(["analyze", str(MINICORPUS), "--dict", str(tmp_path),
@@ -730,15 +759,15 @@ class TestCollector:
 
     @pytest.mark.parametrize("dictionary_command", DICTIONARY_COMMANDS, indirect=True)
     def test_shards_load_with_the_collector_paused(self, dictionary_command, monkeypatch):
-        load_lexicon(MINIDICT)  # the command then reads the snapshot, a shard at a time
+        load_lexicon(MINIDICT)  # the command then reads the snapshot, a shard or the class table at a time
         states = []
-        load = lexicon_module._ShardedTable._load
+        load = lexicon_module._Shards.load
 
-        def recording(table, index):
+        def recording(shards, number):
             states.append(gc.isenabled())
-            return load(table, index)
+            return load(shards, number)
 
-        monkeypatch.setattr(lexicon_module._ShardedTable, "_load", recording)
+        monkeypatch.setattr(lexicon_module._Shards, "load", recording)
         assert main(dictionary_command) == 0
         assert states and not any(states)
         assert gc.isenabled()

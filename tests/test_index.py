@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lexiscope.index as index_module
@@ -377,13 +377,61 @@ def _indexes(draw):
     return ProjectIndex(nodes, vocabulary)
 
 
+class _RenamedNode(SourceNode):
+    """A node whose name, which save_index writes, is not the name it holds."""
+
+    name = property(lambda self: "Other")
+
+
+def _index_of(nodes, entries, project_name="p"):
+    return ProjectIndex(nodes, ProjectVocabulary(project_name, 2, {entry.word: entry for entry in entries}))
+
+
+# Quotes, a backslash, control characters, a line separator, non-ASCII and
+# astral characters and a lone surrogate: each is escaped.
+_AWKWARD = 'q"\\/\n\t\x00\x7f\u2028é日\U0001f600\ud800'
+
+# The writer fills each list's layout with one %: the cases it renders apart.
+_DOCUMENTS = {
+    "empty-lists": _index_of([], []),
+    "parent-null": _index_of(
+        [
+            SourceNode(0, "class", "Car", "Car.java", 1, None),
+            SourceNode(1, "method", "drive", "Car.java", 2, 0),
+            SourceNode(2, "parameter", "speed", "Car.java", 2, 1),
+            SourceNode(3, "class", "Bus", "Bus.java", 1, None),
+            SourceNode(4, "field", "wheels", "Bus.java", 2, 3),
+        ],
+        [VocabularyEntry("car", True, PosTag.NOUN, 1, {"class": 1, "method": 0, "parameter": 0, "field": 0})],
+    ),
+    "escaped-and-non-ascii": _index_of(
+        [SourceNode(0, "class", "Café", f"{_AWKWARD}/日本.java", 1, None)],
+        [VocabularyEntry(_AWKWARD, True, PosTag.VERB, 3, {"class": 1, "method": 2, "parameter": 0, "field": 0})],
+        project_name=_AWKWARD,
+    ),
+    "node-read-by-attribute": _index_of([_RenamedNode(0, "class", "Car", "Car.java", 1, None)], []),
+    "entry-without-pos": _index_of(
+        [],
+        [
+            VocabularyEntry("zork", False, None, 1, {"class": 0, "method": 0, "parameter": 0, "field": 1}),
+            VocabularyEntry("fast", True, PosTag.ADJECTIVE, 4, {"class": 0, "method": 4, "parameter": 0, "field": 0}),
+            VocabularyEntry("soon", True, PosTag.ADVERB, 1, {"class": 1}),  # a missing count writes 0
+        ],
+    ),
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(_indexes())
+@example(index=_DOCUMENTS["empty-lists"])
+@example(index=_DOCUMENTS["parent-null"])
+@example(index=_DOCUMENTS["escaped-and-non-ascii"])
+@example(index=_DOCUMENTS["node-read-by-attribute"])
+@example(index=_DOCUMENTS["entry-without-pos"])
 def test_save_writes_the_json_encoders_bytes(tmp_path_factory, index):
     path = tmp_path_factory.getbasetemp() / "writer.json"
     save_index(index, path)
     assert path.read_bytes() == _reference_bytes(index)
-
 
 
 # --- the index slot --------------------------------------------------------
@@ -551,12 +599,6 @@ class _OtherPos(enum.IntEnum):
 
     def __str__(self):
         return "noun"
-
-
-class _RenamedNode(SourceNode):
-    """A node whose name, which save_index writes, is not the name it holds."""
-
-    name = property(lambda self: "Other")
 
 
 def _node_change(**fields):

@@ -27,6 +27,7 @@ from lexiscope.lexicon import (
     RELATIONS,
     SELF,
     SYNONYM,
+    Lexicon,
     LexiconError,
     MalformedLineError,
     MissingFileError,
@@ -279,6 +280,26 @@ def _damage_entry_shard(path, word, root=MINIDICT):
     return damaged
 
 
+def _damage_class_table(path, root=MINIDICT):
+    """Flip a byte of the class table, the last piece of the slot at path's tail; the damaged slot's bytes."""
+    data = path.read_bytes()
+    header, tail = _split(data)
+    low, high = header[_BOUNDS][-2:]
+    assert "car" in marshal.loads(tail[low:high])[0]
+    damaged = _flipped(data, len(data) - len(tail) + (low + high) // 2, 0x20)
+    path.write_bytes(damaged)
+    assert _open_slot(path)[0] == _key(root)  # the slot itself still checks out
+    return damaged
+
+
+# The two kinds of tail piece: a lemma shard, which a lookup of "car"
+# reaches, and the class table, which a classification reaches.
+_DAMAGED_PIECES = (
+    ("shard", lambda path, root: _damage_entry_shard(path, "car", root), lambda lexicon: lexicon.entries.get("car")),
+    ("table", _damage_class_table, lambda lexicon: classify(lexicon, "cars")),
+)
+
+
 def _with_field(data, field, change):
     """data with one header field replaced by change(its value), the digest made valid."""
     header = list(_split(data)[0])
@@ -325,9 +346,16 @@ class TestSnapshot(CacheRules):
         assert data[32:64] == _key()
         assert (entry_count, synset_count) == (len(parsed[0]), len(parsed[1]))
         assert exceptions == parsed[2]
-        assert len(bounds) == 2 * _SHARDS + 1 and bounds[0] == 0 and bounds[-1] == len(shards) - stamp_length
+        # 2 * _SHARDS shards, then the class table: one more bound and sha256.
+        assert len(bounds) == 2 * _SHARDS + 2 and bounds[0] == 0 and bounds[-1] == len(shards) - stamp_length
         assert digests == b"".join(
             hashlib.sha256(shards[low:high]).digest() for low, high in zip(bounds, bounds[1:])
+        )
+        # The class table: every lemma in key order, then its tag count per pos in PosTag order, four a lemma.
+        lemmas = sorted(parsed[0])
+        assert marshal.loads(shards[bounds[-2] : bounds[-1]]) == (
+            tuple(lemmas),
+            tuple(parsed[0][lemma][pos][0] if pos in parsed[0][lemma] else None for lemma in lemmas for pos in PosTag),
         )
         source, _time_ns, signatures, digests = stamp
         files = [MINIDICT / name for name in lexicon_module._DICT_FILES]
@@ -385,6 +413,10 @@ class TestSnapshot(CacheRules):
                 id="offsets-out-of-order",
             ),
             pytest.param(lambda data: _with_field(data, _BOUNDS, lambda bounds: bounds[:-1]), id="offset-table-short"),
+            pytest.param(  # the last synset shard runs on over the class table's bytes
+                lambda data: _with_field(data, _BOUNDS, lambda bounds: bounds[:-2] + bounds[-1:] * 2),
+                id="empty-class-table",
+            ),
             pytest.param(
                 lambda data: _with_field(data, _ENTRY_STARTS, lambda starts: starts[::-1]), id="starts-out-of-order"
             ),
@@ -393,8 +425,8 @@ class TestSnapshot(CacheRules):
                 lambda data: _with_field(data, _SYNSET_STARTS, lambda starts: starts[:-1] + ("car",)),
                 id="starts-of-two-types",
             ),
-            pytest.param(  # a byte of the last shard, before the stamp; the digest left as it was
-                lambda data: _flipped(data, len(data) - _stamp(data)[1] - 3, 0x20),
+            pytest.param(  # a byte of the last shard, before the class table; the digest left as it was
+                lambda data: _flipped(data, len(data) - len(_split(data)[1]) + _split(data)[0][_BOUNDS][-2] - 3, 0x20),
                 id="damaged-shard",
             ),
             pytest.param(lambda data: _with_field(data, _ENTRY_COUNT, lambda _: 0), id="zero-count-over-shards"),
@@ -412,7 +444,9 @@ class TestSnapshot(CacheRules):
         load_lexicon(MINIDICT)
         [path] = slots.iterdir()
         path.write_bytes(damage(path.read_bytes()))
-        assert _tables(load_lexicon(MINIDICT)) == parsed
+        lexicon = load_lexicon(MINIDICT)
+        assert classify(lexicon, "cars") == ("car", PosTag.NOUN)
+        assert _tables(lexicon) == parsed
         assert _stored(path) == parsed
         assert list(slots.iterdir()) == [path]
 
@@ -433,51 +467,56 @@ class TestSnapshot(CacheRules):
 
     def test_reaching_a_damaged_shard_answers_from_one_parse(self, slots, monkeypatch):
         parsed = _parse_lexicon(MINIDICT)
-        load_lexicon(MINIDICT)
-        [path] = slots.iterdir()
-        _damage_entry_shard(path, "car")
-        lexicon = load_lexicon(MINIDICT)
-        assert lexicon.entries["vehicle"] == parsed[0]["vehicle"]  # read from the slot
-        parses = []
         parse = lexicon_module._parse_lexicon
-        monkeypatch.setattr(lexicon_module, "_parse_lexicon", lambda root: parses.append(root) or parse(root))
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            found = list(pool.map(lambda _: lexicon.entries["car"], range(8)))
-        assert found == [parsed[0]["car"]] * 8
-        assert _tables(lexicon) == parsed
-        assert classify(lexicon, "cars") == ("car", PosTag.NOUN)
-        assert parses == [MINIDICT]
-        # The slot is written again, every shard of it good.
-        assert _stored(path) == parsed
-        assert list(slots.iterdir()) == [path]
-        monkeypatch.setattr(lexicon_module, "_parse_lexicon", _no_parse)
-        assert _tables(load_lexicon(MINIDICT)) == parsed
+        for piece, damage, reach in _DAMAGED_PIECES:
+            load_lexicon(MINIDICT)
+            [path] = slots.iterdir()
+            damage(path, MINIDICT)
+            lexicon = load_lexicon(MINIDICT)
+            assert lexicon.entries["vehicle"] == parsed[0]["vehicle"], piece  # read from the slot
+            parses = []
+            with monkeypatch.context() as patch:
+                patch.setattr(lexicon_module, "_parse_lexicon", lambda root: parses.append(root) or parse(root))
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    found = list(pool.map(lambda _: reach(lexicon), range(8)))
+                assert found == [reach(Lexicon(*parsed))] * 8, piece
+                assert _tables(lexicon) == parsed
+                assert classify(lexicon, "cars") == ("car", PosTag.NOUN)
+                assert parses == [MINIDICT], piece
+            # The slot is written again, every piece of it good.
+            assert _stored(path) == parsed
+            assert classify(Lexicon(*_stored(path)), "cars") == ("car", PosTag.NOUN)
+            assert list(slots.iterdir()) == [path]
+            with monkeypatch.context() as patch:
+                patch.setattr(lexicon_module, "_parse_lexicon", _no_parse)
+                assert _tables(load_lexicon(MINIDICT)) == parsed
 
     @pytest.mark.parametrize("when", ["before the parse", "during the parse"])
     def test_dictionary_edited_since_the_load_is_an_error_at_a_damaged_shard(self, tmp_path, slots, monkeypatch, when):
-        root = tmp_path / "dict"
-        shutil.copytree(MINIDICT, root)
-        load_lexicon(root)
-        [path] = slots.iterdir()
-        damaged = _damage_entry_shard(path, "car", root)
-        lexicon = load_lexicon(root)
-        assert lexicon.entries.get("vehicle") is not None
-        index = root / "index.noun"
+        for piece, damage, reach in _DAMAGED_PIECES:
+            root = tmp_path / piece
+            shutil.copytree(MINIDICT, root)
+            load_lexicon(root)
+            path = slot_path("lexicon", root)
+            damaged = damage(path, root)
+            lexicon = load_lexicon(root)
+            assert lexicon.entries.get("vehicle") is not None
+            index = root / "index.noun"
 
-        def edit():
-            index.write_text(index.read_text().replace("car n 1 1 @ 1 12 ", "car n 1 1 @ 1 13 "))
+            def edit():
+                index.write_text(index.read_text().replace("car n 1 1 @ 1 12 ", "car n 1 1 @ 1 13 "))
 
-        with monkeypatch.context() as patch:
-            if when == "before the parse":
-                edit()
-            else:
-                parse = lexicon_module._parse_lexicon
-                patch.setattr(lexicon_module, "_parse_lexicon", lambda root: (edit(), parse(root))[1])
-            for _ in range(2):
-                with pytest.raises(LexiconError, match=f"{index} changed since the dictionary was loaded"):
-                    lexicon.entries.get("car")
-        assert path.read_bytes() == damaged
-        assert load_lexicon(root).entries["car"][PosTag.NOUN][0] == 13
+            with monkeypatch.context() as patch:
+                if when == "before the parse":
+                    edit()
+                else:
+                    parse = lexicon_module._parse_lexicon
+                    patch.setattr(lexicon_module, "_parse_lexicon", lambda root: (edit(), parse(root))[1])
+                for _ in range(2):
+                    with pytest.raises(LexiconError, match=f"{index} changed since the dictionary was loaded"):
+                        reach(lexicon)
+            assert path.read_bytes() == damaged
+            assert load_lexicon(root).entries["car"][PosTag.NOUN][0] == 13
 
     def test_warm_load_hashes_no_shard(self, slots, monkeypatch):
         load_lexicon(MINIDICT)

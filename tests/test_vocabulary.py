@@ -11,6 +11,7 @@ from lexiscope.extractor import KINDS, SourceNode
 from lexiscope.lexicon import (
     Lexicon,
     PosTag,
+    _class_table,
     _open_payload,
     _parse_lexicon,
     _snapshot_payload,
@@ -216,9 +217,11 @@ def test_build_vocabulary_matches_its_reference(case, named, stoplist):
         tables = _parse_lexicon(root)
     entries, synsets, exceptions = tables
     parsed = Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
-    header, shards = _snapshot_payload(tables)
-    # A tail is read as bytes are, so the shards joined stand in for a slot's.
-    sharded = Lexicon(*_open_payload(header, b"".join(shards), None))
+    header, pieces = _snapshot_payload(tables, _class_table(entries))
+    # A tail is read as bytes are, so the pieces joined stand in for a slot's;
+    # the sharded lexicon classifies from the table piece, the parsed one from
+    # a table built from its entries.
+    sharded = Lexicon(*_open_payload(header, b"".join(pieces), None))
     nodes = [SourceNode(i, kind, name, "F.java", i + 1, None) for i, (kind, name) in enumerate(named)]
     expected = _reference_build_vocabulary(nodes, parsed, stoplist, project_name="p", file_count=3)
     tokens = {token for _kind, name in named for token in split_identifier(name)}
