@@ -29,8 +29,8 @@ import stat
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from operator import attrgetter
 from json.encoder import encode_basestring_ascii as _encode
+from operator import attrgetter
 from pathlib import Path
 
 from . import locator

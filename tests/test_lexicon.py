@@ -351,7 +351,7 @@ class TestSnapshot(CacheRules):
         assert digests == b"".join(
             hashlib.sha256(shards[low:high]).digest() for low, high in zip(bounds, bounds[1:])
         )
-        # The class table: every lemma in key order, then its tag count per pos in PosTag order, four a lemma.
+        # The class table: every lemma in key order, then its tag count per pos in PosTag order, four to a lemma.
         lemmas = sorted(parsed[0])
         assert marshal.loads(shards[bounds[-2] : bounds[-1]]) == (
             tuple(lemmas),
