@@ -46,7 +46,6 @@ FORMAT_VERSION = 1
 
 # The exact pos names save_index writes; no other spelling loads.
 _POS_NAMES = {str(tag): tag for tag in PosTag}
-_POS_JSON = {tag: _encode(name) for name, tag in _POS_NAMES.items()}
 _KIND_SET = frozenset(KINDS)
 
 # json.loads reads an escaped high surrogate and the escaped low surrogate
@@ -167,12 +166,9 @@ def save_index(index: ProjectIndex, path: str | Path) -> None:
 def _document(nodes: list[SourceNode], vocabulary: ProjectVocabulary, entries: list[VocabularyEntry]) -> str:
     """The index document, entries in the given order.
 
-    Each distinct kind and file path is encoded once.  A value that is not
-    of its field's type renders as the per-item % it replaces rendered it.
+    Each distinct kind and file path is encoded once.
     """
-    # A SourceNode's fields are its items; any other node is read by attribute.
-    fields = nodes if {*map(type, nodes)} <= {SourceNode} else map(_NODE_FIELDS, nodes)
-    ids, kinds, names, files, lines, parents = zip(*fields) if nodes else ((),) * 6
+    ids, kinds, names, files, lines, parents = zip(*map(_NODE_FIELDS, nodes)) if nodes else ((),) * 6
     encoded = {text: _encode(text) for text in {*kinds, *files}}
     words, recognized, poses, totals, counts = zip(*map(_ENTRY_FIELDS, entries)) if entries else ((),) * 5
     return _DOCUMENT_LAYOUT % (
@@ -185,12 +181,12 @@ def _document(nodes: list[SourceNode], vocabulary: ProjectVocabulary, entries: l
             map(_encode, names),
             map(encoded.__getitem__, files),
             lines,
-            ["null" if parent is None else parent if type(parent) is int else "%d" % parent for parent in parents],
+            ["null" if parent is None else "%d" % parent for parent in parents],
         ]),
         _json_list(_ENTRY_LAYOUT, len(entries), [
             map(_encode, words),
             ["true" if flag else "false" for flag in recognized],
-            [_POS_JSON[pos] if type(pos) is PosTag else "null" if pos is None else _encode(str(pos)) for pos in poses],
+            ["null" if pos is None else _encode(str(pos)) for pos in poses],
             totals,
             *[[by_kind.get(kind, 0) for by_kind in counts] for kind in KINDS],
         ]),

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, islice
 from pathlib import Path
 from types import MappingProxyType
 
@@ -195,27 +195,19 @@ class Lexicon:
     synsets: Mapping[SynsetKey, tuple[tuple[str, ...], tuple[SynsetKey, ...], tuple[SynsetKey, ...]]]
     exceptions: dict[int, dict[str, tuple[str, ...]]]
 
-    # The class table of entries (see _class_table) that load_lexicon's parse
-    # built for its snapshot; not a field.
-    _table = None
-
     def __len__(self) -> int:
         return len(self.entries)
 
     @cached_property
-    def _classes(self) -> tuple[dict[str, int], tuple[int | None, ...]]:
-        """The class table as _classify_all reads it: each lemma to the position before its counts, and the counts.
+    def _classes(self) -> dict[str, tuple[int | None, ...]]:
+        """The class table _classify_all reads (see _class_table).
 
-        A lemma's tag count under pos is counts[position + pos].  The table
-        is the snapshot's, read whole on the first call, or the one the
-        parse built, or else one built here from entries.
+        It is the snapshot's, read whole on the first call, or else one
+        built here from the parse's entries.  A load that parses and writes
+        a snapshot sets it to the table it wrote.
         """
         entries = self.entries
-        if type(entries) is _ShardedTable:
-            lemmas, counts = entries._shards.load(_TABLE)
-        else:
-            lemmas, counts = self._table or _class_table(entries)
-        return dict(zip(lemmas, range(-1, 4 * len(lemmas), 4))), counts
+        return entries._shards.load(_TABLE) if type(entries) is _ShardedTable else _class_table([entries])
 
 
 def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
@@ -253,10 +245,9 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     entries, synsets, exceptions = tables
     lexicon = Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
     if slot is not None:
-        table = _class_table(entries)
-        header, pieces = _snapshot_payload(tables, table)
+        header, pieces, table = _snapshot_payload(tables)
         slot.write([header], tail=pieces)
-        object.__setattr__(lexicon, "_table", table)
+        vars(lexicon)["_classes"] = table  # the cached value of the property
     return lexicon
 
 
@@ -273,8 +264,7 @@ def _parse_again(root: Path, slot: Slot) -> list:
         changed = slot.changed()
     if changed is not None:
         raise LexiconError(f"{changed} changed since the dictionary was loaded")
-    table = _class_table(tables[0])
-    header, pieces = _snapshot_payload(tables, table)
+    header, pieces, table = _snapshot_payload(tables)
     slot.write([header], tail=pieces)
     return [*_sharded(tables)[1], table]
 
@@ -563,49 +553,55 @@ def _sharded(tables):
     return starts, shards
 
 
-def _class_table(entries) -> tuple[tuple[str, ...], tuple[int | None, ...]]:
-    """The class table of the entries: (each lemma in key order, a counts column).
+def _class_table(shards) -> dict[str, tuple[int | None, ...]]:
+    """The class table of the entries in shards, dicts from lemma to entry, in their order.
 
-    The column holds each lemma's tag count under each part of speech in
-    PosTag order, None where it lacks that part of speech, four to a lemma.
-    Two flat columns unmarshal faster than a tuple per lemma, and three
-    times faster than a dict per lemma.
+    It maps each lemma to its tag count under each part of speech in
+    PosTag order, None where it lacks that part of speech.  Equal count
+    tuples are one object (415 serve the 126,105 lemmas of the benchmark's
+    seed-1 dictionary), and marshal writes each once, so the table
+    unmarshals straight into the dict that classification looks lemmas up
+    in, in less time and memory than a lemma column, a counts column and a
+    dict built from them.
     """
-    lemmas = tuple(sorted(entries))
-    counts = tuple(
-        None if found is None else found[0]
-        for entry in map(entries.__getitem__, lemmas)
-        for found in map(entry.get, _POS_ORDER)
-    )
-    return lemmas, counts
+    table = {}
+    shared = {}
+    share = shared.setdefault
+    for shard in shards:
+        for lemma, entry in shard.items():
+            counts = [None, None, None, None]
+            for pos, found in entry.items():
+                counts[pos - 1] = found[0]
+            counts = tuple(counts)
+            table[lemma] = share(counts, counts)
+    return table
 
 
-def _snapshot_payload(tables, table) -> tuple[bytes, list[bytes]]:
-    """The snapshot of (entries, synsets, exceptions): its head, the marshalled header, and its tail's pieces.
+def _snapshot_payload(tables) -> tuple[bytes, list[bytes], dict]:
+    """The snapshot of (entries, synsets, exceptions): its head, the marshalled header, its tail's pieces, and the class table.
 
     The header is ``(entry count, synset count, exceptions, entry starts,
     synset starts, bounds, digests)``; the pieces are _sharded's shards,
-    then table, the entries' _class_table, each marshalled on its own, and
-    go back to back.  ``bounds`` holds 2 * _SHARDS + 2 offsets into the
-    tail, and an empty shard has no bytes; ``digests`` is the sha256s of
-    the pieces' bytes, back to back.  A dictionary's payload depends on its
-    content alone, not on the process or the order of its files' lines.
+    then the _class_table of its entry shards, each marshalled on its own,
+    and go back to back.  ``bounds`` holds 2 * _SHARDS + 2 offsets into
+    the tail, and an empty shard has no bytes; ``digests`` is the sha256s
+    of the pieces' bytes, back to back.  A dictionary's payload depends on
+    its content alone, not on the process or the order of its files' lines.
 
     Key ranges rather than a hash: the parse makes its objects in file
     order, which is near key order, so a dump in key order reads memory
     nearly in sequence, about three times faster than in hash order.
     """
     entries, synsets, exceptions = tables
-    starts, dicts = _sharded(tables)
-    pieces: list[bytes] = []
-    bounds = [0]
-    digests = []
-    for piece in chain(dicts, [table]):
-        pieces.append(marshal.dumps(piece) if piece else b"")
-        bounds.append(bounds[-1] + len(pieces[-1]))
-        digests.append(hashlib.sha256(pieces[-1]).digest())
-    header = marshal.dumps((len(entries), len(synsets), exceptions, *starts, tuple(bounds), b"".join(digests)))
-    return header, pieces
+    starts, shards = _sharded(tables)
+    entry_shards = list(islice(shards, _SHARDS))
+    table = _class_table(entry_shards)
+    pieces = [marshal.dumps(shard) if shard else b"" for shard in chain(entry_shards, shards)]
+    pieces.append(marshal.dumps(table))
+    bounds = (0, *accumulate(map(len, pieces)))
+    digests = b"".join(hashlib.sha256(piece).digest() for piece in pieces)
+    header = marshal.dumps((len(entries), len(synsets), exceptions, *starts, bounds, digests))
+    return header, pieces, table
 
 
 def _in_order(values) -> bool:
@@ -769,7 +765,7 @@ def _classify_all(lexicon: Lexicon, words) -> dict[str, tuple[str, PosTag] | Non
     seen-set is needed.  Each candidate is looked up in the lexicon's class
     table (Lexicon._classes), which holds every lemma's tag counts.
     """
-    rows, counts = lexicon._classes
+    table = lexicon._classes
     exceptions = _exception_tables(lexicon)
     readings: dict[str, tuple[str, PosTag] | None] = {}
     for word in words:
@@ -777,16 +773,15 @@ def _classify_all(lexicon: Lexicon, words) -> dict[str, tuple[str, PosTag] | Non
         # pos -> (tag count, lemma) of its best candidate so far; an exact
         # match is the first candidate of each of its parts of speech.
         best = {}
-        row = rows.get(token)
-        if row is not None:
-            for pos in _POS_ORDER:
-                found = counts[row + pos]
+        counts = table.get(token)
+        if counts is not None:
+            for pos, found in zip(_POS_ORDER, counts):
                 if found is not None:
                     best[pos] = (found, token)
         for lemma, pos in _inflections(token, exceptions):
-            row = rows.get(lemma)
-            if row is not None:
-                found = counts[row + pos]
+            counts = table.get(lemma)
+            if counts is not None:
+                found = counts[pos - 1]
                 if found is not None and (pos not in best or found > best[pos][0]):
                     best[pos] = (found, lemma)
         reading = None

@@ -285,7 +285,7 @@ def _damage_class_table(path, root=MINIDICT):
     data = path.read_bytes()
     header, tail = _split(data)
     low, high = header[_BOUNDS][-2:]
-    assert "car" in marshal.loads(tail[low:high])[0]
+    assert "car" in marshal.loads(tail[low:high])
     damaged = _flipped(data, len(data) - len(tail) + (low + high) // 2, 0x20)
     path.write_bytes(damaged)
     assert _open_slot(path)[0] == _key(root)  # the slot itself still checks out
@@ -351,12 +351,14 @@ class TestSnapshot(CacheRules):
         assert digests == b"".join(
             hashlib.sha256(shards[low:high]).digest() for low, high in zip(bounds, bounds[1:])
         )
-        # The class table: every lemma in key order, then its tag count per pos in PosTag order, four to a lemma.
-        lemmas = sorted(parsed[0])
-        assert marshal.loads(shards[bounds[-2] : bounds[-1]]) == (
-            tuple(lemmas),
-            tuple(parsed[0][lemma][pos][0] if pos in parsed[0][lemma] else None for lemma in lemmas for pos in PosTag),
-        )
+        # The class table: every lemma in key order to its tag count per pos in PosTag order, None for a pos it lacks.
+        table = marshal.loads(shards[bounds[-2] : bounds[-1]])
+        assert list(table) == sorted(parsed[0])
+        assert table == {
+            lemma: tuple(entry[pos][0] if pos in entry else None for pos in PosTag) for lemma, entry in parsed[0].items()
+        }
+        # Equal count tuples are one object.
+        assert len({*map(id, table.values())}) == len({*table.values()})
         source, _time_ns, signatures, digests = stamp
         files = [MINIDICT / name for name in lexicon_module._DICT_FILES]
         assert source == os.path.abspath(MINIDICT)

@@ -11,7 +11,6 @@ from lexiscope.extractor import KINDS, SourceNode
 from lexiscope.lexicon import (
     Lexicon,
     PosTag,
-    _class_table,
     _open_payload,
     _parse_lexicon,
     _snapshot_payload,
@@ -217,7 +216,7 @@ def test_build_vocabulary_matches_its_reference(case, named, stoplist):
         tables = _parse_lexicon(root)
     entries, synsets, exceptions = tables
     parsed = Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
-    header, pieces = _snapshot_payload(tables, _class_table(entries))
+    header, pieces, _table = _snapshot_payload(tables)
     # A tail is read as bytes are, so the pieces joined stand in for a slot's;
     # the sharded lexicon classifies from the table piece, the parsed one from
     # a table built from its entries.
