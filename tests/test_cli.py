@@ -134,10 +134,15 @@ class TestAnalyze:
             return load(table, index)
 
         monkeypatch.setattr(lexicon_module._ShardedTable, "_load", recording)
+        # It classifies from the class table it built for the snapshot.
+        tables = []
+        class_table = lexicon_module._class_table
+        monkeypatch.setattr(lexicon_module, "_class_table", lambda shards: tables.append(shards) or class_table(shards))
         out = tmp_path / "o.json"
         assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_INDEX.read_bytes()
         assert loads == []
+        assert len(tables) == 1
         assert sorted(p.name.split("-")[0] for p in (cache / "lexiscope").iterdir()) == ["index", "lexicon", "scan"]
 
     def test_warm_analyze_classifies_from_the_class_table(self, tmp_path, monkeypatch):
