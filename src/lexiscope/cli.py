@@ -9,6 +9,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import os
@@ -102,11 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         # A reader that stopped early (head, a pager) is not a bad input.
-        # Stdout goes to devnull so the interpreter's own flush at exit
-        # does not fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _discard_stdout()
         return 0
     except ValueError as exc:
         print(f"lexiscope: error: {exc}", file=sys.stderr)
@@ -120,7 +117,30 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run ``main`` with UTF-8 stdout, then run the atexit callbacks, flush the output and ``os._exit``.
+
+    So module teardown and the exit-time collection do not run; ``main()`` itself never ends the process.
+    """
+    if sys.stdout is None:  # started with stdout closed: nothing to reconfigure or flush
+        sys.exit(main())
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+    code = main()
+    # The order of the interpreter's own shutdown, so what a callback prints
+    # is flushed too.  Every file a command writes is closed by now.
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
+    sys.stderr.flush()
+    os._exit(code)
+
+
+def _discard_stdout() -> None:
+    """Point stdout at devnull, so that a later flush to a closed pipe does not fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _dictionary_dir(args) -> str:

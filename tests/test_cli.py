@@ -680,31 +680,102 @@ class TestParser:
 
     @pytest.mark.parametrize("module", ["lexiscope", "lexiscope.cli"])
     def test_python_m_runs_the_cli(self, module):
-        src = str(Path(lexiscope.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-W", "error", "-m", module, "--help"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+            capture_output=True, text=True, env=_cli_env(), timeout=60,
         )
         assert result.returncode == 0
         assert result.stdout.startswith("usage: lexiscope")
         assert "analyze" in result.stdout and "locate" in result.stdout
 
-    @pytest.mark.parametrize("command", [["stats", "--format", "json"], ["topwords", "-k", "5"]])
+    @pytest.mark.parametrize("command", [
+        ["stats", str(GOLDEN_INDEX), "--format", "json"],
+        ["topwords", str(GOLDEN_INDEX), "-k", "5"],
+        ["locate", str(GOLDEN_INDEX), "find word form", "--dict", str(MINIDICT)],
+        ["--help"],
+    ])
     def test_closed_stdout_exits_0_quietly(self, command):
         # A reader that stops early, as `| head -1` does, is not a bad input.
-        src = str(Path(lexiscope.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        # Stdout is buffered, so the help text meets the closed pipe only at the last flush.
+        env = _cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             result = subprocess.run(
-                [sys.executable, "-W", "error", "-m", "lexiscope", command[0], str(GOLDEN_INDEX), *command[1:]],
-                stdout=write_end, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+                [sys.executable, "-W", "error", "-m", "lexiscope", *command],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
             )
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (0, b"")
+
+    def test_help_with_stdout_closed_from_the_start_exits_0(self):
+        # Python then has no sys.stdout, and argparse prints the help to stderr.
+        result = subprocess.run(
+            ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-W", "error", "-m", "lexiscope", "--help"],
+            capture_output=True, env=_cli_env(), timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stderr.startswith(b"usage: lexiscope")
+
+    @pytest.mark.parametrize("expected", [0, 1, 2, 3], ids=["ok", "usage", "missing-index", "dictionary"])
+    def test_entrypoint_exits_with_mains_code_and_no_teardown(self, tmp_path, capsysbinary, expected):
+        dictionary = tmp_path / "dict"
+        shutil.copytree(MINIDICT, dictionary)
+        (dictionary / "data.verb").unlink()
+        argv = [
+            ["stats", str(GOLDEN_INDEX)],
+            ["frobnicate"],
+            ["stats", str(tmp_path / "missing.json")],
+            ["analyze", str(MINICORPUS), "--dict", str(dictionary), "-o", str(tmp_path / "index.json")],
+        ][expected]
+        assert main(argv) == expected
+        printed = capsysbinary.readouterr().out
+        # atexit runs watch first, as it was registered last.  Its collection
+        # resets the allocation count, so only the interpreter's own shutdown
+        # could collect after the hook is in.
+        script = (
+            "import atexit, gc, sys\n"
+            "def watch():\n"
+            "    gc.collect()\n"
+            "    gc.callbacks.append(lambda phase, info: phase == 'start' and sys.stderr.write('collected\\n'))\n"
+            "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+            "atexit.register(watch)\n"
+            "from lexiscope.cli import entrypoint\n"
+            "entrypoint()\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script, *argv], capture_output=True, env=_cli_env(), timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (expected, printed)
+        assert result.stderr.count(b"atexit ran\n") == 1
+        assert b"collected" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "encoding", [{"LC_ALL": "C", "PYTHONUTF8": "0"}, {"PYTHONIOENCODING": "ascii"}], ids=["c-locale", "ascii"],
+    )
+    def test_stdout_is_utf8_whatever_the_locale(self, encoding):
+        argv = [sys.executable, "-W", "error", "-m", "lexiscope", "locate", str(GOLDEN_INDEX), "find word form",
+                "--dict", str(MINIDICT)]
+        env = _cli_env()
+        env.pop("PYTHONIOENCODING", None)
+        utf8 = subprocess.run(argv, capture_output=True, env=dict(env, PYTHONUTF8="1"), timeout=60)
+        other = subprocess.run(argv, capture_output=True, env=dict(env, **encoding), timeout=60)
+        assert "form→type".encode() in utf8.stdout
+        assert (other.returncode, other.stdout, other.stderr) == (0, utf8.stdout, b"")
+
+    def test_exception_escaping_main_prints_its_traceback(self):
+        script = "import lexiscope.cli as cli; cli.main = lambda: 1 / 0; cli.entrypoint()"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_cli_env(), timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"Traceback") and b"ZeroDivisionError" in result.stderr
+
+
+def _cli_env():
+    """The environment of a CLI subprocess, importing this checkout's lexiscope."""
+    src = str(Path(lexiscope.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 DICTIONARY_COMMANDS = ("analyze", "locate", "domain-semantic")
