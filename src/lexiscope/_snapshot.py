@@ -256,7 +256,7 @@ class Slot:
         _key, head, self.tail, _stamp = opened
         limit = self.time_ns - RACY_WINDOW_NS
         if None in stamped and all(changed is None or changed < limit for _, changed in self.states):
-            self.write([head], tail=[self.tail[:]])
+            self.write(head, tail=[self.tail[:]])
         return head
 
     def _stamped(self, stamp) -> list[bytes | None]:
@@ -283,15 +283,14 @@ class Slot:
             for (signature, changed), stamped_signature, digest in zip(self.states, signatures, digests)
         ]
 
-    def write(self, chunks: list[bytes], digests: list[bytes] | None = None, tail: list[bytes] | tuple = ()) -> None:
-        """Store the chunks as the payload's head and tail as its tail, under read's stamp, unless a file changed since.
+    def write(self, head: bytes, digests: list[bytes] | None = None, tail: list[bytes] | tuple = ()) -> None:
+        """Store the payload's head and tail, under read's stamp, unless a file changed since.
 
         digests, when given, are the sha256s of the bytes the payload was
         parsed from, one per file, and make the key.  A cache that cannot be
         written is skipped.  The slot is written under a temporary name,
         which only its owner can read or write, and renamed into place, so a
-        concurrent reader never reads a partial slot.  The chunks are
-        written one by one, never joined.
+        concurrent reader never reads a partial slot.
         """
         if self.states is None:
             return
@@ -310,15 +309,15 @@ class Slot:
             return
         signatures = tuple(signature for signature, _ in self.states)
         stamp = marshal.dumps((self.source, self.time_ns, signatures, self.digests))
-        head = [self.key, sum(map(len, chunks)).to_bytes(8, "little"), *chunks]
+        start = [self.key, len(head).to_bytes(8, "little"), head]
         end = [stamp, len(stamp).to_bytes(8, "little")]
         digest = hashlib.sha256()
-        for chunk in (*head, *end):
+        for chunk in (*start, *end):
             digest.update(chunk)
         try:
             with os.fdopen(handle, "wb") as out:
                 out.write(digest.digest())
-                out.writelines(head)
+                out.writelines(start)
                 out.writelines(tail)
                 out.writelines(end)
             os.replace(temp, self.path)

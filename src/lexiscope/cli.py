@@ -97,6 +97,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help exits 0, usage errors exit 1
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
+        for option in ("dict", "out", "project", "stoplist"):  # an empty value is not a missing one
+            if getattr(args, option, None) == "":
+                raise ValueError(f"--{option} is empty")
         with _collector_paused():
             code = args.func(args)
         sys.stdout.flush()

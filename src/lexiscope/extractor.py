@@ -440,7 +440,7 @@ def extract_project(
         scan, digests = _scan(paths, relative)
         if slot is not None and not scan[2].unreadable_files:
             with contextlib.suppress(OSError):  # a scanner that cannot be read keys no slot
-                slot.write([_slot_payload(scan)], [*digests, file_digest(_SCANNER)])
+                slot.write(_slot_payload(scan), [*digests, file_digest(_SCANNER)])
     nodes, file_count, counts = scan
     diagnostics.skipped_declarations += counts.skipped_declarations
     diagnostics.skipped_blocks += counts.skipped_blocks

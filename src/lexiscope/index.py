@@ -104,7 +104,7 @@ class ProjectIndex:
         if type(postings) is not dict:
             postings = locator._candidate_postings(self.nodes)
             if self._slot is not None:
-                self._slot.write([marshal.dumps((*self._stored[:-1], marshal.dumps(postings)))])
+                self._slot.write(marshal.dumps((*self._stored[:-1], marshal.dumps(postings))))
         return postings
 
 
@@ -160,7 +160,7 @@ def save_index(index: ProjectIndex, path: str | Path) -> None:
         return
     payload = _checked_payload(index.nodes, vocabulary, entries)
     if payload is not None:
-        slot.write([payload])
+        slot.write(payload)
 
 
 def _document(nodes: list[SourceNode], vocabulary: ProjectVocabulary, entries: list[VocabularyEntry]) -> str:
@@ -290,7 +290,7 @@ def load_index(path: str | Path) -> ProjectIndex:
         vocabulary = index.vocabulary
         index._slot = slot
         index._stored = _head(vocabulary, _node_columns(index.nodes), vocabulary.entries.values())
-        slot.write([marshal.dumps(index._stored)])
+        slot.write(marshal.dumps(index._stored))
     return index
 
 

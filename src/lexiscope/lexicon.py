@@ -246,7 +246,7 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     lexicon = Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
     if slot is not None:
         header, pieces, table = _snapshot_payload(tables)
-        slot.write([header], tail=pieces)
+        slot.write(header, tail=pieces)
         vars(lexicon)["_classes"] = table  # the cached value of the property
     return lexicon
 
@@ -265,7 +265,7 @@ def _parse_again(root: Path, slot: Slot) -> list:
     if changed is not None:
         raise LexiconError(f"{changed} changed since the dictionary was loaded")
     header, pieces, table = _snapshot_payload(tables)
-    slot.write([header], tail=pieces)
+    slot.write(header, tail=pieces)
     return [*_sharded(tables)[1], table]
 
 

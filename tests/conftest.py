@@ -1,12 +1,24 @@
+import os
 from pathlib import Path
 
 import pytest
 
+import lexiscope
 from lexiscope.lexicon import load_lexicon
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINIDICT = FIXTURES / "minidict"
 MINICORPUS = FIXTURES / "minicorpus"
+
+
+def subprocess_env(**variables):
+    """The environment of a subprocess, with the directory of the lexiscope this run imported first on its path.
+
+    So a subprocess runs the package its test imported, a checkout's or an installed one.
+    """
+    package_parent = str(Path(lexiscope.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (package_parent, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **variables)
 
 
 @pytest.fixture(scope="session", autouse=True)

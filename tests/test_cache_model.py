@@ -8,13 +8,15 @@ table among the rest), truncates and deletes slots, and moves the clock
 on.  Between those steps it runs commands through main([...]), each
 twice: first with no cache (XDG_CACHE_HOME and HOME relative), then with
 the cache.  Both runs must give the same exit code, stdout and index
-bytes.
+bytes.  After every step, every file in the cache is a slot of one of the
+three kinds, and each slot the reader accepts has the layout of its kind.
 """
 
 import contextlib
 import io
 import marshal
 import os
+import re
 import shutil
 import tempfile
 import time
@@ -34,6 +36,7 @@ from test_lexicon import _dictionaries
 
 _SOURCES = ("A.java", "B.java", "pkg/C.java", "pkg/D.java")
 _INDEXES = ("a.json", "b.json")
+_SLOT_NAME = re.compile(r"(lexicon|index|scan)-[0-9a-f]{64}\.marshal")
 _WORDS = ("form", "shape", "car", "sports", "nile", "run", "ran", "forms", "zork", "get")
 
 
@@ -331,8 +334,24 @@ class CacheModel(RuleBasedStateMachine):
             assert warm == cold, argv
 
     @invariant()
-    def no_write_leaves_a_temporary_file(self):
-        assert list(self.slots.glob("*.tmp")) == []
+    def every_cache_file_is_a_slot_a_warm_run_can_use(self):
+        """Every file in the cache is a slot, and one the reader accepts is one a warm run uses as it is.
+
+        No temporary file is left; only the dictionary slot has a tail; an
+        index slot's postings are b"" (none built yet) or a marshalled dict.
+        """
+        files = [path for path in (self.work / "cache").rglob("*") if not path.is_dir()]
+        assert all(path.parent == self.slots and _SLOT_NAME.fullmatch(path.name) for path in files), files
+        for path in files:
+            opened = _snapshot._open_slot(path)
+            if opened is None:
+                continue
+            _key, head, tail, _stamp = opened
+            kind = path.name.split("-", 1)[0]
+            assert kind == "lexicon" or len(tail) == 0, path.name
+            if kind == "index":
+                postings = marshal.loads(head)[-1]
+                assert postings == b"" or type(marshal.loads(postings)) is dict, path.name
 
 
 TestCacheModel = CacheModel.TestCase

@@ -6,11 +6,9 @@ import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import lexiscope
 import lexiscope.index as index_module
 import lexiscope.lexicon as lexicon_module
 import lexiscope.locator as locator_module
@@ -20,7 +18,7 @@ from lexiscope.index import ProjectIndex, load_index, save_index
 from lexiscope.lexicon import load_lexicon
 from lexiscope.vocabulary import ProjectVocabulary, VocabularyEntry
 
-from conftest import FIXTURES, MINICORPUS, MINIDICT
+from conftest import FIXTURES, MINICORPUS, MINIDICT, subprocess_env
 from test_index import _no_parse
 from test_locator import _no_build
 
@@ -52,9 +50,16 @@ def corpus_index(tmp_path):
 
 
 class TestAnalyze:
-    def test_golden_index_bytes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line_end", ["lf", "crlf"])
+    def test_golden_index_bytes(self, tmp_path, capsys, line_end):
+        corpus = MINICORPUS
+        if line_end == "crlf":  # node lines count CRLF line ends as one break each
+            corpus = tmp_path / "crlf" / "minicorpus"
+            shutil.copytree(MINICORPUS, corpus)
+            for path in corpus.rglob("*.java"):
+                path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         out = tmp_path / "index.json"
-        rc = main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(out)])
+        rc = main(["analyze", str(corpus), "--dict", str(MINIDICT), "-o", str(out)])
         assert rc == 0
         assert out.read_bytes() == GOLDEN_INDEX.read_bytes()
         summary = capsys.readouterr().out
@@ -625,8 +630,7 @@ class TestLocatePostings:
         written = []
         for seed in ("1", "2"):
             cache = tmp_path / f"cache-{seed}"
-            env = dict(os.environ, PYTHONHASHSEED=seed, XDG_CACHE_HOME=str(cache))
-            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            env = subprocess_env(PYTHONHASHSEED=seed, XDG_CACHE_HOME=str(cache))
             # The clock is fixed, so both runs take one path through the cache: no file settles, every read hashes.
             script = (
                 "import sys, types; from lexiscope import _snapshot; from lexiscope.cli import main; "
@@ -641,6 +645,7 @@ class TestLocatePostings:
                 [sys.executable, "-c", script, str(index), str(MINICORPUS), str(MINIDICT)],
                 env=env, check=True, stdout=subprocess.DEVNULL,
             )
+            assert index.read_bytes() == GOLDEN_INDEX.read_bytes()
             [slot] = (cache / "lexiscope").glob("index-*.marshal")
             data = slot.read_bytes()
             assert marshal.loads(marshal.loads(_open_slot(slot)[1])[-1])  # postings are stored
@@ -678,11 +683,32 @@ class TestParser:
     def test_missing_required_option_exits_1(self):
         assert main(["analyze", "src"]) == 1  # no --out
 
+    @pytest.mark.parametrize("command, option", [
+        ("analyze", "--dict"), ("analyze", "--out"), ("analyze", "--project"), ("analyze", "--stoplist"),
+        ("locate", "--dict"), ("domain", "--dict"),
+    ], ids=["analyze-dict", "analyze-out", "analyze-project", "analyze-stoplist", "locate-dict", "domain-dict"])
+    def test_empty_option_value_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command, option):
+        # Not a missing option: --dict "" does not fall back to the environment, --project "" does not
+        # name the project after the source directory, --stoplist "" does not take the built-in list,
+        # and --out "" does not scan and load the dictionary before its write fails.
+        monkeypatch.setenv("LEXISCOPE_DICT", str(MINIDICT))
+        out = tmp_path / "o.json"
+        if command == "analyze":
+            argv = ["analyze", str(MINICORPUS), "-o", str(out)]
+        elif command == "locate":
+            argv = ["locate", str(GOLDEN_INDEX), "find word form"]
+        else:
+            argv = ["domain", *(make_index(tmp_path / f"{name}.json", name, {"car": 1}) for name in ("p1", "p2")),
+                    "--semantic"]
+        assert main([*argv, option, ""]) == 1
+        assert capsys.readouterr() == ("", f"lexiscope: error: {option} is empty\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("module", ["lexiscope", "lexiscope.cli"])
     def test_python_m_runs_the_cli(self, module):
         result = subprocess.run(
             [sys.executable, "-W", "error", "-m", module, "--help"],
-            capture_output=True, text=True, env=_cli_env(), timeout=60,
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
         )
         assert result.returncode == 0
         assert result.stdout.startswith("usage: lexiscope")
@@ -697,7 +723,7 @@ class TestParser:
     def test_closed_stdout_exits_0_quietly(self, command):
         # A reader that stops early, as `| head -1` does, is not a bad input.
         # Stdout is buffered, so the help text meets the closed pipe only at the last flush.
-        env = _cli_env()
+        env = subprocess_env()
         env.pop("PYTHONUNBUFFERED", None)
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -714,7 +740,7 @@ class TestParser:
         # Python then has no sys.stdout, and argparse prints the help to stderr.
         result = subprocess.run(
             ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-W", "error", "-m", "lexiscope", "--help"],
-            capture_output=True, env=_cli_env(), timeout=60,
+            capture_output=True, env=subprocess_env(), timeout=60,
         )
         assert result.returncode == 0
         assert result.stderr.startswith(b"usage: lexiscope")
@@ -746,7 +772,7 @@ class TestParser:
             "entrypoint()\n"
         )
         result = subprocess.run(
-            [sys.executable, "-W", "error", "-c", script, *argv], capture_output=True, env=_cli_env(), timeout=60,
+            [sys.executable, "-W", "error", "-c", script, *argv], capture_output=True, env=subprocess_env(), timeout=60,
         )
         assert (result.returncode, result.stdout) == (expected, printed)
         assert result.stderr.count(b"atexit ran\n") == 1
@@ -758,7 +784,7 @@ class TestParser:
     def test_stdout_is_utf8_whatever_the_locale(self, encoding):
         argv = [sys.executable, "-W", "error", "-m", "lexiscope", "locate", str(GOLDEN_INDEX), "find word form",
                 "--dict", str(MINIDICT)]
-        env = _cli_env()
+        env = subprocess_env()
         env.pop("PYTHONIOENCODING", None)
         utf8 = subprocess.run(argv, capture_output=True, env=dict(env, PYTHONUTF8="1"), timeout=60)
         other = subprocess.run(argv, capture_output=True, env=dict(env, **encoding), timeout=60)
@@ -767,15 +793,9 @@ class TestParser:
 
     def test_exception_escaping_main_prints_its_traceback(self):
         script = "import lexiscope.cli as cli; cli.main = lambda: 1 / 0; cli.entrypoint()"
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_cli_env(), timeout=60)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, env=subprocess_env(), timeout=60)
         assert result.returncode == 1
         assert result.stderr.startswith(b"Traceback") and b"ZeroDivisionError" in result.stderr
-
-
-def _cli_env():
-    """The environment of a CLI subprocess, importing this checkout's lexiscope."""
-    src = str(Path(lexiscope.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 DICTIONARY_COMMANDS = ("analyze", "locate", "domain-semantic")

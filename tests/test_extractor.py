@@ -34,7 +34,7 @@ from lexiscope.extractor import (
 )
 
 from cache_rules import CacheRules, _no_hash, _parsed
-from conftest import FIXTURES, MINICORPUS, MINIDICT
+from conftest import FIXTURES, MINICORPUS, MINIDICT, subprocess_env
 
 
 def shapes(nodes):
@@ -649,7 +649,7 @@ class TestExtractProject:
             "nodes, file_count = extract_project(sys.argv[1], diagnostics)\n"
             "print(file_count, diagnostics.unreadable_files, [n.name for n in nodes])\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "XDG_CACHE_HOME": str(tmp_path / "cache")}
+        env = subprocess_env(XDG_CACHE_HOME=str(tmp_path / "cache"))
         for _ in range(2):  # the second scan finds no slot either: a tree with a pipe gets none
             done = subprocess.run([sys.executable, "-c", script, str(tree)], env=env,
                                   capture_output=True, text=True, timeout=30, check=True)

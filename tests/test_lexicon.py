@@ -42,7 +42,7 @@ from lexiscope.lexicon import (
 )
 
 from cache_rules import CacheRules
-from conftest import MINIDICT, write_dict
+from conftest import MINIDICT, subprocess_env, write_dict
 
 
 def fixture_lemma_count():
@@ -638,8 +638,7 @@ class TestSnapshot(CacheRules):
         written = []
         for seed in ("1", "2"):
             cache = tmp_path / f"cache-{seed}"
-            env = dict(os.environ, PYTHONHASHSEED=seed, XDG_CACHE_HOME=str(cache))
-            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            env = subprocess_env(PYTHONHASHSEED=seed, XDG_CACHE_HOME=str(cache))
             subprocess.run(
                 [sys.executable, "-c", "import sys; from lexiscope.lexicon import load_lexicon; load_lexicon(sys.argv[1])",
                  str(MINIDICT)],
