@@ -28,13 +28,13 @@ and every file settled writes the slot again under a new stamp, so the
 next read trusts the stat.  A reader that finds the slot missing,
 unreadable, damaged or written from other content gets None and parses
 its source again; the write after the parse is skipped when a file
-changed during it.  A loader that hashes the bytes it parses (the tree
-scan) has them make the key, so its read hashes no file when there is no
-slot, and a file is read once.  A source with a file that is there but
-is not a regular file, such as a pipe, is never read from or written to
-a slot: no key stands for bytes a read consumes.  Every write removes the
-slots of its kind whose source is gone or that the reader turns away.  A
-cache that cannot be written is skipped.  A slot is only ever a cache of
+changed during it.  So a parse after a read that found no slot reads
+each file twice: once to hash it, once to parse it.  A source with a
+file that is there but is not a regular file, such as a pipe, is never
+read from or written to a slot: no key stands for bytes a read consumes.
+A file is opened without blocking (open_regular) to find that out.
+Every write removes the slots of its kind whose source is gone or that
+the reader turns away.  A cache that cannot be written is skipped.  A slot is only ever a cache of
 a parse: what a parse gave, or what a save writes right after its file
 (see index.save_index) when the parse's rules accept its values and
 would give each back as it is.  Such a save reads the slot first, as a
@@ -90,16 +90,35 @@ def content_key(format_tag: bytes, parts) -> bytes:
     return key.digest()
 
 
+def open_regular(path):
+    """The regular file at path, open to read in binary; OSError for anything else, found without blocking.
+
+    The file is opened with O_NONBLOCK and its type checked on the open
+    descriptor, so a pipe with no writer, even one put in a file's place
+    after a stat, does not stall the caller.
+    """
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(f"not a regular file: {path}")
+        return open(fd, "rb")
+    except BaseException:
+        os.close(fd)
+        raise
+
+
 def file_digest(path: Path) -> bytes:
     """The sha256 of a regular file, or ABSENT when there is no file.
 
     OSError for a file that cannot be read or is not a regular file: a
     pipe's bytes are gone once read, so no key can stand for them.
     """
-    if _state(path)[0] is None:
+    try:
+        handle = open_regular(path)
+    except (FileNotFoundError, NotADirectoryError):
         return ABSENT
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
+    with handle:
         while chunk := handle.read(_CHUNK):
             digest.update(chunk)
     return digest.digest()
@@ -227,21 +246,17 @@ class Slot:
         path = slot_path(kind, source)
         return None if path is None else cls(path, source, format_tag, files)
 
-    def read(self, parse_hashes: bool = False):
+    def read(self):
         """The head of the payload, when the slot was written from the files as they are now; else None.
 
         Stamps the files first, for write, and keeps the payload's tail in
-        self.tail.  A loader whose parse hashes the bytes it reads passes
-        parse_hashes, and their sha256s to write: a read that finds no slot
-        then hashes no file.
+        self.tail.
         """
         self.time_ns = time.time_ns()
         self.states = _states(self.files)
         if self.states is None:
             return None
         opened = _open_slot(self.path)
-        if opened is None and parse_hashes:
-            return None
         stamped = self._stamped(None if opened is None else opened[3])
         try:
             digests = tuple(
@@ -283,21 +298,14 @@ class Slot:
             for (signature, changed), stamped_signature, digest in zip(self.states, signatures, digests)
         ]
 
-    def write(self, head: bytes, digests: list[bytes] | None = None, tail: list[bytes] | tuple = ()) -> None:
-        """Store the payload's head and tail, under read's stamp, unless a file changed since.
+    def write(self, head: bytes, tail: list[bytes] | tuple = ()) -> None:
+        """Store the payload's head and tail, under read's stamp and key, unless a file changed since.
 
-        digests, when given, are the sha256s of the bytes the payload was
-        parsed from, one per file, and make the key.  A cache that cannot be
-        written is skipped.  The slot is written under a temporary name,
-        which only its owner can read or write, and renamed into place, so a
-        concurrent reader never reads a partial slot.
+        A cache that cannot be written is skipped.  The slot is written
+        under a temporary name, which only its owner can read or write, and
+        renamed into place, so a concurrent reader never reads a partial slot.
         """
-        if self.states is None:
-            return
-        if digests is not None:
-            self.digests = tuple(digests)
-            self.key = content_key(self.format_tag, self.digests)
-        if self.key is None or self.changed() is not None:
+        if self.states is None or self.key is None or self.changed() is not None:
             return
         _sweep(self.path)
         import tempfile  # here, not at the top: only a parse or a new stamp writes

@@ -11,19 +11,16 @@ dropped and counted in the diagnostics.
 from __future__ import annotations
 
 import bisect
-import contextlib
-import hashlib
 import json
 import marshal
 import os
 import re
-import stat
 from dataclasses import dataclass
 from itertools import count, repeat
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
-from ._snapshot import Slot, file_digest
+from ._snapshot import Slot, open_regular
 
 __all__ = [
     "SourceNode",
@@ -413,9 +410,11 @@ def extract_project(
 
     The scan is kept in the tree's cache slot (see _snapshot), keyed by
     the relative paths, the bytes of every file and this scanner's own
-    source; a later scan of the same files from the same directory reads
-    the slot, and adds the counters it stored to `diagnostics`.  A tree
-    with a file that cannot be read gets no slot.
+    source, and taken as every slot's key is: a scan with no slot reads a
+    file twice, to hash it and to scan it.  A later scan of the same files
+    from the same directory reads the slot, and adds the counters it
+    stored to `diagnostics`.  A tree with a file that cannot be read gets
+    no slot.
     """
     root = Path(root_directory)
     if not root.is_dir():
@@ -434,13 +433,12 @@ def extract_project(
     relative = ["/".join(parts) for parts, _path in files]
     tag = b"\0".join([_SLOT_FORMAT, *map(os.fsencode, relative)])
     slot = Slot.of("scan", root, tag, [*paths, _SCANNER])
-    payload = None if slot is None else slot.read(parse_hashes=True)
+    payload = None if slot is None else slot.read()
     scan = None if payload is None else _scan_from_slot(payload)
     if scan is None:
-        scan, digests = _scan(paths, relative)
+        scan = _scan(paths, relative)
         if slot is not None and not scan[2].unreadable_files:
-            with contextlib.suppress(OSError):  # a scanner that cannot be read keys no slot
-                slot.write(_slot_payload(scan), [*digests, file_digest(_SCANNER)])
+            slot.write(_slot_payload(scan))
     nodes, file_count, counts = scan
     diagnostics.skipped_declarations += counts.skipped_declarations
     diagnostics.skipped_blocks += counts.skipped_blocks
@@ -449,34 +447,24 @@ def extract_project(
 
 
 def _scan(paths: list[str], relative: list[str]):
-    """((nodes, number of files read, counters), sha256 of each file read) of a scan of the files.
+    """(nodes, number of files read, counters) of a scan of the files.
 
-    Each file is read once: the sha256s are of the bytes the scan decoded.
-    A file is opened without blocking, so a pipe with no writer does not
-    stall the scan; anything that is not a regular file once open is an
-    unreadable file, as is a file that cannot be opened or read.
+    A file is opened as the slot's read hashes it, by
+    _snapshot.open_regular, so a pipe with no writer does not stall the
+    scan; anything that is not a regular file once open is an unreadable
+    file, as is a file that cannot be opened or read.
     """
     counts = ScanDiagnostics()
     nodes: list[SourceNode] = []
-    digests: list[bytes] = []
     for path, name in zip(paths, relative):
         try:
-            data = _read_regular(path)
+            with open_regular(path) as stream:
+                data = stream.read()
         except OSError:
             counts.unreadable_files += 1
             continue
-        digests.append(hashlib.sha256(data).digest())
         nodes.extend(extract_java(_decoded(data), name, start_id=len(nodes), diagnostics=counts))
-    return (nodes, len(digests), counts), digests
-
-
-def _read_regular(path: str) -> bytes:
-    """The bytes of the regular file at path; OSError for anything else, found without blocking."""
-    handle = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
-    with open(handle, "rb") as stream:
-        if not stat.S_ISREG(os.fstat(handle).st_mode):
-            raise OSError(f"not a regular file: {path}")
-        return stream.read()
+    return nodes, len(paths) - counts.unreadable_files, counts
 
 
 def _decoded(data: bytes) -> str:
@@ -590,6 +578,8 @@ def ingest_nodes(stream: IO[str] | Iterable[str]) -> list[SourceNode]:
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise SchemaError(line_number, f"invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:  # nesting or digits past the decoder's limits
+            raise SchemaError(line_number, f"invalid JSON ({exc})") from exc
         try:
             nodes.append(_node_from_record(record, nodes))
         except ValueError as exc:

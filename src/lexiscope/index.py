@@ -283,7 +283,7 @@ def load_index(path: str | Path) -> ProjectIndex:
         del data
         document = json.loads(text)
         del text
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, nesting or digits past the decoder's limits
         raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
     index = _index_from_document(document, path)
     if slot is not None:

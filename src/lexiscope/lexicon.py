@@ -18,7 +18,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate
 from pathlib import Path
 from types import MappingProxyType
 
@@ -245,14 +245,14 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     entries, synsets, exceptions = tables
     lexicon = Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
     if slot is not None:
-        header, pieces, table = _snapshot_payload(tables)
+        header, pieces, shards = _snapshot_payload(tables)
         slot.write(header, tail=pieces)
-        vars(lexicon)["_classes"] = table  # the cached value of the property
+        vars(lexicon)["_classes"] = shards[-1]  # the cached value of the property: the class table
     return lexicon
 
 
 def _parse_again(root: Path, slot: Slot) -> list:
-    """The tail's pieces of a parse of the dictionary under root, for a snapshot a lookup found damaged; writes it again.
+    """The dicts of the tail's pieces of a parse of the dictionary under root, for a snapshot a lookup found damaged; writes it again.
 
     The parse stands in for the snapshot the load read, so it must read
     the files the load's key was taken of: a file whose stat is not what
@@ -264,9 +264,9 @@ def _parse_again(root: Path, slot: Slot) -> list:
         changed = slot.changed()
     if changed is not None:
         raise LexiconError(f"{changed} changed since the dictionary was loaded")
-    header, pieces, table = _snapshot_payload(tables)
+    header, pieces, shards = _snapshot_payload(tables)
     slot.write(header, tail=pieces)
-    return [*_sharded(tables)[1], table]
+    return shards
 
 
 def _parse_lexicon(root: Path):
@@ -535,7 +535,7 @@ class _ShardedTable(Mapping):
 
 
 def _sharded(tables):
-    """(entry starts, synset starts) of a parse's (entries, synsets, exceptions), and its shards one at a time.
+    """(entry starts, synset starts) of a parse's (entries, synsets, exceptions), and the list of its shards.
 
     Each table's keys are sorted and cut into _SHARDS ranges of near-equal
     size, and each range is a shard, a dict: _SHARDS of entries, then
@@ -547,9 +547,9 @@ def _sharded(tables):
         keys = sorted(table)
         cut.append((table, keys, [number * len(keys) // _SHARDS for number in range(_SHARDS + 1)]))
     starts = tuple(tuple(keys[index] for index in cuts[1:-1]) if keys else () for _table, keys, cuts in cut)
-    shards = (
+    shards = [
         {key: table[key] for key in keys[low:high]} for table, keys, cuts in cut for low, high in zip(cuts, cuts[1:])
-    )
+    ]
     return starts, shards
 
 
@@ -577,15 +577,15 @@ def _class_table(shards) -> dict[str, tuple[int | None, ...]]:
     return table
 
 
-def _snapshot_payload(tables) -> tuple[bytes, list[bytes], dict]:
-    """The snapshot of (entries, synsets, exceptions): its head, the marshalled header, its tail's pieces, and the class table.
+def _snapshot_payload(tables) -> tuple[bytes, list[bytes], list[dict]]:
+    """The snapshot of (entries, synsets, exceptions): its head, the marshalled header, its tail's pieces, and the pieces' dicts.
 
     The header is ``(entry count, synset count, exceptions, entry starts,
-    synset starts, bounds, digests)``; the pieces are _sharded's shards,
-    then the _class_table of its entry shards, each marshalled on its own,
-    and go back to back.  ``bounds`` holds 2 * _SHARDS + 2 offsets into
-    the tail, and an empty shard has no bytes; ``digests`` is the sha256s
-    of the pieces' bytes, back to back.  A dictionary's payload depends on
+    synset starts, bounds, digests)``; the dicts are _sharded's shards,
+    then the _class_table of its entry shards, and the pieces are each
+    dict marshalled on its own, back to back.  ``bounds`` holds
+    2 * _SHARDS + 2 offsets into the tail, and an empty shard has no
+    bytes; ``digests`` is the sha256s of the pieces' bytes, back to back.  A dictionary's payload depends on
     its content alone, not on the process or the order of its files' lines.
 
     Key ranges rather than a hash: the parse makes its objects in file
@@ -594,14 +594,14 @@ def _snapshot_payload(tables) -> tuple[bytes, list[bytes], dict]:
     """
     entries, synsets, exceptions = tables
     starts, shards = _sharded(tables)
-    entry_shards = list(islice(shards, _SHARDS))
-    table = _class_table(entry_shards)
-    pieces = [marshal.dumps(shard) if shard else b"" for shard in chain(entry_shards, shards)]
+    table = _class_table(shards[:_SHARDS])
+    pieces = [marshal.dumps(shard) if shard else b"" for shard in shards]
     pieces.append(marshal.dumps(table))
+    shards.append(table)
     bounds = (0, *accumulate(map(len, pieces)))
     digests = b"".join(hashlib.sha256(piece).digest() for piece in pieces)
     header = marshal.dumps((len(entries), len(synsets), exceptions, *starts, bounds, digests))
-    return header, pieces, table
+    return header, pieces, shards
 
 
 def _in_order(values) -> bool:

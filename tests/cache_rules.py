@@ -1,9 +1,10 @@
 """The cache rules every slot shares, written once.
 
-TestSnapshot (tests/test_lexicon.py), TestSlot (tests/test_index.py) and
-TestScanSlot (tests/test_extractor.py) each run them for their slot: where
-a slot is, when none is written, when a stat signature is trusted, and
-which slots a write sweeps away.
+TestSnapshot (tests/test_lexicon.py), TestSlot (tests/test_index.py),
+TestPostingsSlot (tests/test_locator.py) and TestScanSlot
+(tests/test_extractor.py) each run them for their slot: where a slot is,
+when none is written, when a stat signature is trusted, and which slots a
+write sweeps away.
 """
 
 import marshal
@@ -109,6 +110,30 @@ class CacheRules:
         reloaded = self.load(source)
         assert reloaded == _parsed(self.load, source) != original
         assert list(slots.iterdir()) == [slot_path(self.kind, source)]
+
+    def test_source_edited_between_the_read_and_the_parse_writes_no_slot(self, tmp_path, slots, monkeypatch):
+        source = self._copy(tmp_path)
+        name, old, new = self.edit
+        edited = source / name
+        read = _snapshot.Slot.read
+        reads = []
+
+        def read_then_edit(slot):
+            payload = read(slot)
+            if not reads:  # the edit keeps the size and the mtime; only the ctime tells it
+                before = edited.stat()
+                edited.write_bytes(edited.read_bytes().replace(old, new, 1))
+                os.utime(edited, ns=(before.st_atime_ns, before.st_mtime_ns))
+                assert _signature(edited.stat()) == _signature(before)
+            reads.append(payload)
+            return payload
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_snapshot.Slot, "read", read_then_edit)
+            loaded = self.load(source)
+        assert reads[0] is None
+        assert loaded == _parsed(self.load, source) != _parsed(self.load, self.source)
+        assert not slots.exists() or list(slots.iterdir()) == []
 
     def test_settled_source_is_read_without_hashing(self, tmp_path, slots, monkeypatch):
         source = self._copy(tmp_path)

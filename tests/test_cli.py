@@ -287,6 +287,40 @@ class TestUndecodableInput:
         assert f"index.noun, line {lines + 1}: not UTF-8" in capsys.readouterr().err
 
 
+_past_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits")
+
+
+class TestDecoderLimits:
+    """JSON nested or with an integer past the decoder's limits is a bad input file, reported by name."""
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("[" * 1000 + "]" * 1000, id="nesting"),
+        pytest.param('{"formatVersion": %s}' % ("1" * 5000), id="digits", marks=_past_digit_limit),
+    ])
+    @pytest.mark.parametrize("command", ["stats", "topwords", "domain", "locate"])
+    def test_index_exits_2(self, tmp_path, capsys, command, text):
+        index = tmp_path / "bad.json"
+        index.write_text(text)
+        extra = {"domain": [str(GOLDEN_INDEX)], "locate": ["find word form", "--dict", str(MINIDICT)]}
+        assert main([command, str(index), *extra.get(command, [])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lexiscope: cannot read index {index}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("record", [
+        pytest.param("[" * 1000 + "]" * 1000, id="nesting"),
+        pytest.param('{"kind":"class","name":"A","file":"a.java","line":1%s}' % ("0" * 5000), id="digits",
+                     marks=_past_digit_limit),
+    ])
+    def test_jsonl_exits_2_at_the_line(self, tmp_path, capsys, record):
+        node_file = tmp_path / "nodes.jsonl"
+        node_file.write_text('{"kind":"class","name":"Car","file":"a.java","line":1}\n' + record + "\n")
+        rc = main(["analyze", str(node_file), "--dict", str(MINIDICT),
+                   "-o", str(tmp_path / "o.json"), "--input-mode", "jsonl"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"lexiscope: {node_file}, line 2: invalid JSON (") and "Traceback" not in err
+
+
 class TestStats:
     def test_table_golden(self, corpus_index, capsys):
         assert main(["stats", corpus_index]) == 0

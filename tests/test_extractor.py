@@ -33,7 +33,7 @@ from lexiscope.extractor import (
     ingest_nodes,
 )
 
-from cache_rules import CacheRules, _no_hash, _parsed
+from cache_rules import CacheRules, _parsed
 from conftest import FIXTURES, MINICORPUS, MINIDICT, subprocess_env
 
 
@@ -740,18 +740,19 @@ class TestScanSlot(CacheRules):
         assert (after == before) == (change == "scanner")
         assert list(slots.iterdir()) == [slot_path("scan", tree)]
 
-    def test_cold_scan_reads_each_file_once(self, tmp_path, slots, monkeypatch, tokenized):
+    def test_cold_scan_hashes_each_file_once(self, tmp_path, slots, monkeypatch, tokenized):
         tree = self._copy(tmp_path)
         expected = _parsed(_scan, tree)
         hashed = []
-        digest = extractor_module.file_digest
+        digest = _snapshot.file_digest
         with monkeypatch.context() as patch:
-            # The slot hashes no source file; the key is the sha256s of the
-            # bytes the scan read, and of the scanner.
-            patch.setattr(_snapshot, "file_digest", _no_hash)
-            patch.setattr(extractor_module, "file_digest", lambda path: hashed.append(path) or digest(path))
+            # The slot's read takes the key as it does for every kind: it
+            # hashes each source file, then the scanner, and the scan reads
+            # the files again.
+            patch.setattr(_snapshot, "file_digest", lambda path: hashed.append(Path(path)) or digest(path))
             assert _scan(tree) == expected
-        assert hashed == [extractor_module._SCANNER]
+        assert hashed[-1] == extractor_module._SCANNER
+        assert Counter(hashed[:-1]) == Counter(tree.rglob("*.java"))
         assert list(slots.iterdir()) == [slot_path("scan", tree)]
         del tokenized[:]
         assert _scan(tree) == expected
