@@ -34,12 +34,12 @@ file that is there but is not a regular file, such as a pipe, is never
 read from or written to a slot: no key stands for bytes a read consumes.
 A file is opened without blocking (open_regular) to find that out.
 Every write removes the slots of its kind whose source is gone or that
-the reader turns away.  A cache that cannot be written is skipped.  A slot is only ever a cache of
-a parse: what a parse gave, or what a save writes right after its file
-(see index.save_index) when the parse's rules accept its values and
-would give each back as it is.  Such a save reads the slot first, as a
-load does, and writes it only when the sha256 the read took of the file
-is that of the bytes it wrote.
+the reader turns away.  A cache that cannot be written is skipped.  A
+slot is only ever a cache of a parse: what a parse gave, or what a save
+writes right after its file (see index.save_index) when the parse's
+rules accept its values and would give each back as it is.  Such a save
+reads the slot first, as a load does, and writes it only when the sha256
+the read took of the file is that of the bytes it wrote.
 """
 
 from __future__ import annotations

@@ -585,8 +585,9 @@ def _snapshot_payload(tables) -> tuple[bytes, list[bytes], list[dict]]:
     then the _class_table of its entry shards, and the pieces are each
     dict marshalled on its own, back to back.  ``bounds`` holds
     2 * _SHARDS + 2 offsets into the tail, and an empty shard has no
-    bytes; ``digests`` is the sha256s of the pieces' bytes, back to back.  A dictionary's payload depends on
-    its content alone, not on the process or the order of its files' lines.
+    bytes; ``digests`` is the sha256s of the pieces' bytes, back to back.
+    A dictionary's payload depends on its content alone, not on the
+    process or the order of its files' lines.
 
     Key ranges rather than a hash: the parse makes its objects in file
     order, which is near key order, so a dump in key order reads memory
