@@ -15,6 +15,7 @@ import json
 import marshal
 import os
 import re
+import sys
 from dataclasses import dataclass
 from itertools import count, repeat
 from pathlib import Path
@@ -563,6 +564,18 @@ def _node_from_record(record, nodes: list[SourceNode]) -> SourceNode:
     return SourceNode(len(nodes), *fields)
 
 
+def _decode_fault(exc: ValueError | RecursionError) -> str:
+    """Why json.loads raised exc, said to a user.
+
+    A plain ValueError, none of its subclasses, is an integer past the
+    decoder's digit limit, whose own message tells the reader to call a
+    Python function; any other error says it plainly itself.
+    """
+    if type(exc) is ValueError:
+        return f"an integer has more than {sys.get_int_max_str_digits()} digits"
+    return str(exc)
+
+
 def ingest_nodes(stream: IO[str] | Iterable[str]) -> list[SourceNode]:
     """Read one JSON node record per line into validated SourceNodes.
 
@@ -579,7 +592,7 @@ def ingest_nodes(stream: IO[str] | Iterable[str]) -> list[SourceNode]:
         except json.JSONDecodeError as exc:
             raise SchemaError(line_number, f"invalid JSON ({exc.msg})") from exc
         except (ValueError, RecursionError) as exc:  # nesting or digits past the decoder's limits
-            raise SchemaError(line_number, f"invalid JSON ({exc})") from exc
+            raise SchemaError(line_number, f"invalid JSON ({_decode_fault(exc)})") from exc
         try:
             nodes.append(_node_from_record(record, nodes))
         except ValueError as exc:

@@ -36,7 +36,7 @@ from pathlib import Path
 from . import locator
 from ._snapshot import _CHUNK, Slot
 from .extractor import KINDS, SourceNode, _good_columns, _node_columns, _node_from_record, _nodes_from_columns
-from .extractor import _validate_node
+from .extractor import _decode_fault, _validate_node
 from .lexicon import PosTag
 from .vocabulary import ProjectVocabulary, VocabularyEntry
 
@@ -284,7 +284,7 @@ def load_index(path: str | Path) -> ProjectIndex:
         document = json.loads(text)
         del text
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, nesting or digits past the decoder's limits
-        raise InvalidIndexError(f"cannot read index {path}: {exc}") from exc
+        raise InvalidIndexError(f"cannot read index {path}: {_decode_fault(exc)}") from exc
     index = _index_from_document(document, path)
     if slot is not None:
         vocabulary = index.vocabulary

@@ -17,10 +17,8 @@ import threading
 from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
-from types import MappingProxyType
 
 from ._snapshot import Slot
 
@@ -175,20 +173,20 @@ class Lexicon:
     int value of its PosTag, which hashes and compares equal to it.
 
     ``entries`` and ``synsets`` are read-only mappings (``get``, ``[]``,
-    ``in``, ``len`` and iteration, in no particular order).  After a parse
-    they are read-only proxies of its tables.  Read from the dictionary's
-    snapshot, each reads a shard of its table from the snapshot's file, checks
-    it against its sha256 and unmarshals it the first time a key in that
-    shard is looked up, so a command reads only the part of the dictionary
-    it asks for.  Classification reads no shard: the first one reads the
-    snapshot's class table whole, checked the same way (see _classes).  A
-    shard or table that fails its check makes the lexicon parse the
-    dictionary and answer every later lookup from that parse, which holds
-    the same content; a lookup raises LexiconError instead when a dictionary
-    file changed since the load.  Nothing modifies a lexicon's content
-    after loading, so it is safe to share across threads for reading: two
-    threads may both load one shard, and either equal copy is kept; one
-    parse serves them all.
+    ``in``, ``len`` and iteration, in no particular order), views of one
+    list of pieces: each table's shards, then the class table that
+    classification reads (see _Shards).  After a parse the list is whole.
+    Read from the dictionary's snapshot, a shard is read from the
+    snapshot's file, checked against its sha256 and unmarshalled the first
+    time a key in it is looked up, so a command reads only the part of the
+    dictionary it asks for; the first classification reads the class table
+    whole, checked the same way, and no shard.  A piece that fails its
+    check makes the lexicon parse the dictionary and answer every later
+    lookup from that parse, which holds the same content; a lookup raises
+    LexiconError instead when a dictionary file changed since the load.
+    Nothing modifies a lexicon's content after loading, so it is safe to
+    share across threads for reading: two threads may both load one piece,
+    and either equal copy is kept; one parse serves them all.
     """
 
     entries: Mapping[str, dict[int, tuple[int, tuple[SynsetKey, ...]]]]
@@ -197,17 +195,6 @@ class Lexicon:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def _classes(self) -> dict[str, tuple[int | None, ...]]:
-        """The class table _classify_all reads (see _class_table).
-
-        It is the snapshot's, read whole on the first call, or else one
-        built here from the parse's entries.  A load that parses and writes
-        a snapshot sets it to the table it wrote.
-        """
-        entries = self.entries
-        return entries._shards.load(_TABLE) if type(entries) is _ShardedTable else _class_table([entries])
 
 
 def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
@@ -220,15 +207,16 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     an indented line after the license header, or an exception line
     without a base form.
 
-    A parse writes a snapshot of its tables to the directory's cache slot
-    (see _snapshot), keyed by the content of every dictionary file and
-    stamped with each file's stat signature; later loads of the same
-    content read its header, then a shard at a time as lookups reach it
-    and the class table whole when they classify, and hash no dictionary
-    file while the stamp holds.  A snapshot that is
-    missing, damaged, of other content or cannot be written only means a
-    parse, so every error above comes from the parse, and so does one
-    found damaged by a lookup (see Lexicon).
+    A parse cuts its tables into the pieces a lexicon answers from and
+    writes a snapshot of them to the directory's cache slot (see
+    _snapshot), keyed by the content of every dictionary file and stamped
+    with each file's stat signature; with no cache it marshals and hashes
+    nothing.  Later loads of the same content read its header, then a
+    shard at a time as lookups reach it and the class table whole when
+    they classify, and hash no dictionary file while the stamp holds.  A
+    snapshot that is missing, damaged, of other content or cannot be
+    written only means a parse, so every error above comes from the parse,
+    and so does one found damaged by a lookup (see Lexicon).
     """
     root = Path(dictionary_directory)
     for tag, suffix in _POS_FILES.items():
@@ -241,18 +229,19 @@ def load_lexicon(dictionary_directory: str | Path) -> Lexicon:
     tables = None if head is None else _open_payload(head, slot.tail, lambda: _parse_again(root, slot))
     if tables is not None:
         return Lexicon(*tables)
-    tables = _parse_lexicon(root)
-    entries, synsets, exceptions = tables
-    lexicon = Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
+    entries, synsets, exceptions = parse = _parse_lexicon(root)
+    starts, pieces = _sharded(parse)
     if slot is not None:
-        header, pieces, shards = _snapshot_payload(tables)
-        slot.write(header, tail=pieces)
-        vars(lexicon)["_classes"] = shards[-1]  # the cached value of the property: the class table
-    return lexicon
+        slot.write(*_snapshot_payload(parse, starts, pieces))
+    shards = _Shards(pieces)
+    return Lexicon(
+        _ShardedTable(shards, 0, starts[0], len(entries)), _ShardedTable(shards, _SHARDS, starts[1], len(synsets)),
+        exceptions,
+    )
 
 
 def _parse_again(root: Path, slot: Slot) -> list:
-    """The dicts of the tail's pieces of a parse of the dictionary under root, for a snapshot a lookup found damaged; writes it again.
+    """The pieces' dicts of a parse of the dictionary under root, for a snapshot a lookup found damaged; writes it again.
 
     The parse stands in for the snapshot the load read, so it must read
     the files the load's key was taken of: a file whose stat is not what
@@ -260,13 +249,13 @@ def _parse_again(root: Path, slot: Slot) -> list:
     """
     changed = slot.changed()
     if changed is None:
-        tables = _parse_lexicon(root)
+        parse = _parse_lexicon(root)
         changed = slot.changed()
     if changed is not None:
         raise LexiconError(f"{changed} changed since the dictionary was loaded")
-    header, pieces, shards = _snapshot_payload(tables)
-    slot.write(header, tail=pieces)
-    return shards
+    starts, pieces = _sharded(parse)
+    slot.write(*_snapshot_payload(parse, starts, pieces))
+    return pieces
 
 
 def _parse_lexicon(root: Path):
@@ -443,71 +432,69 @@ _DICT_FILES = tuple(
 
 
 class _Shards:
-    """The pieces of a snapshot's tail, each read and checked against its sha256 when it is asked for.
+    """The pieces a lexicon answers from, in one list: the entry shards, the synset shards, then the class table.
 
-    Piece i, a shard or the class table, is the tail's bytes ``bounds[i]``
-    to ``bounds[i + 1]``, and its sha256 is ``digests[32 * i : 32 * i +
-    32]``; an empty range is an empty shard.  A piece that fails its check
-    was damaged after the load checked the slot's own sha256: from then on
-    every piece comes from reparse, a parse of the dictionary, which the
-    first thread to find damage runs and the others wait for.
+    A parse fills the list whole.  Read from a snapshot, the list starts
+    all None, and piece i, the tail's bytes ``bounds[i]`` to ``bounds[i +
+    1]``, is read and checked against its sha256, ``digests[32 * i : 32 *
+    i + 32]``, the first time it is asked for; an empty range is an empty
+    shard.  Two threads may both load one piece, and either equal copy
+    stays.  A piece that fails its check was damaged after the load
+    checked the slot's own sha256: reparse, a parse of the dictionary,
+    then refills the whole list in place, run by the first thread to find
+    damage while the others wait for it.
     """
 
-    __slots__ = ("_tail", "_bounds", "_digests", "_reparse", "_parsed", "_lock")
+    __slots__ = ("pieces", "_tail", "_bounds", "_digests", "_reparse", "_lock")
 
-    def __init__(self, tail, bounds: tuple[int, ...], digests: bytes, reparse):
+    def __init__(self, pieces: list, tail=b"", bounds: tuple[int, ...] = (), digests: bytes = b"", reparse=None):
+        self.pieces = pieces
         self._tail = tail
         self._bounds = bounds
         self._digests = digests
         self._reparse = reparse
-        self._parsed: list | None = None
         self._lock = threading.Lock()
 
     def load(self, number: int):
-        if self._parsed is None:
-            start, end = self._bounds[number], self._bounds[number + 1]
-            if start == end:
-                return {}
-            blob = self._tail[start:end]
-            if hashlib.sha256(blob).digest() == self._digests[32 * number : 32 * number + 32]:
-                return marshal.loads(blob)
-            with self._lock:
-                if self._parsed is None:
-                    self._parsed = self._reparse()
-        return self._parsed[number]
+        piece = self.pieces[number]
+        if piece is None:
+            blob = self._tail[self._bounds[number] : self._bounds[number + 1]]
+            if hashlib.sha256(blob).digest() != self._digests[32 * number : 32 * number + 32]:
+                with self._lock:
+                    if self.pieces[number] is None:
+                        self.pieces[:] = self._reparse()
+                return self.pieces[number]
+            piece = self.pieces[number] = marshal.loads(blob) if blob else {}
+        return piece
 
 
 class _ShardedTable(Mapping):
-    """A read-only mapping stored as snapshot shards, each loaded on first touch.
+    """A read-only mapping stored as _SHARDS pieces of a _Shards, each loaded on first touch.
 
     The shards hold the keys in sorted ranges: ``starts`` is the first key
     of each shard but the first, so a key belongs to shard
-    ``bisect_right(starts, key)``, which is shard ``first`` plus that of
-    ``shards``.
+    ``bisect_right(starts, key)``, which is piece ``first`` plus that of
+    ``shards``.  The table holds the pieces' list itself, so a loaded
+    shard is one index away.
     """
 
-    __slots__ = ("_shards", "_first", "_starts", "_count", "_loaded")
+    __slots__ = ("_shards", "_pieces", "_first", "_starts", "_count")
 
     def __init__(self, shards: _Shards, first: int, starts: tuple, count: int):
         self._shards = shards
+        self._pieces = shards.pieces
         self._first = first
         self._starts = starts
         self._count = count
-        self._loaded: list[dict | None] = [None] * _SHARDS
-
-    def _load(self, index: int) -> dict:
-        # Two threads may both get here for one shard; either equal copy stays.
-        shard = self._loaded[index] = self._shards.load(self._first + index)
-        return shard
 
     def _shard(self, key) -> dict | None:
         """The shard that would hold key, loaded; None for a key no key of the table compares with."""
         try:
-            index = bisect_right(self._starts, key)
+            number = self._first + bisect_right(self._starts, key)
         except TypeError:
             return None
-        shard = self._loaded[index]
-        return self._load(index) if shard is None else shard
+        shard = self._pieces[number]
+        return self._shards.load(number) if shard is None else shard
 
     def get(self, key, default=None):
         shard = self._shard(key)
@@ -524,8 +511,8 @@ class _ShardedTable(Mapping):
         return shard is not None and key in shard
 
     def __iter__(self):
-        for index, shard in enumerate(self._loaded):
-            yield from self._load(index) if shard is None else shard
+        for number in range(self._first, self._first + _SHARDS):
+            yield from self._shards.load(number)
 
     def __len__(self) -> int:
         return self._count
@@ -535,22 +522,24 @@ class _ShardedTable(Mapping):
 
 
 def _sharded(tables):
-    """(entry starts, synset starts) of a parse's (entries, synsets, exceptions), and the list of its shards.
+    """(entry starts, synset starts) of a parse's (entries, synsets, exceptions), and the list of its pieces' dicts.
 
     Each table's keys are sorted and cut into _SHARDS ranges of near-equal
     size, and each range is a shard, a dict: _SHARDS of entries, then
-    _SHARDS of synsets.  A table's starts are the first keys of all its
-    ranges but the first (none for an empty table).
+    _SHARDS of synsets, then the _class_table of the entry shards.  A
+    table's starts are the first keys of all its ranges but the first
+    (none for an empty table).
     """
     cut = []
     for table in tables[:2]:
         keys = sorted(table)
         cut.append((table, keys, [number * len(keys) // _SHARDS for number in range(_SHARDS + 1)]))
     starts = tuple(tuple(keys[index] for index in cuts[1:-1]) if keys else () for _table, keys, cuts in cut)
-    shards = [
+    pieces = [
         {key: table[key] for key in keys[low:high]} for table, keys, cuts in cut for low, high in zip(cuts, cuts[1:])
     ]
-    return starts, shards
+    pieces.append(_class_table(pieces[:_SHARDS]))
+    return starts, pieces
 
 
 def _class_table(shards) -> dict[str, tuple[int | None, ...]]:
@@ -577,16 +566,15 @@ def _class_table(shards) -> dict[str, tuple[int | None, ...]]:
     return table
 
 
-def _snapshot_payload(tables) -> tuple[bytes, list[bytes], list[dict]]:
-    """The snapshot of (entries, synsets, exceptions): its head, the marshalled header, its tail's pieces, and the pieces' dicts.
+def _snapshot_payload(tables, starts, pieces) -> tuple[bytes, list[bytes]]:
+    """The snapshot of (entries, synsets, exceptions), which _sharded cut: its head, the marshalled header, and its tail's pieces.
 
     The header is ``(entry count, synset count, exceptions, entry starts,
-    synset starts, bounds, digests)``; the dicts are _sharded's shards,
-    then the _class_table of its entry shards, and the pieces are each
-    dict marshalled on its own, back to back.  ``bounds`` holds
-    2 * _SHARDS + 2 offsets into the tail, and an empty shard has no
-    bytes; ``digests`` is the sha256s of the pieces' bytes, back to back.
-    A dictionary's payload depends on its content alone, not on the
+    synset starts, bounds, digests)``, and the tail's pieces are each of
+    _sharded's dicts marshalled on its own, back to back.  ``bounds``
+    holds 2 * _SHARDS + 2 offsets into the tail, and an empty shard has
+    no bytes; ``digests`` is the sha256s of the pieces' bytes, back to
+    back.  A dictionary's payload depends on its content alone, not on the
     process or the order of its files' lines.
 
     Key ranges rather than a hash: the parse makes its objects in file
@@ -594,15 +582,12 @@ def _snapshot_payload(tables) -> tuple[bytes, list[bytes], list[dict]]:
     nearly in sequence, about three times faster than in hash order.
     """
     entries, synsets, exceptions = tables
-    starts, shards = _sharded(tables)
-    table = _class_table(shards[:_SHARDS])
-    pieces = [marshal.dumps(shard) if shard else b"" for shard in shards]
-    pieces.append(marshal.dumps(table))
-    shards.append(table)
-    bounds = (0, *accumulate(map(len, pieces)))
-    digests = b"".join(hashlib.sha256(piece).digest() for piece in pieces)
+    blobs = [marshal.dumps(shard) if shard else b"" for shard in pieces[:_TABLE]]
+    blobs.append(marshal.dumps(pieces[_TABLE]))
+    bounds = (0, *accumulate(map(len, blobs)))
+    digests = b"".join(hashlib.sha256(blob).digest() for blob in blobs)
     header = marshal.dumps((len(entries), len(synsets), exceptions, *starts, bounds, digests))
-    return header, pieces, shards
+    return header, blobs
 
 
 def _in_order(values) -> bool:
@@ -656,7 +641,7 @@ def _open_payload(head: bytes, tail, reparse):
         ):
             return None
         tables.append((starts, count))
-    shards = _Shards(tail, bounds, digests, reparse)
+    shards = _Shards([None] * (_TABLE + 1), tail, bounds, digests, reparse)
     return _ShardedTable(shards, 0, *tables[0]), _ShardedTable(shards, _SHARDS, *tables[1]), exceptions
 
 
@@ -764,9 +749,9 @@ def _classify_all(lexicon: Lexicon, words) -> dict[str, tuple[str, PosTag] | Non
     part of speech keeps its first candidate of the highest tag count, so
     a repeated candidate can never replace it, and no candidate list or
     seen-set is needed.  Each candidate is looked up in the lexicon's class
-    table (Lexicon._classes), which holds every lemma's tag counts.
+    table (piece _TABLE of its _Shards), which holds every lemma's tag counts.
     """
-    table = lexicon._classes
+    table = lexicon.entries._shards.load(_TABLE)
     exceptions = _exception_tables(lexicon)
     readings: dict[str, tuple[str, PosTag] | None] = {}
     for word in words:

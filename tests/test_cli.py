@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -47,6 +48,23 @@ def corpus_index(tmp_path):
     rc = main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(out)])
     assert rc == 0
     return str(out)
+
+
+def _piece_reads(monkeypatch):
+    """The list of the numbers of the dictionary pieces that lexicons read from their snapshot's tail from now on.
+
+    A piece is read when a load finds it missing from its lexicon's list.
+    """
+    reads = []
+    load = lexicon_module._Shards.load
+
+    def recording(shards, number):
+        if shards.pieces[number] is None:
+            reads.append(number)
+        return load(shards, number)
+
+    monkeypatch.setattr(lexicon_module._Shards, "load", recording)
+    return reads
 
 
 class TestAnalyze:
@@ -127,18 +145,14 @@ class TestAnalyze:
         assert "Vehicle.java" in warm[3]
 
     def test_cold_analyze_classifies_from_its_parse(self, tmp_path, monkeypatch):
-        # A cold load hands back the tables it parsed; it does not read
-        # the snapshot it has just written a shard at a time.
+        # A cold load answers from the pieces it cut for the snapshot: it
+        # reads and unmarshals none of the tail it has just written.
         cache = tmp_path / "cache"
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-        loads = []
-        load = lexicon_module._ShardedTable._load
-
-        def recording(table, index):
-            loads.append(index)
-            return load(table, index)
-
-        monkeypatch.setattr(lexicon_module._ShardedTable, "_load", recording)
+        reads = _piece_reads(monkeypatch)
+        unmarshalled = []
+        monkeypatch.setattr(lexicon_module, "marshal", SimpleNamespace(
+            dumps=marshal.dumps, loads=lambda data: unmarshalled.append(data) or marshal.loads(data)))
         # It classifies from the class table it built for the snapshot.
         tables = []
         class_table = lexicon_module._class_table
@@ -146,7 +160,7 @@ class TestAnalyze:
         out = tmp_path / "o.json"
         assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_INDEX.read_bytes()
-        assert loads == []
+        assert reads == unmarshalled == []
         assert len(tables) == 1
         assert sorted(p.name.split("-")[0] for p in (cache / "lexiscope").iterdir()) == ["index", "lexicon", "scan"]
 
@@ -155,24 +169,11 @@ class TestAnalyze:
         # and reads no lemma or synset shard.
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         load_lexicon(MINIDICT)
-        loads, pieces = [], []
-        load, load_piece = lexicon_module._ShardedTable._load, lexicon_module._Shards.load
-
-        def recording(table, index):
-            loads.append(index)
-            return load(table, index)
-
-        def recording_piece(shards, number):
-            pieces.append(number)
-            return load_piece(shards, number)
-
-        monkeypatch.setattr(lexicon_module._ShardedTable, "_load", recording)
-        monkeypatch.setattr(lexicon_module._Shards, "load", recording_piece)
+        reads = _piece_reads(monkeypatch)
         out = tmp_path / "o.json"
         assert main(["analyze", str(MINICORPUS), "--dict", str(MINIDICT), "-o", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_INDEX.read_bytes()
-        assert loads == []
-        assert pieces == [lexicon_module._TABLE]
+        assert reads == [lexicon_module._TABLE]
 
     def test_bad_dictionary_exits_3(self, tmp_path):
         rc = main(["analyze", str(MINICORPUS), "--dict", str(tmp_path),
@@ -305,6 +306,8 @@ class TestDecoderLimits:
         assert main([command, str(index), *extra.get(command, [])]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"lexiscope: cannot read index {index}: ") and "Traceback" not in err
+        assert "set_int_max_str_digits" not in err
+        assert text.startswith("[") or f": an integer has more than {sys.get_int_max_str_digits()} digits\n" in err
 
     @pytest.mark.parametrize("record", [
         pytest.param("[" * 1000 + "]" * 1000, id="nesting"),
@@ -319,6 +322,8 @@ class TestDecoderLimits:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"lexiscope: {node_file}, line 2: invalid JSON (") and "Traceback" not in err
+        assert "set_int_max_str_digits" not in err
+        assert record.startswith("[") or f"(an integer has more than {sys.get_int_max_str_digits()} digits)" in err
 
 
 class TestStats:

@@ -471,7 +471,7 @@ class TestSnapshot(CacheRules):
         parsed = _parse_lexicon(MINIDICT)
         parse = lexicon_module._parse_lexicon
         for piece, damage, reach in _DAMAGED_PIECES:
-            load_lexicon(MINIDICT)
+            expected = reach(load_lexicon(MINIDICT))  # from a parse, or from a slot before the damage
             [path] = slots.iterdir()
             damage(path, MINIDICT)
             lexicon = load_lexicon(MINIDICT)
@@ -481,7 +481,7 @@ class TestSnapshot(CacheRules):
                 patch.setattr(lexicon_module, "_parse_lexicon", lambda root: parses.append(root) or parse(root))
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     found = list(pool.map(lambda _: reach(lexicon), range(8)))
-                assert found == [reach(Lexicon(*parsed))] * 8, piece
+                assert found == [expected] * 8, piece
                 assert _tables(lexicon) == parsed
                 assert classify(lexicon, "cars") == ("car", PosTag.NOUN)
                 assert parses == [MINIDICT], piece
@@ -552,15 +552,23 @@ class TestSnapshot(CacheRules):
         assert hashed == [shards[bisect_right(entry_starts, "car")]]
 
     def test_no_cache_builds_no_payload(self, tmp_path, monkeypatch):
+        # With no cache the load cuts its parse into the pieces a lexicon
+        # answers from, and marshals and hashes nothing.
+        parsed = _parse_lexicon(MINIDICT)
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("XDG_CACHE_HOME", "cache")
         monkeypatch.setenv("HOME", "home")
 
-        def no_payload(tables):
-            raise AssertionError("built a snapshot payload with no cache")
+        def refuse(*args):
+            raise AssertionError("marshalled or hashed with no cache")
 
-        monkeypatch.setattr(lexicon_module, "_snapshot_payload", no_payload)
-        assert _tables(load_lexicon(MINIDICT)) == _parse_lexicon(MINIDICT)
+        monkeypatch.setattr(lexicon_module, "marshal", SimpleNamespace(dumps=refuse, loads=refuse))
+        for module in (snapshot_module, lexicon_module):
+            monkeypatch.setattr(module, "hashlib", SimpleNamespace(sha256=refuse))
+        lexicon = load_lexicon(MINIDICT)
+        assert classify(lexicon, "cars") == ("car", PosTag.NOUN)
+        assert _tables(lexicon) == parsed
+        assert list(tmp_path.iterdir()) == []
 
     def test_edited_file_is_parsed_again(self, tmp_path, slots):
         # Same length and the same mtime: only the content tells the edit.
@@ -607,11 +615,12 @@ class TestSnapshot(CacheRules):
         with pytest.raises(MissingFileError, match="data.adv"):
             load_lexicon(root)
 
-    def test_tables_answer_as_the_parse(self, slots):
+    def test_tables_answer_as_the_parse(self, tmp_path, slots, monkeypatch):
         entries, synsets, exceptions = _parse_lexicon(MINIDICT)
-        cold = load_lexicon(MINIDICT)
-        warm = load_lexicon(MINIDICT)
-        for lexicon in (cold, warm):
+        lexicons = []
+
+        def answers_as_the_parse(lexicon):
+            lexicons.append(lexicon)
             assert_same_mapping(lexicon.entries, entries, ["values", "qqzx", "CAR", "car\u2028", "\ud800", 7, None])
             assert_same_mapping(
                 lexicon.synsets, synsets,
@@ -619,6 +628,23 @@ class TestSnapshot(CacheRules):
             )
             assert lexicon.exceptions == exceptions
             assert len(lexicon) == len(entries)
+
+        answers_as_the_parse(load_lexicon(MINIDICT))  # cold
+        answers_as_the_parse(load_lexicon(MINIDICT))  # warm
+        # Reparsed: a lookup reached a damaged shard, so the lexicon answers
+        # from a parse, which wrote the slot again.
+        [path] = slots.iterdir()
+        damaged = _damage_entry_shard(path, "car")
+        reparsed = load_lexicon(MINIDICT)
+        assert reparsed.entries["car"] == entries["car"]
+        assert path.read_bytes() != damaged
+        answers_as_the_parse(reparsed)
+        # No cache.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+        monkeypatch.setenv("HOME", "home")
+        answers_as_the_parse(load_lexicon(MINIDICT))
+        assert len({type(table) for lexicon in lexicons for table in (lexicon.entries, lexicon.synsets)}) == 1
 
     def test_deep_copy_of_a_warm_lexicon_leaves_its_snapshot_open(self, slots, lexicon):
         words = sorted(_parse_lexicon(MINIDICT)[0])

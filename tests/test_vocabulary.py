@@ -1,7 +1,8 @@
+import os
 import random
 import tempfile
 from pathlib import Path
-from types import MappingProxyType
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,7 @@ from lexiscope.extractor import KINDS, SourceNode
 from lexiscope.lexicon import (
     Lexicon,
     PosTag,
-    _open_payload,
     _parse_lexicon,
-    _snapshot_payload,
     classify,
     lemmatize,
     load_lexicon,
@@ -209,28 +208,28 @@ _NAMES = st.lists(_pieces(), min_size=1, max_size=4).map("".join)
 )
 def test_build_vocabulary_matches_its_reference(case, named, stoplist):
     files = case[0]
+    nodes = [SourceNode(i, kind, name, "F.java", i + 1, None) for i, (kind, name) in enumerate(named)]
+    tokens = {token for _kind, name in named for token in split_identifier(name)}
     with tempfile.TemporaryDirectory() as directory:
-        root = Path(directory)
+        root = Path(directory) / "dict"
+        root.mkdir()
         for name, text in files.items():
             (root / name).write_text(text, encoding="utf-8")
-        tables = _parse_lexicon(root)
-    entries, synsets, exceptions = tables
-    parsed = Lexicon(MappingProxyType(entries), MappingProxyType(synsets), exceptions)
-    header, pieces, _table = _snapshot_payload(tables)
-    # A tail is read as bytes are, so the pieces joined stand in for a slot's;
-    # the sharded lexicon classifies from the table piece, the parsed one from
-    # a table built from its entries.
-    sharded = Lexicon(*_open_payload(header, b"".join(pieces), None))
-    nodes = [SourceNode(i, kind, name, "F.java", i + 1, None) for i, (kind, name) in enumerate(named)]
-    expected = _reference_build_vocabulary(nodes, parsed, stoplist, project_name="p", file_count=3)
-    tokens = {token for _kind, name in named for token in split_identifier(name)}
-    for lexicon in (parsed, sharded):
-        vocabulary = build_vocabulary(nodes, lexicon, stoplist, project_name="p", file_count=3)
-        assert (vocabulary.project_name, vocabulary.file_count) == ("p", 3)
-        assert list(vocabulary.entries.items()) == list(expected.entries.items())
-        for token in (*tokens, *(token.upper() for token in tokens), ""):
-            assert classify(lexicon, token) == _reference_classify(parsed, token), token
-            assert lemmatize(lexicon, token) == _reference_lemmatize(parsed, token), token
+        # The parsed dicts, which only the references read.
+        parsed = Lexicon(*_parse_lexicon(root))
+        expected = _reference_build_vocabulary(nodes, parsed, stoplist, project_name="p", file_count=3)
+        # A parse holds every piece at once; a load from the slot it wrote
+        # reads each piece, the class table too, as a lookup first reaches it.
+        with mock.patch.dict(os.environ, XDG_CACHE_HOME=os.path.join(directory, "cache")):
+            cold, warm = load_lexicon(root), load_lexicon(root)
+        assert set(warm.entries._shards.pieces) == {None}
+        for lexicon in (cold, warm):
+            vocabulary = build_vocabulary(nodes, lexicon, stoplist, project_name="p", file_count=3)
+            assert (vocabulary.project_name, vocabulary.file_count) == ("p", 3)
+            assert list(vocabulary.entries.items()) == list(expected.entries.items())
+            for token in (*tokens, *(token.upper() for token in tokens), ""):
+                assert classify(lexicon, token) == _reference_classify(parsed, token), token
+                assert lemmatize(lexicon, token) == _reference_lemmatize(parsed, token), token
 
 
 class TestComputeStats:
